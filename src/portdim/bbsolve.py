@@ -41,6 +41,7 @@ from .comoments import (
     moment_derivatives,
     portfolio_moments,
 )
+from .gld import _projected_descent
 from .subsolver import LpProblem, MilpProblem, solve_lp, solve_milp
 
 __all__ = [
@@ -235,13 +236,6 @@ def barycentric_subdivide(cell: SimplexCell, first_child_id: int = 0) -> tuple[S
 # bounding subproblems
 
 
-def _g_and_gradient(point: np.ndarray, c: CoMomentSet) -> tuple[float, np.ndarray]:
-    """Fourth portfolio moment and its gradient at an arbitrary point."""
-    g_val = portfolio_moments(point, c).mu4
-    grad = moment_derivatives(point, c).grad_mu4
-    return g_val, grad
-
-
 def alpha_floor(c: CoMomentSet, cfg: BbConfig) -> float:
     """A certified positive floor of the fourth moment over the simplex.
 
@@ -249,36 +243,17 @@ def alpha_floor(c: CoMomentSet, cfg: BbConfig) -> float:
     from the barycenter is global; the result is scaled by
     ``cfg.alpha_safety`` to stay below it under floating point.
     """
-    from .gld import project_rows  # local import: gld also imports nothing from here
-
     n = c.n_assets
-    w = np.full(n, 1.0 / n)
-    g_val, grad = _g_and_gradient(w, c)
-    step = 1.0
-    for _ in range(_ALPHA_MAX_ITER):
-        mapped = project_rows((w - grad)[None, :])[0]
-        if np.linalg.norm(w - mapped) <= _ALPHA_GRAD_TOL:
-            break
-        t = step
-        accepted = False
-        while t > 1e-18:
-            cand = project_rows((w - t * grad)[None, :])[0]
-            cand_val = portfolio_moments(cand, c).mu4
-            if cand_val <= g_val + 1e-4 * float(grad @ (cand - w)):
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted or np.array_equal(cand, w):
-            break  # no representable progress left: numerically stationary
-        cand_grad = moment_derivatives(cand, c).grad_mu4
-        s = cand - w
-        y = cand_grad - grad
-        sy = float(s @ y)
-        step = min(max(float(s @ s) / sy if sy > 1e-300 else 1.0, 1e-10), 1e3)
-        w, g_val, grad = cand, cand_val, cand_grad
-    else:
+    _, mu4, _, converged = _projected_descent(
+        lambda v: portfolio_moments(v, c).mu4,
+        lambda v: moment_derivatives(v, c).grad_mu4,
+        np.full(n, 1.0 / n),
+        grad_tol=_ALPHA_GRAD_TOL,
+        max_iter=_ALPHA_MAX_ITER,
+    )
+    if not converged:
         raise RuntimeError(f"fourth-moment floor search did not converge in {_ALPHA_MAX_ITER} iterations")
-    return cfg.alpha_safety * g_val
+    return cfg.alpha_safety * mu4
 
 
 def cut_points(cell: SimplexCell, n_c: int) -> np.ndarray:
@@ -310,9 +285,10 @@ def _cut_rows(
     """
     rows = np.empty((anchors.shape[0], vertices.shape[0] + 1))
     for k, anchor in enumerate(anchors):
-        g_val, grad = _g_and_gradient(anchor, c)
+        grad = moment_derivatives(anchor, c).grad_mu4
         rows[k, :-1] = vertices @ grad
-        rows[k, -1] = g_val - float(grad @ anchor)
+        # g(R) - grad'R, where g(R) = grad'R / 4 by Euler's identity
+        rows[k, -1] = -0.75 * float(grad @ anchor)
     return rows, np.ones(anchors.shape[0])
 
 

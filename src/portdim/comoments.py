@@ -20,6 +20,14 @@ with analytic derivatives
 
     grad var = 2 M2 w,  grad mu3 = 3 M3 (w(x)w),  grad mu4 = 4 M4 (w(x)w(x)w),
     hess mu3 = 6 M3 (w (x) I),  hess mu4 = 12 M4 (w (x) w (x) I).
+
+Every evaluator, scalar or batched, runs on one private kernel over a
+(P, N) block of points.  It forms M2 w, the variance from it, and the
+(P, N, N) matrix A = reshape((w(x)w)' M4p) with ``M4p = m4_paired``, which
+gives mu4 = w'A w, grad mu4 = 4 A w and hess mu4 = 12 A.  The third moment
+and its derivatives come from one helper on the flat ``m3``, called only
+by the functions that return mu3.  The scalar functions are P = 1 views
+of the same kernel.
 """
 
 from __future__ import annotations
@@ -310,64 +318,89 @@ class MomentDerivatives(NamedTuple):
     hess_mu4: np.ndarray
 
 
-def _check_dims(v: np.ndarray, c: CoMomentSet) -> None:
-    if v.size != c.n_assets:
-        raise ValueError(f"weight vector has {v.size} entries for {c.n_assets} assets")
+class _EvenMoments(NamedTuple):
+    variance: np.ndarray  # (P,)
+    m2w: np.ndarray  # (P, N): M2 w
+    mu4: np.ndarray  # (P,)
+    grad_mu4: np.ndarray  # (P, N): 4 A w
+    a: np.ndarray  # (P, N, N): hess mu4 = 12 A
+
+
+def _even_moments(points: np.ndarray, c: CoMomentSet) -> _EvenMoments:
+    """Variance, fourth moment and its derivatives at each row of a (P, N)
+    block of points.
+
+    The one place the N^2 x N^2 product with ``m4_paired`` is formed:
+    ``A = reshape((w (x) w)' M4p)`` carries both derivatives of mu4.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != c.n_assets:
+        raise ValueError(f"expected (P, {c.n_assets}) points, got shape {pts.shape}")
+    n_pts, n = pts.shape
+    m2w = pts @ c.m2.T
+    flat = (pts[:, :, None] * pts[:, None, :]).reshape(n_pts, n * n)
+    half = flat @ c.m4_paired
+    a = half.reshape(n_pts, n, n)
+    return _EvenMoments(
+        variance=np.einsum("pi,pi->p", pts, m2w),
+        m2w=m2w,
+        mu4=np.einsum("pq,pq->p", half, flat),
+        grad_mu4=4.0 * (a @ pts[:, :, None])[:, :, 0],
+        a=a,
+    )
+
+
+def _third_moment(points: np.ndarray, c: CoMomentSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """mu3, grad mu3 and hess mu3 at each row of ``points``, from the flat ``c.m3``."""
+    pts = np.asarray(points, dtype=float)
+    n_pts, n = pts.shape
+    half_hess = (pts @ c.m3.reshape(n * n, n).T).reshape(n_pts, n, n)  # M3 (w (x) I)
+    m3ww = (half_hess @ pts[:, :, None])[:, :, 0]  # M3 (w (x) w)
+    return np.einsum("pi,pi->p", m3ww, pts), 3.0 * m3ww, 6.0 * half_hess
+
+
+def _nonzero_point(w: Weights | np.ndarray, ratio: str) -> np.ndarray:
+    """``w`` as a (1, N) block; the standardized moments are undefined at 0."""
+    v = _as_weight_vector(w)
+    if not np.any(v != 0.0):
+        raise ValueError(f"{ratio} undefined at the zero weight vector")
+    return v[None, :]
 
 
 def portfolio_moments(w: Weights | np.ndarray, c: CoMomentSet) -> PortfolioMoments:
     """Central portfolio moments (variance, mu3, mu4) at weight vector ``w``."""
-    v = _as_weight_vector(w)
-    _check_dims(v, c)
-    variance = float(v @ c.m2 @ v)
-    m3t = c.m3_tensor
-    mu3 = float(np.einsum("ijk,i,j,k->", m3t, v, v, v))
-    vv = np.outer(v, v).ravel()
-    mu4 = float(vv @ c.m4_paired @ vv)
-    return PortfolioMoments(variance=variance, mu3=mu3, mu4=mu4)
+    variance, mu3, mu4 = batch_moments(_as_weight_vector(w)[None, :], c)
+    return PortfolioMoments(variance=float(variance[0]), mu3=float(mu3[0]), mu4=float(mu4[0]))
 
 
 def portfolio_kurtosis(w: Weights | np.ndarray, c: CoMomentSet) -> float:
     """Portfolio kurtosis ``mu4 / variance^2``; leverage invariant, >= 1."""
-    v = _as_weight_vector(w)
-    if not np.any(v != 0.0):
-        raise ValueError("kurtosis undefined at the zero weight vector")
-    variance, _, mu4 = portfolio_moments(v, c)
-    return mu4 / variance**2
+    return float(batch_kurtosis(_nonzero_point(w, "kurtosis"), c)[0])
 
 
 def portfolio_skewness(w: Weights | np.ndarray, c: CoMomentSet) -> float:
     """Portfolio skewness ``mu3 / variance^{3/2}``."""
-    v = _as_weight_vector(w)
-    if not np.any(v != 0.0):
-        raise ValueError("skewness undefined at the zero weight vector")
-    variance, mu3, _ = portfolio_moments(v, c)
-    return mu3 / variance**1.5
+    variance, mu3, _ = batch_moments(_nonzero_point(w, "skewness"), c)
+    return float(mu3[0] / variance[0] ** 1.5)
 
 
 def moment_derivatives(w: Weights | np.ndarray, c: CoMomentSet) -> MomentDerivatives:
     """Analytic gradients and Hessians of variance, mu3 and mu4 at ``w``."""
-    v = _as_weight_vector(w)
-    _check_dims(v, c)
-    m3t = c.m3_tensor
-    grad_var = 2.0 * (c.m2 @ v)
-    hess_mu3 = 6.0 * np.einsum("ijk,k->ij", m3t, v)
-    grad_mu3 = 0.5 * (hess_mu3 @ v)  # 3 M3 (w (x) w)
-    n = c.n_assets
-    a = (np.outer(v, v).ravel() @ c.m4_paired).reshape(n, n)
-    grad_mu4 = 4.0 * (a @ v)
-    hess_mu4 = 12.0 * a
-    return MomentDerivatives(grad_var, grad_mu3, grad_mu4, hess_mu3, hess_mu4)
+    pts = _as_weight_vector(w)[None, :]
+    even = _even_moments(pts, c)
+    _, grad_mu3, hess_mu3 = _third_moment(pts, c)
+    return MomentDerivatives(
+        grad_var=2.0 * even.m2w[0],
+        grad_mu3=grad_mu3[0],
+        grad_mu4=even.grad_mu4[0],
+        hess_mu3=hess_mu3[0],
+        hess_mu4=12.0 * even.a[0],
+    )
 
 
 def kurtosis_gradient(w: Weights | np.ndarray, c: CoMomentSet) -> np.ndarray:
     """Gradient of kurtosis ``mu4 / variance^2`` by the quotient rule."""
-    v = _as_weight_vector(w)
-    variance, _, mu4 = portfolio_moments(v, c)
-    d = moment_derivatives(v, c)
-    g = variance**2
-    grad_g = 2.0 * variance * d.grad_var  # = 4 (w'M2w) M2 w
-    return d.grad_mu4 / g - mu4 * grad_g / g**2
+    return batch_kurtosis_and_gradient(_nonzero_point(w, "kurtosis"), c)[1][0]
 
 
 def kurtosis_hessian(w: Weights | np.ndarray, c: CoMomentSet) -> np.ndarray:
@@ -375,18 +408,15 @@ def kurtosis_hessian(w: Weights | np.ndarray, c: CoMomentSet) -> np.ndarray:
     derivatives.  Since kurtosis is homogeneous of degree zero, its gradient
     is homogeneous of degree -1, which gives the radial identity
     ``hessian @ w == -gradient``."""
-    v = _as_weight_vector(w)
-    variance, _, mu4 = portfolio_moments(v, c)
-    d = moment_derivatives(v, c)
-    gv = d.grad_var
-    g4 = d.grad_mu4
-    outer_vv = np.outer(gv, gv)
-    outer_4v = np.outer(g4, gv)
+    even = _even_moments(_nonzero_point(w, "kurtosis"), c)
+    variance, mu4 = even.variance[0], even.mu4[0]
+    gv = 2.0 * even.m2w[0]
+    outer_4v = np.outer(even.grad_mu4[0], gv)
     return (
-        d.hess_mu4 / variance**2
+        12.0 * even.a[0] / variance**2
         - 2.0 * (outer_4v + outer_4v.T) / variance**3
         - (4.0 * mu4 / variance**3) * c.m2
-        + (6.0 * mu4 / variance**4) * outer_vv
+        + (6.0 * mu4 / variance**4) * np.outer(gv, gv)
     )
 
 
@@ -397,35 +427,21 @@ def kurtosis_hessian(w: Weights | np.ndarray, c: CoMomentSet) -> np.ndarray:
 
 def batch_kurtosis(points: np.ndarray, c: CoMomentSet) -> np.ndarray:
     """Kurtosis at each row of ``points`` (shape (P, N))."""
-    variance, _, mu4 = batch_moments(points, c)
-    return mu4 / variance**2
+    even = _even_moments(points, c)
+    return even.mu4 / even.variance**2
 
 
 def batch_moments(points: np.ndarray, c: CoMomentSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Variance, mu3 and mu4 at each row of ``points``; returns three (P,) arrays."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != c.n_assets:
-        raise ValueError(f"expected (P, {c.n_assets}) points, got shape {pts.shape}")
-    variance = np.einsum("pi,ij,pj->p", pts, c.m2, pts)
-    vv = pts[:, :, None] * pts[:, None, :]
-    flat = vv.reshape(pts.shape[0], -1)
-    half = flat @ c.m4_paired
-    mu4 = np.einsum("pq,pq->p", half, flat)
-    mu3 = np.einsum("ijk,pi,pj,pk->p", c.m3_tensor, pts, pts, pts)
-    return variance, mu3, mu4
+    even = _even_moments(points, c)
+    mu3 = _third_moment(points, c)[0]
+    return even.variance, mu3, even.mu4
 
 
 def batch_kurtosis_and_gradient(points: np.ndarray, c: CoMomentSet) -> tuple[np.ndarray, np.ndarray]:
     """Kurtosis and its gradient at each row of ``points`` in one pass."""
-    pts = np.asarray(points, dtype=float)
-    n_pts, n = pts.shape
-    variance = np.einsum("pi,ij,pj->p", pts, c.m2, pts)
-    m2w = pts @ c.m2.T
-    flat = (pts[:, :, None] * pts[:, None, :]).reshape(n_pts, n * n)
-    half = flat @ c.m4_paired  # rows of (w(x)w)' M4p
-    mu4 = np.einsum("pq,pq->p", half, flat)
-    grad_mu4 = 4.0 * np.einsum("pij,pj->pi", half.reshape(n_pts, n, n), pts)
-    g = variance**2
-    kurt = mu4 / g
-    grad = grad_mu4 / g[:, None] - (4.0 * mu4 / (g * variance))[:, None] * m2w
+    even = _even_moments(points, c)
+    g = even.variance**2
+    kurt = even.mu4 / g
+    grad = even.grad_mu4 / g[:, None] - (4.0 * even.mu4 / (g * even.variance))[:, None] * even.m2w
     return kurt, grad

@@ -12,8 +12,9 @@ is the value an equal-weight portfolio of k iid copies of Z would attain
     D = nu(Z) / nu(portfolio)
 
 reads as the number of independent Z-like return streams the portfolio is
-worth, and the dimensionality d maps D through the (here: identity)
-interpolated inverse of that curve.  Near-Gaussian portfolios, where nu is
+worth.  The dimensionality d maps D through the inverse of that curve,
+k = nu(Z) / f(k), which is the identity for both supported measures, so
+d = D exactly.  Near-Gaussian portfolios, where nu is
 at numerical zero, report D as +inf with a quality flag: vanishing excess
 kurtosis is a success mode of diversification, not an error.
 """
@@ -26,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .comoments import CoMomentSet, Weights, portfolio_kurtosis, portfolio_skewness
 from .retsim import MarginTarget, NigParams, nig_moments
@@ -47,9 +47,6 @@ __all__ = [
 
 #: below this, nu(portfolio) is treated as numerically Gaussian
 NEAR_GAUSSIAN_NU = 1e-6
-
-#: grid length used to interpolate the inverse dimensionality curve
-K_MAX = 64
 
 
 class NearGaussianWarning(UserWarning):
@@ -153,28 +150,13 @@ def diversification(
     )
 
 
-def _curve_inverse(ref: ReferenceAsset, m: NuMeasure) -> PchipInterpolator:
-    # h_hat(k) = nu(Z) / f(k); for the supported measures this is exactly k,
-    # but the inversion is kept generic for non-identity curves.
-    k_grid = np.arange(1, K_MAX + 1, dtype=float)
-    h_hat = np.array([ref.nu_value / reference_curve(int(k), ref, m) for k in k_grid])
-    return PchipInterpolator(h_hat, k_grid, extrapolate=True)
-
-
 def dimensionality(
     w: Weights | np.ndarray, c: CoMomentSet, ref: ReferenceAsset, m: NuMeasure
 ) -> DiversificationResult:
-    """Portfolio dimensionality d: D mapped through the inverse reference curve."""
-    d_res = diversification(w, c, ref, m)
-    if d_res.near_gaussian:
-        return d_res
-    value = float(_curve_inverse(ref, m)(d_res.value))
-    return DiversificationResult(
-        value=value,
-        nu_portfolio=d_res.nu_portfolio,
-        nu_reference=d_res.nu_reference,
-        near_gaussian=False,
-    )
+    """Portfolio dimensionality d: D mapped through the inverse reference
+    curve.  Both measures scale as nu(Z)/k, so the inverse is the identity
+    and d equals D."""
+    return diversification(w, c, ref, m)
 
 
 def _check_rho(rho: float) -> None:

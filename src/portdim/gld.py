@@ -245,6 +245,60 @@ def multistart(
     )
 
 
+def _projected_descent(
+    objective,
+    gradient,
+    w: np.ndarray,
+    grad_tol: float,
+    max_iter: int,
+    armijo: float = 1e-4,
+) -> tuple[np.ndarray, float, int, bool]:
+    """Projected gradient descent on the simplex with Barzilai-Borwein steps.
+
+    The trial step is the BB spectral estimate, halved until the Armijo
+    decrease against the projected displacement holds.  Stops when the
+    unit-step gradient-projection displacement falls below ``grad_tol``, or
+    when no representable progress is left: the line search is exhausted,
+    the accepted point equals the current one, or five steps in a row
+    change the value by less than 1e-16 relative.  Returns (weights, value,
+    objective evaluations, stopped before ``max_iter``).
+    """
+    value = objective(w)
+    grad = gradient(w)
+    evaluations = 1
+    step = 1.0
+    stall = 0
+    for _ in range(max_iter):
+        mapped = project_rows((w - grad)[None, :])[0]
+        if np.linalg.norm(w - mapped) <= grad_tol:
+            return w, value, evaluations, True
+        t = step
+        while True:
+            cand = project_rows((w - t * grad)[None, :])[0]
+            cand_value = objective(cand)
+            evaluations += 1
+            if cand_value <= value + armijo * float(grad @ (cand - w)):
+                break
+            t *= 0.5
+            if t <= 1e-18:
+                return w, value, evaluations, True  # line search exhausted
+        if np.array_equal(cand, w):
+            return w, value, evaluations, True
+        if abs(value - cand_value) <= 1e-16 * (1.0 + abs(value)):
+            stall += 1
+            if stall >= 5:
+                return cand, cand_value, evaluations, True
+        else:
+            stall = 0
+        cand_grad = gradient(cand)
+        s = cand - w
+        y = cand_grad - grad
+        sy = float(s @ y)
+        step = min(max(float(s @ s) / sy if sy > 1e-300 else 1.0, 1e-10), 1e3)
+        w, value, grad = cand, cand_value, cand_grad
+    return w, value, evaluations, False
+
+
 def local_descent(
     c: CoMomentSet,
     w0: np.ndarray,
@@ -252,54 +306,22 @@ def local_descent(
     armijo: float = 1e-4,
     max_iter: int = 50_000,
 ) -> tuple[np.ndarray, float, int]:
-    """Projected gradient descent with halving Armijo line search.
+    """Projected gradient descent of kurtosis with BB steps and Armijo halving.
 
     Deterministic local kurtosis minimizer used both as the multistart
-    polish and as the pure "local solver" baseline.  The trial step is the
-    Barzilai-Borwein spectral estimate (then halved until the Armijo
-    decrease holds), which keeps the iteration count reasonable on the
-    badly conditioned kurtosis surface.  Stops when the unit-step
-    gradient-projection displacement falls below ``grad_tol``.
-    Returns (weights, kurtosis, evaluation count).
+    polish and as the pure "local solver" baseline; the BB trial step keeps
+    the iteration count reasonable on the badly conditioned kurtosis
+    surface.  Returns (weights, kurtosis, evaluation count).
     """
     w = project_rows(np.asarray(w0, dtype=float)[None, :])[0]
-    w = w / w.sum()
-    value = portfolio_kurtosis(w, c)
-    grad = kurtosis_gradient(w, c)
-    evaluations = 1
-    step = 1.0
-    stall = 0
-    for _ in range(max_iter):
-        mapped = project_rows((w - grad)[None, :])[0]
-        if np.linalg.norm(w - mapped) <= grad_tol:
-            break
-        t = step
-        accepted = False
-        while t > 1e-18:
-            cand = project_rows((w - t * grad)[None, :])[0]
-            cand_value = portfolio_kurtosis(cand, c)
-            evaluations += 1
-            # Armijo against the projected displacement
-            if cand_value <= value + armijo * float(grad @ (cand - w)):
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break  # line search exhausted: numerically stationary
-        cand_grad = kurtosis_gradient(cand, c)
-        s = cand - w
-        y = cand_grad - grad
-        sy = float(s @ y)
-        step = float(s @ s) / sy if sy > 1e-300 else 1.0
-        step = min(max(step, 1e-10), 1e3)
-        if abs(value - cand_value) <= 1e-16 * (1.0 + abs(value)):
-            stall += 1
-            if stall >= 5:
-                w, value = cand, cand_value
-                break
-        else:
-            stall = 0
-        w, value, grad = cand, cand_value, cand_grad
+    w, _, evaluations, _ = _projected_descent(
+        lambda v: portfolio_kurtosis(v, c),
+        lambda v: kurtosis_gradient(v, c),
+        w / w.sum(),
+        grad_tol=grad_tol,
+        max_iter=max_iter,
+        armijo=armijo,
+    )
     w = w / w.sum()
     return w, portfolio_kurtosis(w, c), evaluations
 

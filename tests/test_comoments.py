@@ -250,12 +250,89 @@ def test_return_sample_validation():
 
 
 def test_zero_weight_vector_rejected(c_n3):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="kurtosis undefined at the zero weight vector"):
         cm.portfolio_kurtosis(np.zeros(3), c_n3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="skewness undefined at the zero weight vector"):
         cm.portfolio_skewness(np.zeros(3), c_n3)
+    with pytest.raises(ValueError, match="kurtosis undefined at the zero weight vector"):
+        cm.kurtosis_gradient(np.zeros(3), c_n3)
+    with pytest.raises(ValueError, match="kurtosis undefined at the zero weight vector"):
+        cm.kurtosis_hessian(np.zeros(3), c_n3)
 
 
 def test_dimension_mismatch_rejected(c_n3):
     with pytest.raises(ValueError):
         cm.portfolio_moments(np.array([0.5, 0.5]), c_n3)
+    for batch in (cm.batch_moments, cm.batch_kurtosis_and_gradient):
+        for bad in (np.full(3, 1.0 / 3.0), np.full((2, 4), 0.25)):
+            with pytest.raises(ValueError, match=r"expected \(P, 3\) points, got shape"):
+                batch(bad, c_n3)
+
+
+def dense_reference(w, c):
+    """Moments and derivatives at w by dense einsum over the full tensors."""
+    m3, m4 = c.m3_tensor, c.m4_tensor
+    variance = w @ c.m2 @ w
+    grad_var = 2.0 * c.m2 @ w
+    hess_mu3 = 6.0 * np.einsum("ijk,k->ij", m3, w)
+    hess_mu4 = 12.0 * np.einsum("ijkl,k,l->ij", m4, w, w)
+    grad_mu3 = 3.0 * np.einsum("ijk,j,k->i", m3, w, w)
+    grad_mu4 = 4.0 * np.einsum("ijkl,j,k,l->i", m4, w, w, w)
+    mu3 = np.einsum("ijk,i,j,k->", m3, w, w, w)
+    mu4 = np.einsum("ijkl,i,j,k,l->", m4, w, w, w, w)
+    # kurtosis = mu4 / variance^2 by the quotient rule, term by term
+    kurt_grad_terms = (grad_mu4 / variance**2, -2.0 * mu4 * grad_var / variance**3)
+    outer_4v = np.outer(grad_mu4, grad_var)
+    kurt_hess_terms = (
+        hess_mu4 / variance**2,
+        -2.0 * (outer_4v + outer_4v.T) / variance**3,
+        -(4.0 * mu4 / variance**3) * c.m2,
+        (6.0 * mu4 / variance**4) * np.outer(grad_var, grad_var),
+    )
+    return {
+        "variance": variance,
+        "mu3": mu3,
+        "mu4": mu4,
+        "derivatives": cm.MomentDerivatives(grad_var, grad_mu3, grad_mu4, hess_mu3, hess_mu4),
+        "kurt_grad_terms": kurt_grad_terms,
+        "kurt_hess_terms": kurt_hess_terms,
+    }
+
+
+def assert_matches_sum(got, terms, rel=1e-12):
+    """``got`` equals the sum of ``terms`` to ``rel`` of the largest term, so
+    that cancellation between terms does not demand more than round-off."""
+    scale = max(float(np.max(np.abs(t))) for t in terms)
+    np.testing.assert_allclose(got, sum(terms), rtol=rel, atol=rel * scale)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_dense_einsum(n, seed):
+    # the scalar and batch evaluators share one kernel, so check them
+    # against an independent dense evaluation rather than against each other
+    rng = np.random.default_rng(seed)
+    c = cm.build_comoments(random_panel(n, 40 + 10 * n, seed=seed))
+    w = rng.dirichlet(np.ones(n))
+    ref = dense_reference(w, c)
+
+    # mu3 may sit near zero: measure it against its natural scale var^1.5
+    mu3_abs = 1e-12 * ref["variance"] ** 1.5
+    pm = cm.portfolio_moments(w, c)
+    variance, mu3, mu4 = cm.batch_moments(w[None, :], c)
+    for got in (pm, (variance[0], mu3[0], mu4[0])):
+        assert got[0] == pytest.approx(ref["variance"], rel=1e-12)
+        assert got[1] == pytest.approx(ref["mu3"], rel=1e-12, abs=mu3_abs)
+        assert got[2] == pytest.approx(ref["mu4"], rel=1e-12)
+
+    d = cm.moment_derivatives(w, c)
+    for got, want in zip(d, ref["derivatives"]):
+        assert_matches_sum(got, [want], rel=1e-12)
+
+    assert_matches_sum(cm.kurtosis_gradient(w, c), ref["kurt_grad_terms"])
+    _, batch_grad = cm.batch_kurtosis_and_gradient(w[None, :], c)
+    assert_matches_sum(batch_grad[0], ref["kurt_grad_terms"])
+    assert_matches_sum(cm.kurtosis_hessian(w, c), ref["kurt_hess_terms"])

@@ -151,3 +151,17 @@ def test_dimensionality_is_leverage_consistent(c_n3, margin_k6):
     base = dv.dimensionality(w, c_n3, ref, dv.NuMeasure.EXCESS_KURTOSIS).value
     lev = dv.dimensionality(3.0 * w, c_n3, ref, dv.NuMeasure.EXCESS_KURTOSIS).value
     assert lev == pytest.approx(base, rel=1e-10)
+
+
+@pytest.mark.parametrize("measure", list(dv.NuMeasure))
+@pytest.mark.parametrize("nu_reference", [0.01, 3.0, 1e3])
+def test_dimensionality_equals_diversification(measure, nu_reference):
+    # the reference curve nu(Z)/k inverts to the identity, so d == D exactly,
+    # for D below 1 and above 64 as well
+    c = iid_comoments(3, kurt=6.0, skew=0.6)
+    ref = dv.ReferenceAsset(nu_value=nu_reference)
+    for w in (np.array([1.0, 0.0, 0.0]), np.array([0.2, 0.3, 0.5])):
+        div = dv.diversification(w, c, ref, measure)
+        dim = dv.dimensionality(w, c, ref, measure)
+        assert dim.value == div.value
+        assert dim == div
