@@ -4,8 +4,10 @@ Simulates a homogeneous equicorrelated universe once, then solves the same
 instance under each bounding mode (plain tangent-cut LP, the LP with extra
 cut points for several n_c, and the piecewise-linear envelope MILP) and
 prints a table of iteration counts, wall time, and the certified kurtosis.
-The MILP gives the tightest root bound but each node costs far more than an
-LP, so on most instances the LP2 modes win on wall time.
+The MILP gives the tightest root bound, but it is the best of m! subcell LPs
+(6 at N=3), so each node costs several LPs and the LP2 modes win on wall
+time: with the defaults (N=3, T=10^6, rho_tol=1e-3) on a 2-core x86-64 VM the
+milp mode took 0.74 s for 259 iterations, lp2 0.26-0.39 s for 146-186.
 """
 
 import argparse

@@ -14,7 +14,7 @@ The package is organised around three capabilities:
   exactly (:mod:`portdim.retsim`).
 
 Sample co-moment tensors and their derivatives live in
-:mod:`portdim.comoments`; the small dense LP/MILP solver used by the
+:mod:`portdim.comoments`; the small dense packing-LP simplex used by the
 branch-and-bound bounding step lives in :mod:`portdim.subsolver`; the
 command-line interface lives in :mod:`portdim.harness`.
 """

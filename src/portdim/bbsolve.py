@@ -16,13 +16,14 @@ Three bounding modes are available, in increasing tightness and cost:
     As ``lp1`` with additional tangent planes at ``n_c`` points per asset
     spread between the vertices and the barycenter.
 ``milp``
-    Piecewise envelope over the full barycentric subdivision of the cell,
-    selected by binary variables (factorial in the asset count; intended
-    for small baskets).
+    Piecewise envelope over the full barycentric subdivision of the cell
+    under the ``lp1`` cut: the best of the m! subcell LPs, one per subcell
+    (factorial in the asset count; intended for small baskets).  This is
+    the disjunctive program that an SOS1 MILP over the subcells describes.
 
-All bounds are assembled in the cone coordinates (b, u) with y = sum b_i v^i
-and w = y/u, which turns the ratio bound into a linear objective at the cost
-of one extra variable.
+All bounds are assembled in the cone coordinates b with y = sum b_i v^i,
+u = sum b_i and w = y/u, which turns the ratio bound into a packing LP:
+max f'b s.t. A b <= 1, b >= 0, whose origin is feasible.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,7 +60,7 @@ __all__ = [
 ]
 
 _DEGENERATE_EDGE = 1e-12
-_MAX_ENVELOPE_VERTICES = 6  # m! binaries: the MILP bound stops being a bound above this
+_MAX_ENVELOPE_VERTICES = 6  # m! subcells: the milp bound solves one LP per subcell
 _ALPHA_GRAD_TOL = 1e-10
 _ALPHA_MAX_ITER = 100_000
 _CANDIDATE_U_TOL = 1e-12
@@ -275,25 +276,28 @@ def _vertex_objective(vertices: np.ndarray, c: CoMomentSet) -> np.ndarray:
     return quad**2
 
 
-def _cut_rows(
-    vertices: np.ndarray, anchors: np.ndarray, c: CoMomentSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent-plane rows of the perspective of g in (b, u) coordinates.
+def _cut_rows(vertices: np.ndarray, anchors: np.ndarray, c: CoMomentSet, alpha: float) -> np.ndarray:
+    """Packing rows in b of the tangent-plane cuts, plus the fourth-moment floor.
 
-    For anchor R the constraint u*(g(R) + grad g(R)'(y/u - R)) <= 1 becomes
-    sum_i b_i grad'v^i + u (g(R) - grad'R) <= 1 after y = sum_i b_i v^i.
+    For anchor R the cut u*(g(R) + grad g(R)'(y/u - R)) <= 1 on the
+    perspective of g becomes sum_i b_i (grad'v^i + g(R) - grad'R) <= 1
+    after y = sum_i b_i v^i and u = sum_i b_i; the floor u <= 1/alpha
+    becomes the last row, alpha * sum_i b_i <= 1.  Every right-hand side is 1.
     """
-    rows = np.empty((anchors.shape[0], vertices.shape[0] + 1))
+    if not alpha > 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    rows = np.empty((anchors.shape[0] + 1, vertices.shape[0]))
     for k, anchor in enumerate(anchors):
         grad = moment_derivatives(anchor, c).grad_mu4
-        rows[k, :-1] = vertices @ grad
         # g(R) - grad'R, where g(R) = grad'R / 4 by Euler's identity
-        rows[k, -1] = -0.75 * float(grad @ anchor)
-    return rows, np.ones(anchors.shape[0])
+        rows[k] = vertices @ grad - 0.75 * float(grad @ anchor)
+    rows[-1] = alpha
+    return rows
 
 
-def _candidate_from_cone(vertices: np.ndarray, b: np.ndarray, u: float) -> np.ndarray | None:
-    """Recover w = y/u from cone coordinates; None when u is numerically zero."""
+def _candidate_from_cone(vertices: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Recover w = y/u from cone coordinates; None when u = sum b is numerically zero."""
+    u = float(b.sum())
     if not u > _CANDIDATE_U_TOL:
         return None
     w = (b @ vertices) / u
@@ -307,27 +311,12 @@ def _candidate_from_cone(vertices: np.ndarray, b: np.ndarray, u: float) -> np.nd
 def _solve_lp_bound(
     cell: SimplexCell, c: CoMomentSet, alpha: float, anchors: np.ndarray
 ) -> tuple[float, np.ndarray | None]:
-    """Shared LP assembly for the lp1/lp2 bounds: variables [b_0..b_{m-1}, u]."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    m = cell.n_vertices
-    objective = np.concatenate([_vertex_objective(cell.vertices, c), [0.0]])
-    eq = np.concatenate([np.ones(m), [-1.0]])[None, :]
-    ineq, rhs = _cut_rows(cell.vertices, anchors, c)
-    upper = np.full(m + 1, np.inf)
-    upper[m] = 1.0 / alpha
-    problem = LpProblem(
-        objective=objective,
-        eq_matrix=eq,
-        eq_rhs=np.zeros(1),
-        ineq_matrix=ineq,
-        ineq_rhs=rhs,
-        upper=upper,
-    )
-    sol = solve_lp(problem)
+    """Shared packing LP of the lp1/lp2 bounds: one variable b_i per cell vertex."""
+    rows = _cut_rows(cell.vertices, anchors, c, alpha)
+    sol = solve_lp(LpProblem(_vertex_objective(cell.vertices, c), rows, np.ones(rows.shape[0])))
     if not sol.optimal:
         raise RuntimeError(f"cell bound LP unexpectedly {sol.status} (cell id {cell.id})")
-    return sol.value, _candidate_from_cone(cell.vertices, sol.x[:m], float(sol.x[m]))
+    return sol.value, _candidate_from_cone(cell.vertices, sol.x)
 
 
 def bound_lp1(cell: SimplexCell, c: CoMomentSet, alpha: float) -> tuple[float, np.ndarray | None]:
@@ -346,107 +335,34 @@ def bound_lp2(
 def bound_milp(cell: SimplexCell, c: CoMomentSet, alpha: float) -> tuple[float, np.ndarray | None]:
     """Piecewise-envelope bound over the barycentric subdivision of the cell.
 
-    Variables are [b (one per subset barycenter), u, z (one per subcell),
-    q (binary, one per subcell)]; z_j linearizes q_j * u, and each b entry
-    may be positive only on vertices of the selected subcell.  A single
-    tangent cut at the cell barycenter underestimates the denominator, as
-    in the lp1 bound.
+    There is one variable b_k per barycenter of a vertex subset.  The
+    subcell of a vertex permutation spans the barycenters of its prefixes
+    (a chain), so the bound is the best of the m! packing LPs over the
+    chains' columns, each under the single tangent cut at the cell
+    barycenter of the lp1 bound.
     """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
     m = cell.n_vertices
     if m > _MAX_ENVELOPE_VERTICES:
-        raise ValueError(f"binary budget exceeded: {m}-vertex cell needs {math.factorial(m)} binaries")
+        raise ValueError(f"piecewise envelope of a {m}-vertex cell exceeds the size guard")
 
     subsets = [frozenset(combo) for size in range(1, m + 1) for combo in itertools.combinations(range(m), size)]
     subset_index = {s: k for k, s in enumerate(subsets)}
     bary_vertices = np.vstack(
         [cell.vertices[sorted(s)].mean(axis=0) for s in subsets]
     )
-    chains = [
-        [subset_index[frozenset(perm[: k + 1])] for k in range(m)]
+    chains = tuple(
+        tuple(subset_index[frozenset(perm[: k + 1])] for k in range(m))
         for perm in itertools.permutations(range(m))
-    ]
-
-    n_b = len(subsets)
-    n_cell = len(chains)
-    n_vars = n_b + 1 + 2 * n_cell
-    u_ix = n_b
-    z_ix = n_b + 1
-    q_ix = n_b + 1 + n_cell
-
-    objective = np.zeros(n_vars)
-    objective[:n_b] = _vertex_objective(bary_vertices, c)
-
-    eq = np.zeros((2, n_vars))
-    eq[0, :n_b] = 1.0
-    eq[0, u_ix] = -1.0
-    eq[1, q_ix:] = 1.0
-    eq_rhs = np.array([0.0, 1.0])
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    cut, cut_rhs = _cut_rows(bary_vertices, cell.barycenter[None, :], c)
-    row = np.zeros(n_vars)
-    row[:n_b] = cut[0, :-1]
-    row[u_ix] = cut[0, -1]
-    rows.append(row)
-    rhs.append(float(cut_rhs[0]))
-
-    # membership: b_k <= sum of z_j over subcells whose vertex set contains k
-    containing: list[list[int]] = [[] for _ in range(n_b)]
-    for j, chain in enumerate(chains):
-        for k in chain:
-            containing[k].append(j)
-    for k in range(n_b):
-        row = np.zeros(n_vars)
-        row[k] = 1.0
-        for j in containing[k]:
-            row[z_ix + j] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-
-    # z_j = q_j * u via McCormick with 0 <= u <= 1/alpha
-    inv_alpha = 1.0 / alpha
-    for j in range(n_cell):
-        row = np.zeros(n_vars)
-        row[z_ix + j] = 1.0
-        row[q_ix + j] = -inv_alpha
-        rows.append(row)
-        rhs.append(0.0)
-        row = np.zeros(n_vars)
-        row[z_ix + j] = 1.0
-        row[u_ix] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-        row = np.zeros(n_vars)
-        row[u_ix] = 1.0
-        row[z_ix + j] = -1.0
-        row[q_ix + j] = inv_alpha
-        rows.append(row)
-        rhs.append(inv_alpha)
-
-    upper = np.full(n_vars, np.inf)
-    upper[u_ix] = inv_alpha
-    upper[q_ix:] = 1.0
-
-    problem = MilpProblem(
-        lp=LpProblem(
-            objective=objective,
-            eq_matrix=np.asarray(eq),
-            eq_rhs=eq_rhs,
-            ineq_matrix=np.vstack(rows),
-            ineq_rhs=np.asarray(rhs),
-            upper=upper,
-        ),
-        binary_indices=tuple(range(q_ix, n_vars)),
-        sos1_groups=(tuple(range(q_ix, n_vars)),),
     )
-    sol = solve_milp(problem, binary_budget=math.factorial(_MAX_ENVELOPE_VERTICES))
+    rows = _cut_rows(bary_vertices, cell.barycenter[None, :], c, alpha)
+    problem = MilpProblem(
+        lp=LpProblem(_vertex_objective(bary_vertices, c), rows, np.ones(rows.shape[0])),
+        blocks=chains,
+    )
+    sol = solve_milp(problem)
     if not sol.optimal:
         raise RuntimeError(f"cell bound MILP unexpectedly {sol.status} (cell id {cell.id})")
-    return sol.value, _candidate_from_cone(bary_vertices, sol.x[:n_b], float(sol.x[u_ix]))
+    return sol.value, _candidate_from_cone(bary_vertices, sol.x)
 
 
 # ---------------------------------------------------------------------------

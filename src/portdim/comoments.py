@@ -59,6 +59,8 @@ _CHUNK_ROWS = 4096
 
 #: relative eigenvalue floor below which the covariance is rejected
 _PD_RTOL = 1e-10
+#: relative tolerance of the covariance symmetry check
+_SYMMETRY_RTOL = 1e-12
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -200,6 +202,26 @@ class CoMomentSet:
     _m4_full: np.ndarray | None = field(default=None, repr=False)
     _m4_paired: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self) -> None:
+        """Reject malformed sets up front: shapes, non-finite values, a
+        covariance that is not symmetric positive definite."""
+        n = self.n_assets
+        count3, count4 = unique_element_counts(n)
+        if self.n_obs < 1:
+            raise ValueError(f"n_obs must be >= 1, got {self.n_obs}")
+        expected = {"mean": (n,), "m2": (n, n), "m3_unique": (count3,), "m4_unique": (count4,)}
+        for name, shape in expected.items():
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"{name} has shape {value.shape}, expected {shape} for {n} assets")
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} contains non-finite values")
+            setattr(self, name, value)
+        asymmetry = float(np.max(np.abs(self.m2 - self.m2.T)))
+        if asymmetry > _SYMMETRY_RTOL * float(np.max(np.abs(self.m2))):
+            raise ValueError(f"covariance is not symmetric: max |m2 - m2'| = {asymmetry:.3e}")
+        _check_positive_definite(self.m2)
+
     @property
     def m3(self) -> np.ndarray:
         """Third co-moment block matrix of shape (N, N^2)."""
@@ -287,7 +309,6 @@ def build_comoments(sample: ReturnSample) -> CoMomentSet:
         g4 += pair_prod.T @ pair_prod
 
     m2 = g2 / t_obs
-    _check_positive_definite(m2)
 
     tri_i, tri_j, tri_k = _sorted_tuple_arrays(n, 3)
     m3_unique = g3[tri_i, _pair_rank(tri_j, tri_k)] / t_obs

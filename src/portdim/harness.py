@@ -42,7 +42,6 @@ from .comoments import (
 from .divmeasure import (
     NuMeasure,
     ReferenceAsset,
-    diversification,
     dimensionality,
     reference_curve,
     toy_dr_weight,
@@ -479,7 +478,7 @@ def cmd_dimensionality(
     else:
         c = build_comoments(load_or_simulate(cfg))
     w = Weights(weights)
-    div = diversification(w, c, reference, measure)
+    # d = D under both measures, so one evaluation fills both fields
     dim = dimensionality(w, c, reference, measure)
     k_grid = list(range(1, 65))
     directory = _out_dir(cfg)
@@ -490,11 +489,11 @@ def cmd_dimensionality(
             "command": "dimensionality",
             "measure": measure.value,
             "weights": np.asarray(w),
-            "nu_portfolio": div.nu_portfolio,
-            "nu_reference": div.nu_reference,
-            "diversification": div.value,
+            "nu_portfolio": dim.nu_portfolio,
+            "nu_reference": dim.nu_reference,
+            "diversification": dim.value,
             "dimensionality": dim.value,
-            "near_gaussian": div.near_gaussian,
+            "near_gaussian": dim.near_gaussian,
             "reference_curve": {
                 "k": k_grid,
                 "nu": [reference_curve(k, reference, measure) for k in k_grid],

@@ -1,17 +1,20 @@
-"""Self-contained dense LP and small-MILP solver.
+"""Dense primal simplex for the packing LPs of the branch-and-bound cell bounds.
 
-The bounding subproblems this serves are tiny (a handful of rows, N+3-ish
-structural variables) but are solved tens of thousands of times inside the
+Every cell bound is a packing LP, max c'x s.t. A x <= b, x >= 0 with b >= 0,
+so the origin is feasible and the simplex starts from the slack basis with
+no phase 1.  The ``milp`` bound picks one barycentric subcell out of m!, a
+disjunction of such LPs over column blocks; its optimum is the best of the
+block LPs.  The subproblems are tiny (a handful of rows, at most a few
+dozen columns) but are solved tens of thousands of times inside the
 branch-and-bound loop, so the implementation favours robustness and
-determinism over asymptotics: two-phase primal simplex, Dantzig pricing
-with a switch to Bland's rule after too many degenerate pivots, a dense
-explicit basis inverse refactorized every 64 pivots, and a depth-first
-branch-and-bound over binary variables for the MILP case.
+determinism over asymptotics: Dantzig pricing with a switch to Bland's rule
+after too many degenerate pivots, and a dense explicit basis inverse
+refactorized every 64 pivots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,57 +26,31 @@ __all__ = [
     "solve_milp",
 ]
 
-_FEAS_TOL = 1e-9
 _PIVOT_TOL = 1e-9
-_INT_TOL = 1e-6
 _REFACTOR_EVERY = 64
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """max objective'x  s.t.  eq_matrix x = eq_rhs, ineq_matrix x <= ineq_rhs, lower <= x <= upper."""
+    """max objective'x  s.t.  matrix x <= rhs, x >= 0, with rhs >= 0 (the origin is feasible)."""
 
     objective: np.ndarray
-    eq_matrix: np.ndarray | None = None
-    eq_rhs: np.ndarray | None = None
-    ineq_matrix: np.ndarray | None = None
-    ineq_rhs: np.ndarray | None = None
-    lower: np.ndarray | None = None  # default: zeros
-    upper: np.ndarray | None = None  # default: +inf
+    matrix: np.ndarray
+    rhs: np.ndarray
 
     def __post_init__(self) -> None:
         c = np.atleast_1d(np.asarray(self.objective, dtype=float))
-        n = c.size
+        a = np.atleast_2d(np.asarray(self.matrix, dtype=float))
+        rhs = np.atleast_1d(np.asarray(self.rhs, dtype=float))
+        if a.shape != (rhs.size, c.size):
+            raise ValueError(f"matrix shape {a.shape} does not match rhs {rhs.shape} and {c.size} variables")
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a)) and np.all(np.isfinite(rhs))):
+            raise ValueError("LP contains non-finite coefficients")
+        if np.any(rhs < 0.0):
+            raise ValueError("rhs must be nonnegative so that the origin is feasible")
         object.__setattr__(self, "objective", c)
-
-        def _pair(mat, rhs, what):
-            if mat is None and rhs is None:
-                return None, None
-            mat = np.atleast_2d(np.asarray(mat, dtype=float))
-            rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-            if mat.shape != (rhs.size, n):
-                raise ValueError(f"{what} shapes inconsistent: {mat.shape} vs rhs {rhs.shape}, n={n}")
-            if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(rhs))):
-                raise ValueError(f"{what} contains non-finite coefficients")
-            return mat, rhs
-
-        eq_m, eq_r = _pair(self.eq_matrix, self.eq_rhs, "equality block")
-        ub_m, ub_r = _pair(self.ineq_matrix, self.ineq_rhs, "inequality block")
-        object.__setattr__(self, "eq_matrix", eq_m)
-        object.__setattr__(self, "eq_rhs", eq_r)
-        object.__setattr__(self, "ineq_matrix", ub_m)
-        object.__setattr__(self, "ineq_rhs", ub_r)
-
-        lower = np.zeros(n) if self.lower is None else np.asarray(self.lower, dtype=float).copy()
-        upper = np.full(n, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float).copy()
-        if lower.shape != (n,) or upper.shape != (n,):
-            raise ValueError("bound vectors must match the variable count")
-        if not np.all(np.isfinite(lower)):
-            raise ValueError("lower bounds must be finite (free variables unsupported)")
-        if not np.all(np.isfinite(self.objective)):
-            raise ValueError("objective contains non-finite coefficients")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def n_vars(self) -> int:
@@ -82,34 +59,31 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class MilpProblem:
-    """An LpProblem with some variables restricted to {0, 1}.
+    """Pick one column block of ``lp`` and solve the LP over those columns.
 
-    ``sos1_groups`` marks disjoint binary index groups known to satisfy
-    sum(q) = 1; branching then fixes a whole group at once.
+    This is the MILP with one SOS1 group of binaries, one per block, each
+    switching its block's columns on; all other columns stay at zero.
     """
 
     lp: LpProblem
-    binary_indices: tuple[int, ...]
-    sos1_groups: tuple[tuple[int, ...], ...] = ()
+    blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        blocks = tuple(tuple(int(i) for i in block) for block in self.blocks)
+        if not blocks:
+            raise ValueError("at least one column block is needed")
         n = self.lp.n_vars
-        idx = tuple(int(i) for i in self.binary_indices)
-        if len(set(idx)) != len(idx):
-            raise ValueError("duplicate binary indices")
-        if any(i < 0 or i >= n for i in idx):
-            raise ValueError(f"binary index out of range for {n} variables")
-        bset = set(idx)
-        for grp in self.sos1_groups:
-            if not set(grp) <= bset:
-                raise ValueError("sos1 group contains non-binary indices")
-        object.__setattr__(self, "binary_indices", idx)
-        object.__setattr__(self, "sos1_groups", tuple(tuple(int(i) for i in g) for g in self.sos1_groups))
+        for block in blocks:
+            if not block or len(set(block)) != len(block):
+                raise ValueError(f"column block {block} is empty or repeats a column")
+            if any(i < 0 or i >= n for i in block):
+                raise ValueError(f"column block {block} is out of range for {n} variables")
+        object.__setattr__(self, "blocks", blocks)
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # 'optimal' | 'infeasible' | 'unbounded'
+    status: str  # 'optimal' | 'unbounded'
     value: float
     x: np.ndarray | None
     iterations: int = 0
@@ -191,176 +165,34 @@ def _basic_point(n: int, basis: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return x
 
 
-def _standard_form(p: LpProblem):
-    """Shift bounds / add slack columns: min -c'x over a x = b, x >= 0.
-
-    Fixed variables (upper == lower within 1e-12) are substituted out.
-    Returns (a, b, cost, keep_idx, lower, n_structural, offset).
-    """
-    n = p.n_vars
-    lower, upper = p.lower, p.upper
-    span = upper - lower
-    fixed = span <= 1e-12
-    if np.any(span < -1e-12):
-        return None  # empty box: infeasible
-    keep = np.flatnonzero(~fixed)
-    x_fixed = np.where(fixed, lower, 0.0)
-
-    eq_m = p.eq_matrix if p.eq_matrix is not None else np.zeros((0, n))
-    eq_r = p.eq_rhs if p.eq_rhs is not None else np.zeros(0)
-    ub_m = p.ineq_matrix if p.ineq_matrix is not None else np.zeros((0, n))
-    ub_r = p.ineq_rhs if p.ineq_rhs is not None else np.zeros(0)
-
-    # substitute fixed vars and shift the rest to zero lower bounds
-    shift = np.where(fixed, 0.0, lower)
-    eq_rhs = eq_r - eq_m @ (x_fixed + shift)
-    ub_rhs = ub_r - ub_m @ (x_fixed + shift)
-    eq_mk = eq_m[:, keep]
-    ub_mk = ub_m[:, keep]
-
-    # finite upper bounds on the surviving vars become extra <= rows
-    fin_ub = np.flatnonzero(np.isfinite(span[keep]) & (span[keep] > 1e-12))
-    if fin_ub.size:
-        rows = np.zeros((fin_ub.size, keep.size))
-        rows[np.arange(fin_ub.size), fin_ub] = 1.0
-        ub_mk = np.vstack([ub_mk, rows])
-        ub_rhs = np.concatenate([ub_rhs, span[keep][fin_ub]])
-
-    n_k = keep.size
-    n_slack = ub_mk.shape[0]
-    a = np.zeros((eq_mk.shape[0] + n_slack, n_k + n_slack))
-    a[: eq_mk.shape[0], :n_k] = eq_mk
-    a[eq_mk.shape[0] :, :n_k] = ub_mk
-    a[eq_mk.shape[0] :, n_k:] = np.eye(n_slack)
-    b = np.concatenate([eq_rhs, ub_rhs])
-    neg = b < 0.0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-    cost = np.zeros(n_k + n_slack)
-    cost[:n_k] = -p.objective[keep]  # maximize -> minimize
-    offset = float(p.objective @ (x_fixed + shift))
-    return a, b, cost, keep, lower, x_fixed + shift, offset
-
-
 def solve_lp(p: LpProblem) -> LpSolution:
-    """Two-phase dense primal simplex; deterministic for identical inputs."""
-    sf = _standard_form(p)
-    if sf is None:
-        return LpSolution(status="infeasible", value=np.nan, x=None)
-    a, b, cost, keep, lower, base_point, _offset = sf
-    m, n = a.shape
-
-    if m == 0:
-        # no constraints: optimum is at the (finite) lower corner unless a
-        # positive objective coefficient makes it unbounded
-        if np.any(cost < -_PIVOT_TOL):
-            return LpSolution(status="unbounded", value=np.inf, x=None)
-        x_full = base_point.copy()
-        return LpSolution(status="optimal", value=float(p.objective @ x_full), x=x_full)
-
-    # phase 1: artificial basis
-    a1 = np.hstack([a, np.eye(m)])
-    cost1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = np.arange(n, n + m)
-    status, x1, basis, it1 = _simplex_core(a1, b, cost1, basis)
-    if status != "optimal":
-        raise _Breakdown("phase 1 cannot be unbounded")  # sum of artificials >= 0
-    if cost1 @ x1 > _FEAS_TOL * (1.0 + np.abs(b).sum()):
-        return LpSolution(status="infeasible", value=np.nan, x=None, iterations=it1)
-
-    # drive artificials out of the basis; drop dependent rows
-    b_inv = np.linalg.inv(a1[:, basis])
-    keep_rows = np.ones(m, dtype=bool)
-    for r in range(m):
-        if basis[r] < n:
-            continue
-        row = b_inv[r] @ a
-        pivot_cols = np.flatnonzero((np.abs(row) > 1e-7) & ~np.isin(np.arange(n), basis))
-        if pivot_cols.size:
-            j = int(pivot_cols[0])
-            d = b_inv @ a1[:, j]
-            b_inv[r] /= d[r]
-            other = np.arange(m) != r
-            b_inv[other] -= np.outer(d[other], b_inv[r])
-            basis[r] = j
-        else:
-            keep_rows[r] = False  # redundant constraint row
-    if not np.all(keep_rows):
-        a = a[keep_rows]
-        b = b[keep_rows]
-        basis = basis[keep_rows]
-        m = a.shape[0]
-
-    status, x2, basis, it2 = _simplex_core(a, b, cost, basis)
+    """Dense primal simplex from the slack basis; deterministic for identical inputs."""
+    m, n = p.matrix.shape
+    a = np.hstack([p.matrix, np.eye(m)])
+    cost = np.concatenate([-p.objective, np.zeros(m)])  # maximize -> minimize
+    status, x, _, iterations = _simplex_core(a, p.rhs, cost, np.arange(n, n + m))
     if status == "unbounded":
-        return LpSolution(status="unbounded", value=np.inf, x=None, iterations=it1 + it2)
-    x_full = base_point.copy()
-    x_full[keep] += x2[: keep.size]
-    value = float(p.objective @ x_full)  # recomputed from scratch
-    return LpSolution(status="optimal", value=value, x=x_full, iterations=it1 + it2)
+        return LpSolution(status="unbounded", value=np.inf, x=None, iterations=iterations)
+    x = x[:n]
+    return LpSolution(status="optimal", value=float(p.objective @ x), x=x, iterations=iterations)
 
 
-def solve_milp(p: MilpProblem, binary_budget: int = 24) -> LpSolution:
-    """Depth-first branch-and-bound on the binary variables.
+def solve_milp(p: MilpProblem) -> LpSolution:
+    """The best of the block LPs, with the pivots of all of them.
 
-    Branching picks the most fractional binary (ties to the lowest index);
-    a binary inside an SOS1 group is branched as "this one = 1, rest of the
-    group = 0" versus "this one = 0".  Nodes are pruned against the
-    incumbent with zero optimality gap.
+    The first block wins ties; the returned point is zero off its block.
     """
-    n_bin = len(p.binary_indices)
-    if n_bin > binary_budget:
-        raise ValueError(f"{n_bin} binaries exceed the budget of {binary_budget}")
-    group_of = {}
-    for grp in p.sos1_groups:
-        for i in grp:
-            group_of[i] = grp
-
-    lower = p.lp.lower.copy()
-    upper = p.lp.upper.copy()
-    bin_idx = np.array(p.binary_indices, dtype=int)
-    if bin_idx.size:
-        lower[bin_idx] = np.maximum(lower[bin_idx], 0.0)
-        upper[bin_idx] = np.minimum(upper[bin_idx], 1.0)
-    root = replace(p.lp, lower=lower, upper=upper)
-
-    incumbent: LpSolution | None = None
-    total_iters = 0
-    stack: list[tuple[dict[int, float], float]] = [({}, np.inf)]
-    while stack:
-        fixed, inherited = stack.pop()
-        if incumbent is not None and inherited <= incumbent.value + 1e-12:
-            continue
-        node_lower = root.lower.copy()
-        node_upper = root.upper.copy()
-        for i, v in fixed.items():
-            node_lower[i] = v
-            node_upper[i] = v
-        rel = solve_lp(replace(root, lower=node_lower, upper=node_upper))
-        total_iters += rel.iterations
-        if rel.status == "unbounded":
-            return LpSolution(status="unbounded", value=np.inf, x=None, iterations=total_iters)
-        if rel.status != "optimal":
-            continue  # infeasible subtree
-        if incumbent is not None and rel.value <= incumbent.value + 1e-12:
-            continue
-        xb = rel.x[bin_idx] if bin_idx.size else np.zeros(0)
-        frac = np.abs(xb - np.round(xb))
-        if np.all(frac <= _INT_TOL):
-            incumbent = LpSolution(status="optimal", value=rel.value, x=rel.x, iterations=total_iters)
-            continue
-        j_local = int(np.argmin(np.abs(xb - 0.5)))
-        j = int(bin_idx[j_local])
-        fix_one = dict(fixed)
-        fix_one[j] = 1.0
-        if j in group_of:
-            for other in group_of[j]:
-                if other != j:
-                    fix_one[other] = 0.0
-        fix_zero = dict(fixed)
-        fix_zero[j] = 0.0
-        stack.append((fix_zero, rel.value))
-        stack.append((fix_one, rel.value))  # explored first: dives to a leaf
-    if incumbent is None:
-        return LpSolution(status="infeasible", value=np.nan, x=None, iterations=total_iters)
-    return replace(incumbent, iterations=total_iters)
+    lp = p.lp
+    best: LpSolution | None = None
+    iterations = 0
+    for block in p.blocks:
+        cols = list(block)
+        sol = solve_lp(LpProblem(lp.objective[cols], lp.matrix[:, cols], lp.rhs))
+        iterations += sol.iterations
+        if not sol.optimal:
+            return LpSolution(status="unbounded", value=np.inf, x=None, iterations=iterations)
+        if best is None or sol.value > best.value:
+            x = np.zeros(lp.n_vars)
+            x[cols] = sol.x
+            best = LpSolution(status="optimal", value=sol.value, x=x)
+    return LpSolution(status="optimal", value=best.value, x=best.x, iterations=iterations)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from portdim import bbsolve as bb
 from portdim import comoments as cm
@@ -168,6 +169,86 @@ def test_milp_dominates_lp1_on_descendants(c_n3):
         assert ub_milp <= ub_lp1 + 1e-9
 
 
+def mccormick_milp_bound(cell, c, alpha):
+    """The milp bound in its mixed-integer form, solved by HiGHS.
+
+    Variables are [b (one per vertex-subset barycenter), u, z (one per
+    subcell), q (binary, one per subcell)], with sum b = u and sum q = 1;
+    one tangent cut at the cell barycenter; b_k <= sum of z_j over the
+    subcells whose chain contains subset k; z_j = q_j u by McCormick rows
+    under 0 <= u <= 1/alpha.
+    """
+    m = cell.n_vertices
+    subsets = [s for size in range(1, m + 1) for s in itertools.combinations(range(m), size)]
+    bary = np.array([cell.vertices[list(s)].mean(axis=0) for s in subsets])
+    perms = list(itertools.permutations(range(m)))
+    n_b, n_cell = len(subsets), len(perms)
+    u, z, q = n_b, n_b + 1, n_b + 1 + n_cell
+    n_vars = n_b + 1 + 2 * n_cell
+    inv_alpha = 1.0 / alpha
+
+    rows, lo, hi = [], [], []
+
+    def add(entries, low, high):
+        row = np.zeros(n_vars)
+        for j, value in entries:
+            row[j] += value
+        rows.append(row)
+        lo.append(low)
+        hi.append(high)
+
+    add([(k, 1.0) for k in range(n_b)] + [(u, -1.0)], 0.0, 0.0)
+    add([(q + j, 1.0) for j in range(n_cell)], 1.0, 1.0)
+    center = cell.barycenter
+    m4 = c.m4_tensor
+    grad = 4.0 * np.einsum("ijkl,j,k,l->i", m4, center, center, center)
+    mu4 = np.einsum("ijkl,i,j,k,l->", m4, center, center, center, center)
+    add([(k, float(bary[k] @ grad)) for k in range(n_b)] + [(u, mu4 - grad @ center)], -np.inf, 1.0)
+    for k, subset in enumerate(subsets):
+        members = [j for j, perm in enumerate(perms) if set(perm[: len(subset)]) == set(subset)]
+        add([(k, 1.0)] + [(z + j, -1.0) for j in members], -np.inf, 0.0)
+    for j in range(n_cell):
+        add([(z + j, 1.0), (q + j, -inv_alpha)], -np.inf, 0.0)
+        add([(z + j, 1.0), (u, -1.0)], -np.inf, 0.0)
+        add([(u, 1.0), (z + j, -1.0), (q + j, inv_alpha)], -np.inf, inv_alpha)
+
+    objective = np.zeros(n_vars)
+    objective[:n_b] = np.einsum("ij,jk,ik->i", bary, c.m2, bary) ** 2
+    upper = np.full(n_vars, np.inf)
+    upper[u] = inv_alpha
+    upper[q:] = 1.0
+    integrality = np.zeros(n_vars)
+    integrality[q:] = 1
+    res = milp(
+        -objective,
+        constraints=LinearConstraint(np.array(rows), lo, hi),
+        integrality=integrality,
+        bounds=Bounds(np.zeros(n_vars), upper),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+def test_milp_bound_matches_mccormick_reference(c_n3):
+    # the root and four bisection levels of the N=3 instance, and an N=4 cell;
+    # each of the six subcells is the only best one on some of these cells,
+    # so a skipped block shows
+    cells = [bb.SimplexCell(np.eye(3))]
+    frontier = cells
+    for _ in range(4):
+        frontier = [child for cell in frontier for child in bb.bisect(cell)]
+        cells = cells + frontier
+    rng = np.random.default_rng(4)
+    mix = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+    c4 = cm.build_comoments(cm.ReturnSample((rng.standard_t(6, (20_000, 4)) + rng.exponential(1.0, (20_000, 4))) @ mix))
+    cases = [(cell, c_n3) for cell in cells] + [(bb.bisect(bb.SimplexCell(np.eye(4)))[1], c4)]
+    alphas = {id(c): bb.alpha_floor(c, bb.BbConfig()) for c in (c_n3, c4)}
+    for cell, c in cases:
+        ub, _ = bb.bound_milp(cell, c, alphas[id(c)])
+        assert ub == pytest.approx(mccormick_milp_bound(cell, c, alphas[id(c)]), rel=1e-9, abs=0.0)
+
+
 def test_bound_is_tight_on_tiny_cell(c_n3):
     # the gap closes linearly with the cell diameter (the bound tracks the
     # cell max of h, which moves away from the center value at first order)
@@ -195,7 +276,7 @@ def test_bound_requires_positive_alpha(c_n3):
 
 def test_milp_guard_on_large_cells():
     c = iid_comoments(7)
-    with pytest.raises(ValueError, match="binary budget"):
+    with pytest.raises(ValueError, match="size guard"):
         bb.bound_milp(bb.SimplexCell(np.eye(7)), c, 1.0)
 
 

@@ -88,6 +88,34 @@ def test_moments_round_trip_is_exact(tmp_path):
     assert (c2.n_assets, c2.n_obs) == (3, 300)
 
 
+def write_malformed_moments(tmp_path, edit):
+    """A moments.json written from a valid set and then edited by ``edit(data)``."""
+    sample = cm.ReturnSample(np.random.default_rng(1).standard_normal((300, 3)))
+    path = hn.write_moments(tmp_path / "m.json", cm.build_comoments(sample), sample.asset_names, {"seed": 1})
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_moments_with_nan_rejected(tmp_path):
+    path = write_malformed_moments(tmp_path, lambda d: d["m2"][1].__setitem__(1, float("nan")))
+    with pytest.raises(ValueError, match="m2 contains non-finite"):
+        hn.read_moments(path)
+
+
+def test_moments_with_asymmetric_covariance_rejected(tmp_path):
+    path = write_malformed_moments(tmp_path, lambda d: d["m2"][0].__setitem__(2, d["m2"][0][2] + 0.1))
+    with pytest.raises(ValueError, match="not symmetric"):
+        hn.read_moments(path)
+
+
+def test_moments_with_truncated_m4_rejected(tmp_path):
+    path = write_malformed_moments(tmp_path, lambda d: d["m4_unique"].pop())
+    with pytest.raises(ValueError, match=r"m4_unique has shape \(14,\), expected \(15,\)"):
+        hn.read_moments(path)
+
+
 def test_simulate_rerun_is_byte_identical(tmp_path):
     cfg = tiny_cfg(tmp_path)
     first = hn.cmd_simulate(cfg).read_bytes()
@@ -180,6 +208,7 @@ def test_dimensionality_command(tmp_path, margin_k6):
     payload = json.loads(out.read_text())
     assert payload["nu_reference"] == 3.0
     assert payload["dimensionality"] > 1.0
+    assert payload["diversification"] == payload["dimensionality"]
     assert payload["reference_curve"]["k"][0] == 1
     assert payload["reference_curve"]["nu"][0] == 3.0
     assert not payload["near_gaussian"]

@@ -1,9 +1,8 @@
-"""Dense simplex LP and small-MILP solver against closed forms and scipy."""
-
-import itertools
+"""Packing-LP simplex and the best-of-blocks disjunction, against closed forms and scipy."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from portdim import subsolver as ss
@@ -11,11 +10,7 @@ from portdim import subsolver as ss
 
 def test_two_constraint_vertex_optimum():
     # max x + y  s.t.  x + 2y <= 4,  3x + y <= 6  ->  (1.6, 1.2)
-    p = ss.LpProblem(
-        objective=[1.0, 1.0],
-        ineq_matrix=[[1.0, 2.0], [3.0, 1.0]],
-        ineq_rhs=[4.0, 6.0],
-    )
+    p = ss.LpProblem(objective=[1.0, 1.0], matrix=[[1.0, 2.0], [3.0, 1.0]], rhs=[4.0, 6.0])
     sol = ss.solve_lp(p)
     assert sol.optimal
     assert sol.value == pytest.approx(2.8, abs=1e-10)
@@ -25,204 +20,105 @@ def test_two_constraint_vertex_optimum():
 
 def test_simplex_constraint_picks_best_coordinate():
     c = np.array([0.3, -1.0, 2.5, 0.9])
-    p = ss.LpProblem(objective=c, eq_matrix=np.ones((1, 4)), eq_rhs=[1.0])
-    sol = ss.solve_lp(p)
+    sol = ss.solve_lp(ss.LpProblem(objective=c, matrix=np.ones((1, 4)), rhs=[1.0]))
     assert sol.optimal
     assert sol.value == pytest.approx(2.5, abs=1e-12)
     assert np.allclose(sol.x, [0.0, 0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_box_bound_only():
-    p = ss.LpProblem(objective=[1.0], upper=np.array([0.7]))
-    sol = ss.solve_lp(p)
+    sol = ss.solve_lp(ss.LpProblem(objective=[1.0], matrix=[[1.0]], rhs=[0.7]))
     assert sol.optimal and sol.value == pytest.approx(0.7, abs=1e-12)
 
 
-def test_lower_bounds_shift():
-    p = ss.LpProblem(
-        objective=[-1.0, -1.0],
-        eq_matrix=[[1.0, 1.0]],
-        eq_rhs=[3.0],
-        lower=np.array([1.0, 0.5]),
-    )
-    sol = ss.solve_lp(p)
-    assert sol.optimal
-    assert sol.value == pytest.approx(-3.0, abs=1e-10)
-    assert np.all(sol.x >= [1.0, 0.5])
-
-
-def test_infeasible_detected():
-    p = ss.LpProblem(
-        objective=[1.0, 1.0],
-        eq_matrix=[[1.0, 1.0]],
-        eq_rhs=[1.0],
-        upper=np.array([0.2, 0.2]),
-    )
-    assert ss.solve_lp(p).status == "infeasible"
-
-
 def test_unbounded_detected():
-    p = ss.LpProblem(objective=[1.0, 0.0])
+    # max x0 s.t. x1 <= 1: nothing caps x0
+    p = ss.LpProblem(objective=[1.0, 0.0], matrix=[[0.0, 1.0]], rhs=[1.0])
     assert ss.solve_lp(p).status == "unbounded"
 
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        ss.LpProblem(objective=[1.0, 2.0], eq_matrix=[[1.0]], eq_rhs=[1.0])
+        ss.LpProblem(objective=[1.0, 2.0], matrix=[[1.0]], rhs=[1.0])
     with pytest.raises(ValueError):
-        ss.LpProblem(objective=[np.inf])
+        ss.LpProblem(objective=[1.0], matrix=[[1.0], [2.0]], rhs=[1.0])
     with pytest.raises(ValueError):
-        ss.LpProblem(objective=[1.0], lower=np.array([-np.inf]))
-
-
-def random_bounded_lp(rng, n_vars, n_ineq):
-    """A feasible bounded LP: random rows, rhs covering a random interior point."""
-    a = rng.standard_normal((n_ineq, n_vars))
-    x0 = rng.uniform(0.2, 1.0, n_vars)
-    b = a @ x0 + rng.uniform(0.1, 1.0, n_ineq)
-    c = rng.standard_normal(n_vars)
-    upper = rng.uniform(1.5, 4.0, n_vars)
-    return ss.LpProblem(objective=c, ineq_matrix=a, ineq_rhs=b, upper=upper)
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_random_lps_match_scipy(seed):
-    rng = np.random.default_rng(seed)
-    p = random_bounded_lp(rng, n_vars=rng.integers(2, 7), n_ineq=rng.integers(1, 6))
-    sol = ss.solve_lp(p)
-    ref = linprog(
-        -p.objective,
-        A_ub=p.ineq_matrix,
-        b_ub=p.ineq_rhs,
-        bounds=list(zip(p.lower, p.upper)),
-        method="highs",
-    )
-    assert sol.optimal and ref.status == 0
-    assert sol.value == pytest.approx(-ref.fun, abs=1e-8)
-    # feasibility of the returned point
-    assert np.all(p.ineq_matrix @ sol.x <= p.ineq_rhs + 1e-9)
-    assert np.all(sol.x >= p.lower - 1e-12) and np.all(sol.x <= p.upper + 1e-12)
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_random_equality_lps_match_scipy(seed):
-    rng = np.random.default_rng(100 + seed)
-    n = int(rng.integers(3, 8))
-    a = rng.standard_normal((2, n))
-    x0 = rng.uniform(0.1, 1.0, n)
-    b = a @ x0
-    p = ss.LpProblem(
-        objective=rng.standard_normal(n),
-        eq_matrix=a,
-        eq_rhs=b,
-        upper=rng.uniform(1.5, 3.0, n),
-    )
-    sol = ss.solve_lp(p)
-    ref = linprog(
-        -p.objective, A_eq=a, b_eq=b, bounds=list(zip(p.lower, p.upper)), method="highs"
-    )
-    assert sol.optimal and ref.status == 0
-    assert sol.value == pytest.approx(-ref.fun, abs=1e-8)
-    assert np.allclose(a @ sol.x, b, atol=1e-9)
-
-
-def test_binary_knapsack_against_enumeration():
-    values = np.array([5.0, 4.0, 3.0, 6.0])
-    weights = np.array([2.0, 3.0, 1.0, 4.0])
-    cap = 6.0
-    p = ss.MilpProblem(
-        lp=ss.LpProblem(
-            objective=values,
-            ineq_matrix=weights[None, :],
-            ineq_rhs=[cap],
-            upper=np.ones(4),
-        ),
-        binary_indices=(0, 1, 2, 3),
-    )
-    sol = ss.solve_milp(p)
-    best = max(
-        (values @ np.array(bits) for bits in itertools.product([0, 1], repeat=4)
-         if weights @ np.array(bits) <= cap),
-    )
-    assert sol.optimal
-    assert sol.value == pytest.approx(best, abs=1e-9)
-    assert np.all(np.isclose(sol.x, 0.0, atol=1e-6) | np.isclose(sol.x, 1.0, atol=1e-6))
-
-
-def test_milp_with_continuous_variables():
-    # max 2q1 + q2 + 0.5y  s.t.  q1 + q2 = 1 (SOS1),  y <= 2 - q1
-    p = ss.MilpProblem(
-        lp=ss.LpProblem(
-            objective=[2.0, 1.0, 0.5],
-            eq_matrix=[[1.0, 1.0, 0.0]],
-            eq_rhs=[1.0],
-            ineq_matrix=[[1.0, 0.0, 1.0]],
-            ineq_rhs=[2.0],
-            upper=np.array([1.0, 1.0, np.inf]),
-        ),
-        binary_indices=(0, 1),
-        sos1_groups=((0, 1),),
-    )
-    sol = ss.solve_milp(p)
-    assert sol.optimal
-    # q1 = 1 branch: 2 + 0.5*1 = 2.5; q2 = 1 branch: 1 + 0.5*2 = 2.0
-    assert sol.value == pytest.approx(2.5, abs=1e-9)
-    assert sol.x[0] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_integral_relaxation_short_circuits():
-    # assignment-style constraints are totally unimodular: the LP relaxation
-    # is already binary, so the MILP answer equals the relaxation's
-    p_lp = ss.LpProblem(
-        objective=[3.0, 1.0, 2.0, 4.0],
-        eq_matrix=[[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]],
-        eq_rhs=[1.0, 1.0],
-        upper=np.ones(4),
-    )
-    relaxed = ss.solve_lp(p_lp)
-    sol = ss.solve_milp(ss.MilpProblem(lp=p_lp, binary_indices=(0, 1, 2, 3)))
-    assert sol.optimal
-    assert sol.value == pytest.approx(relaxed.value, abs=1e-9)
-
-
-def test_milp_infeasible_when_binaries_conflict():
-    p = ss.MilpProblem(
-        lp=ss.LpProblem(
-            objective=[1.0, 1.0],
-            eq_matrix=[[1.0, 1.0]],
-            eq_rhs=[0.5],  # no 0/1 pair sums to 0.5
-            upper=np.ones(2),
-        ),
-        binary_indices=(0, 1),
-    )
-    assert ss.solve_milp(p).status == "infeasible"
-
-
-def test_binary_budget_guard():
-    p = ss.MilpProblem(
-        lp=ss.LpProblem(objective=np.ones(5), upper=np.ones(5)),
-        binary_indices=(0, 1, 2, 3, 4),
-    )
+        ss.LpProblem(objective=[np.inf], matrix=[[1.0]], rhs=[1.0])
     with pytest.raises(ValueError):
-        ss.solve_milp(p, binary_budget=4)
+        ss.LpProblem(objective=[1.0], matrix=[[np.nan]], rhs=[1.0])
 
 
-def test_milp_validation():
-    lp = ss.LpProblem(objective=[1.0, 1.0], upper=np.ones(2))
-    with pytest.raises(ValueError):
-        ss.MilpProblem(lp=lp, binary_indices=(0, 0))
-    with pytest.raises(ValueError):
-        ss.MilpProblem(lp=lp, binary_indices=(5,))
-    with pytest.raises(ValueError):
-        ss.MilpProblem(lp=lp, binary_indices=(0,), sos1_groups=((0, 1),))
+def test_negative_rhs_rejected():
+    # a negative right-hand side cuts off the origin, the simplex's start point
+    with pytest.raises(ValueError, match="nonnegative"):
+        ss.LpProblem(objective=[1.0, 1.0], matrix=[[1.0, 1.0], [-1.0, 0.0]], rhs=[1.0, -0.5])
 
 
 def test_degenerate_lp_terminates():
     # many redundant rows through one vertex: exercises the anti-cycling path
     n = 4
     a = np.vstack([np.eye(n), np.ones((1, n)), 2.0 * np.ones((1, n))])
-    b = np.concatenate([np.zeros(n), [0.0], [0.0]])
-    p = ss.LpProblem(objective=np.ones(n), ineq_matrix=a, ineq_rhs=b)
-    sol = ss.solve_lp(p)
+    sol = ss.solve_lp(ss.LpProblem(objective=np.ones(n), matrix=a, rhs=np.zeros(n + 2)))
     assert sol.optimal
     assert sol.value == pytest.approx(0.0, abs=1e-12)
+
+
+def random_packing_lp(rng):
+    """A random packing LP; the last row has positive entries, so it is bounded."""
+    n_vars = int(rng.integers(1, 9))
+    n_rows = int(rng.integers(0, 7))
+    a = np.vstack([rng.uniform(-1.0, 2.0, (n_rows, n_vars)), rng.uniform(0.1, 1.0, (1, n_vars))])
+    return ss.LpProblem(objective=rng.standard_normal(n_vars), matrix=a, rhs=rng.uniform(0.0, 2.0, n_rows + 1))
+
+
+def assert_matches_scipy(p):
+    sol = ss.solve_lp(p)
+    ref = linprog(-p.objective, A_ub=p.matrix, b_ub=p.rhs, bounds=(0, None), method="highs")
+    assert sol.optimal and ref.status == 0
+    assert sol.value == pytest.approx(-ref.fun, abs=1e-8, rel=1e-8)
+    assert np.all(sol.x >= 0.0)
+    assert np.all(p.matrix @ sol.x <= p.rhs + 1e-9)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_lps_match_scipy(seed):
+    assert_matches_scipy(random_packing_lp(np.random.default_rng(seed)))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_random_packing_lps_match_scipy(seed):
+    assert_matches_scipy(random_packing_lp(np.random.default_rng(seed)))
+
+
+def test_milp_picks_best_block():
+    # max 2x0 + x1 + 3x2 s.t. x0 + x1 + x2 <= 1, x2 <= 0.25, over block {0, 1} or {1, 2}
+    lp = ss.LpProblem(objective=[2.0, 1.0, 3.0], matrix=[[1.0, 1.0, 1.0], [0.0, 0.0, 1.0]], rhs=[1.0, 0.25])
+    sol = ss.solve_milp(ss.MilpProblem(lp=lp, blocks=((0, 1), (1, 2))))
+    assert sol.optimal
+    # block {0, 1}: x0 = 1 gives 2; block {1, 2}: x2 = 0.25, x1 = 0.75 gives 1.5
+    assert sol.value == pytest.approx(2.0, abs=1e-12)
+    assert np.allclose(sol.x, [1.0, 0.0, 0.0], atol=1e-12)
+    block_pivots = sum(
+        ss.solve_lp(ss.LpProblem(lp.objective[list(b)], lp.matrix[:, list(b)], lp.rhs)).iterations
+        for b in ((0, 1), (1, 2))
+    )
+    assert sol.iterations == block_pivots
+
+
+def test_milp_first_block_wins_ties():
+    lp = ss.LpProblem(objective=[1.0, 1.0], matrix=[[1.0, 1.0]], rhs=[1.0])
+    sol = ss.solve_milp(ss.MilpProblem(lp=lp, blocks=((1,), (0,))))
+    assert np.array_equal(sol.x, [0.0, 1.0])
+
+
+def test_milp_unbounded_block():
+    lp = ss.LpProblem(objective=[1.0, 1.0], matrix=[[1.0, 0.0]], rhs=[1.0])
+    assert ss.solve_milp(ss.MilpProblem(lp=lp, blocks=((0,), (1,)))).status == "unbounded"
+
+
+def test_milp_validation():
+    lp = ss.LpProblem(objective=[1.0, 1.0], matrix=[[1.0, 1.0]], rhs=[1.0])
+    for blocks in ((), ((),), ((0, 0),), ((0, 2),), ((-1,),)):
+        with pytest.raises(ValueError):
+            ss.MilpProblem(lp=lp, blocks=blocks)
