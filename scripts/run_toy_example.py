@@ -10,6 +10,10 @@ weights.  The interesting regimes:
   asset), while risk parity drifts to sqrt(2) - 1.
 * rho < 0: the correlated pair hedges itself, so kurtosis minimisation and
   risk parity both overweight the pair relative to the diversification ratio.
+
+Run it as ``python scripts/run_toy_example.py --rho-grid=-0.5,0.0,0.99``;
+the ``=`` is needed because argparse reads a bare value that starts with
+``-`` as a flag.
 """
 
 import argparse
@@ -24,7 +28,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--t-obs", type=int, default=1_000_000)
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--rho-grid", default=DEFAULT_GRID)
+    parser.add_argument("--rho-grid", default=DEFAULT_GRID,
+                        help="comma-separated correlation grid; write --rho-grid=-0.5,0.99 "
+                             "when the first value is negative")
     parser.add_argument("--rho-tol", type=float, default=1e-3)
     parser.add_argument("--output-dir", default="runs")
     args = parser.parse_args()

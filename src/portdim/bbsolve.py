@@ -24,6 +24,10 @@ Three bounding modes are available, in increasing tightness and cost:
 All bounds are assembled in the cone coordinates b with y = sum b_i v^i,
 u = sum b_i and w = y/u, which turns the ratio bound into a packing LP:
 max f'b s.t. A b <= 1, b >= 0, whose origin is feasible.
+
+Every cell, the root included, costs two moment-kernel calls: one batched
+call for the gradients at all of its cut anchors, and one for h at its LP
+candidate and its barycenter.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import numpy as np
 from .comoments import (
     CoMomentSet,
     Weights,
+    _even_moments,
     moment_derivatives,
     portfolio_moments,
 )
@@ -286,11 +291,10 @@ def _cut_rows(vertices: np.ndarray, anchors: np.ndarray, c: CoMomentSet, alpha: 
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    grads = _even_moments(anchors, c).grad_mu4
     rows = np.empty((anchors.shape[0] + 1, vertices.shape[0]))
-    for k, anchor in enumerate(anchors):
-        grad = moment_derivatives(anchor, c).grad_mu4
-        # g(R) - grad'R, where g(R) = grad'R / 4 by Euler's identity
-        rows[k] = vertices @ grad - 0.75 * float(grad @ anchor)
+    # g(R) - grad'R, where g(R) = grad'R / 4 by Euler's identity
+    rows[:-1] = grads @ vertices.T - 0.75 * np.einsum("ki,ki->k", grads, anchors)[:, None]
     rows[-1] = alpha
     return rows
 
@@ -369,11 +373,6 @@ def bound_milp(cell: SimplexCell, c: CoMomentSet, alpha: float) -> tuple[float, 
 # main loop
 
 
-def _h_value(w: np.ndarray, c: CoMomentSet) -> float:
-    variance, _, mu4 = portfolio_moments(w, c)
-    return variance**2 / mu4
-
-
 def _make_bound(cfg: BbConfig, c: CoMomentSet, alpha: float):
     if cfg.bound_mode == "lp1":
         return lambda cell: bound_lp1(cell, c, alpha)
@@ -394,12 +393,11 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
     """
     n = c.n_assets
     if n == 1:
-        w = Weights(np.array([1.0]))
-        value = _h_value(np.array([1.0]), c)
-        one = np.array([value])
+        even = _even_moments(np.ones((1, 1)), c)
+        one = even.variance**2 / even.mu4
         return BbResult(
-            incumbent=w,
-            incumbent_value=value,
+            incumbent=Weights(np.array([1.0])),
+            incumbent_value=float(one[0]),
             lower_bounds=one,
             upper_bounds=one.copy(),
             fraction_deleted=np.array([1.0]),
@@ -415,26 +413,39 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
     bound = _make_bound(cfg, c, alpha)
     shrink = 1.0 - cfg.rho_tol
 
-    root = SimplexCell(np.eye(n), id=0)
-    ub_root, cand = bound(root)
-    incumbent = root.barycenter
-    lb = _h_value(incumbent, c)
-    if cand is not None:
-        cand_val = _h_value(cand, c)
-        if cand_val > lb:
-            lb, incumbent = cand_val, cand
-    root = replace(root, upper_bound=ub_root)
-
-    created = 1
+    lb = -math.inf
+    incumbent: np.ndarray | None = None
+    created = 0
     fathomed = 0
     # main heap: best-first by (-ub, id); deletion heap: ascending ub, popped
     # as soon as the growing lower bound certifies a cell can be discarded.
-    heap: list[tuple[float, int, SimplexCell]] = [(-ub_root, root.id, root)]
-    deletions: list[tuple[float, int, SimplexCell]] = [(ub_root, root.id, root)]
+    heap: list[tuple[float, int, SimplexCell]] = []
+    deletions: list[tuple[float, int, SimplexCell]] = []
     fathomed_cells: list[tuple[SimplexCell, float]] = []
-    live_by_id: dict[int, SimplexCell] = {root.id: root}
+    live_by_id: dict[int, SimplexCell] = {}
+    lb_hist: list[float] = []
+    ub_hist: list[float] = []
+    frac_hist: list[float] = []
 
-    def sweep_deletions() -> None:
+    def evaluate(cell: SimplexCell, cap: float) -> None:
+        """Bound a new cell, capped at its parent's bound, score its LP
+        candidate and barycenter against the incumbent, and make it live."""
+        nonlocal lb, incumbent, created
+        ub, cand = bound(cell)
+        cell = replace(cell, upper_bound=min(ub, cap))
+        points = [p for p in (cand, cell.barycenter) if p is not None]
+        even = _even_moments(np.vstack(points), c)
+        for point, value in zip(points, even.variance**2 / even.mu4):
+            if value > lb:
+                lb, incumbent = float(value), point
+        created += 1
+        heapq.heappush(heap, (-cell.upper_bound, cell.id, cell))
+        heapq.heappush(deletions, (cell.upper_bound, cell.id, cell))
+        live_by_id[cell.id] = cell
+
+    def fathom_and_record() -> None:
+        """Fathom every cell the lower bound now certifies, then append one
+        row to each history."""
         nonlocal fathomed
         while deletions and shrink * deletions[0][0] <= lb:
             _, cell_id, cell = heapq.heappop(deletions)
@@ -444,16 +455,17 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
             del live_by_id[cell_id]
             if cfg.collect_cells:
                 fathomed_cells.append((cell, lb))
+        # children are capped at their parent's bound, so the heap top never rises
+        lb_hist.append(lb)
+        ub_hist.append(-heap[0][0])
+        frac_hist.append(fathomed / (fathomed + len(live_by_id)))
 
-    sweep_deletions()
-    lb_hist = [lb]
-    ub_hist = [ub_root]
-    frac_hist = [fathomed / (fathomed + len(live_by_id)) if fathomed + len(live_by_id) else 1.0]
+    evaluate(SimplexCell(np.eye(n), id=0), math.inf)
+    fathom_and_record()
     iteration = 0
-    status = "optimal"
     while True:
-        top_ub = -heap[0][0]
-        if shrink * top_ub <= lb:
+        if shrink * -heap[0][0] <= lb:
+            # every live cell is below the top bound, so all are fathomed already
             status = "optimal"
             break
         if iteration >= cfg.max_iterations:
@@ -464,45 +476,12 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
             break
 
         _, _, parent = heapq.heappop(heap)
-        live_by_id.pop(parent.id, None)
+        del live_by_id[parent.id]
         iteration += 1
-        children = bisect(parent, first_child_id=created)
-        created += 2
-
-        bounded = []
-        for child in children:
-            ub_raw, cand = bound(child)
-            ub = min(ub_raw, parent.upper_bound)
-            for point in (cand, child.barycenter):
-                if point is None:
-                    continue
-                val = _h_value(point, c)
-                if val > lb:
-                    lb, incumbent = val, point
-            bounded.append(replace(child, upper_bound=ub))
-        for child in bounded:
-            heapq.heappush(heap, (-child.upper_bound, child.id, child))
-            heapq.heappush(deletions, (child.upper_bound, child.id, child))
-            live_by_id[child.id] = child
-
-        sweep_deletions()
-        lb_hist.append(lb)
-        ub_hist.append(min(-heap[0][0], ub_hist[-1]))
-        frac_hist.append(fathomed / (fathomed + len(live_by_id)))
-
-    # terminal accounting: on optimality every remaining cell is deletable
-    if status == "optimal":
-        while deletions:
-            _, cell_id, cell = heapq.heappop(deletions)
-            if cell_id in live_by_id:
-                fathomed += 1
-                del live_by_id[cell_id]
-                if cfg.collect_cells:
-                    fathomed_cells.append((cell, lb))
-    lb_hist.append(lb)
-    ub_hist.append(min(-heap[0][0], ub_hist[-1]))
-    live = len(live_by_id)
-    frac_hist.append(fathomed / (fathomed + live) if fathomed + live else 1.0)
+        for child in bisect(parent, first_child_id=created):
+            evaluate(child, parent.upper_bound)
+        fathom_and_record()
+    fathom_and_record()  # the bounds at the stopping test; lb has not moved, so nothing is fathomed
 
     weights = Weights(np.clip(incumbent, 0.0, None) / np.clip(incumbent, 0.0, None).sum())
     return BbResult(

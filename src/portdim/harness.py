@@ -256,13 +256,19 @@ def write_moments(path: str | Path, c: CoMomentSet, names, metadata: dict) -> Pa
 
 def read_moments(path: str | Path) -> CoMomentSet:
     data = json.loads(Path(path).read_text())
+    missing = [k for k in ("mean", "m2", "m3_unique", "m4_unique", "n_assets", "n_obs") if k not in data]
+    if missing:
+        raise ValueError(f"{path}: missing field(s) {', '.join(missing)}")
+    for key in ("n_assets", "n_obs"):
+        if isinstance(data[key], bool) or not isinstance(data[key], int):
+            raise ValueError(f"{path}: {key} must be an integer, got {data[key]!r}")
     return CoMomentSet(
         mean=np.asarray(data["mean"], dtype=float),
         m2=np.asarray(data["m2"], dtype=float),
         m3_unique=np.asarray(data["m3_unique"], dtype=float),
         m4_unique=np.asarray(data["m4_unique"], dtype=float),
-        n_assets=int(data["n_assets"]),
-        n_obs=int(data["n_obs"]),
+        n_assets=data["n_assets"],
+        n_obs=data["n_obs"],
     )
 
 
@@ -658,7 +664,8 @@ def main(argv=None) -> int:
     _add_universe(p)
     _add_bb(p)
     p.add_argument("--rho-grid", dest="rho_grid", default="-0.7,-0.5,-0.3,0.0,0.5,0.95,0.99",
-                   help="comma-separated correlation grid")
+                   help="comma-separated correlation grid; write --rho-grid=-0.5,0.99 when "
+                        "the first value is negative")
 
     p = sub.add_parser("optimize-bb", help="global kurtosis minimization by branch and bound")
     _add_common(p)

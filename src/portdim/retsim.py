@@ -247,7 +247,7 @@ def nig_cdf(x, p: NigParams):
 def nig_quantile(u, p: NigParams):
     """NIG quantile function; ``u`` must lie strictly inside (0, 1)."""
     ua = np.asarray(u, dtype=float)
-    if np.any(ua <= 0.0) or np.any(ua >= 1.0):
+    if not np.all((ua > 0.0) & (ua < 1.0)):  # NaN fails both comparisons
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
     out = _table(p).quantile_clipped(ua)
     return out if out.ndim else float(out)

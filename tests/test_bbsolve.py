@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from portdim import bbsolve as bb
 from portdim import comoments as cm
+from portdim import retsim as rs
 
-from conftest import iid_comoments
+from conftest import homogeneous_spec, iid_comoments
 
 EW_GRID_STEP = 0.01
 
@@ -155,6 +157,60 @@ def test_bound_soundness_and_dominance_on_root(c_n3):
     for cand in (cand1, cand_m):
         assert cand is not None
         assert np.all(cand >= 0.0) and cand.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=5),
+    n_c=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_cut_rows_match_dense_reference(n, n_c, seed):
+    rng = np.random.default_rng(seed)
+    panel = rng.standard_normal((200, n)) + 0.3 * rng.standard_t(5, (200, n))
+    c = cm.build_comoments(cm.ReturnSample(panel))
+    cell = bb.SimplexCell(rng.dirichlet(np.ones(n), size=n))
+    anchors = np.vstack([cell.barycenter[None, :], bb.cut_points(cell, n_c)])
+    rows = bb._cut_rows(cell.vertices, anchors, c, 0.5)
+    assert rows.shape == (anchors.shape[0] + 1, n)
+    t = c.m4_tensor
+    for row, r in zip(rows[:-1], anchors):
+        grad = 4.0 * np.einsum("ijkl,j,k,l->i", t, r, r, r)
+        g = np.einsum("ijkl,i,j,k,l->", t, r, r, r, r)
+        # the tangent plane of g at R, evaluated at each vertex
+        expected = cell.vertices @ grad + g - grad @ r
+        scale = np.abs(cell.vertices @ grad).max() + abs(g) + abs(grad @ r)
+        np.testing.assert_allclose(row, expected, rtol=0.0, atol=1e-12 * scale)
+    assert np.all(rows[-1] == 0.5)
+
+
+@pytest.fixture(scope="module")
+def bound_instances(c_n3):
+    """N=3 and N=4 co-moments with their fourth-moment floors."""
+    c_n4 = cm.build_comoments(rs.sample_meta_gaussian(homogeneous_spec(4, -0.2), 20_000, seed=5))
+    return {c.n_assets: (c, bb.alpha_floor(c, bb.BbConfig())) for c in (c_n3, c_n4)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.sampled_from([3, 4]),
+    path=st.lists(st.integers(min_value=0, max_value=1), max_size=10),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_bounds_cover_h_on_random_cells(bound_instances, n, path, seed):
+    c, alpha = bound_instances[n]
+    cell = bb.SimplexCell(np.eye(n))
+    for side in path:
+        children = bb.bisect(cell)
+        assert sum(child.volume() for child in children) == pytest.approx(cell.volume(), rel=1e-9)
+        cell = children[side]
+    points = np.random.default_rng(seed).dirichlet(np.ones(n), size=32) @ cell.vertices
+    variance, _, mu4 = cm.batch_moments(points, c)
+    h_max = float(np.max(variance**2 / mu4))
+    bounds = [bb.bound_lp1(cell, c, alpha)[0], bb.bound_milp(cell, c, alpha)[0]]
+    bounds += [bb.bound_lp2(cell, c, alpha, n_c)[0] for n_c in (1, 2, 3)]
+    for ub in bounds:
+        assert h_max <= ub * (1.0 + 1e-12)
 
 
 def test_milp_dominates_lp1_on_descendants(c_n3):

@@ -116,6 +116,18 @@ def test_moments_with_truncated_m4_rejected(tmp_path):
         hn.read_moments(path)
 
 
+def test_moments_with_fractional_count_rejected(tmp_path):
+    path = write_malformed_moments(tmp_path, lambda d: d.__setitem__("n_assets", 1.7))
+    with pytest.raises(ValueError, match="n_assets must be an integer, got 1.7"):
+        hn.read_moments(path)
+
+
+def test_moments_with_missing_field_rejected(tmp_path):
+    path = write_malformed_moments(tmp_path, lambda d: d.pop("m2"))
+    with pytest.raises(ValueError, match="m.json: missing field"):
+        hn.read_moments(path)
+
+
 def test_simulate_rerun_is_byte_identical(tmp_path):
     cfg = tiny_cfg(tmp_path)
     first = hn.cmd_simulate(cfg).read_bytes()
@@ -269,6 +281,25 @@ def test_cli_simulate_and_version(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         hn.main(["--version"])
     assert exc.value.code == 0
+
+
+def test_cli_toy_example_negative_rho_grid(tmp_path, capsys):
+    # a grid starting with '-' must be joined with '=', or argparse reads it as a flag
+    rc = hn.main(
+        [
+            "toy-example",
+            "--experiment", "toy",
+            "--output-dir", str(tmp_path),
+            "--t-obs", "2000",
+            "--rho-tol", "1e-2",
+            "--rho-grid=-0.5,0.99",
+        ]
+    )
+    assert rc == 0
+    path = capsys.readouterr().out.strip()
+    rows = [l.split(",") for l in open(path).read().splitlines() if not l.startswith("#")][1:]
+    assert [float(r[0]) for r in rows] == [-0.5, 0.99]
+    assert all(r[5] == "optimal" for r in rows)
 
 
 def test_jsonable_handles_numpy_and_inf():

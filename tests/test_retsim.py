@@ -93,6 +93,12 @@ def test_quantile_inverts_cdf():
     assert np.max(np.abs(rs.nig_cdf(xs, P_ASYM) - us)) < 1e-10
 
 
+@pytest.mark.parametrize("u", [0.0, 1.0, math.nan, [0.5, math.nan]])
+def test_quantile_rejects_arguments_outside_open_unit_interval(u):
+    with pytest.raises(ValueError, match="strictly inside"):
+        rs.nig_quantile(u, P_ASYM)
+
+
 def test_cdf_matches_integrated_pdf():
     for x in (-3.0, -0.5, 0.0, 1.0, 4.0):
         ref, _ = quad(rs.nig_pdf, -np.inf, x, args=(P_ASYM,), limit=200)
