@@ -164,7 +164,8 @@ class _NigTable:
     Node positions cluster near the mean (spacing ~0.006 sd) and widen
     toward +-40 sd.  Per-interval integrals of the pdf use Gauss-Legendre
     panels with one adaptive refinement pass; the cumulative sums are
-    interpolated with a monotone cubic (PCHIP).
+    interpolated with a monotone cubic (PCHIP), which the quantile inverts by
+    Newton on the cubic of the one interval bracketing each target.
     """
 
     def __init__(self, p: NigParams) -> None:
@@ -182,7 +183,6 @@ class _NigTable:
         intervals = self._interval_masses()
         self.cdf_values = left_tail + np.concatenate([[0.0], np.cumsum(intervals)])
         self._interp = PchipInterpolator(self.x, self.cdf_values, extrapolate=False)
-        self._interp_deriv = self._interp.derivative()
 
     def _interval_masses(self) -> np.ndarray:
         lo, hi = self.x[:-1], self.x[1:]
@@ -210,21 +210,30 @@ class _NigTable:
         return np.where(xa <= self.x[0], self.cdf_values[0], np.where(xa >= self.x[-1], self.cdf_values[-1], out))
 
     def quantile_clipped(self, u) -> np.ndarray:
-        """Safeguarded vector Newton on the tabulated CDF; clips u into table range."""
+        """Safeguarded vector Newton on the tabulated CDF; clips u into table range.
+
+        Each step evaluates the bracketing interval's cubic and its slope (3c0,
+        2c1, c2, as ``derivative()`` forms them) in ascending powers of
+        s = q - x[idx], the order ``PPoly`` sums in: bitwise the interpolant.
+        """
         ua = np.clip(np.asarray(u, dtype=float), self.cdf_values[0], self.cdf_values[-1])
         idx = np.clip(np.searchsorted(self.cdf_values, ua, side="right") - 1, 0, self.x.size - 2)
         lo, hi = self.x[idx], self.x[idx + 1]
         flo, fhi = self.cdf_values[idx], self.cdf_values[idx + 1]
         q = lo + (ua - flo) * (hi - lo) / np.where(fhi > flo, fhi - flo, 1.0)
+        origin = lo
+        c0, c1, c2, c3 = self._interp.c[:, idx]
         done = np.zeros(q.shape, dtype=bool)
         for _ in range(60):
-            resid = self._interp(q) - ua
+            s = q - origin
+            s2 = s * s
+            resid = (((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)) - ua
             hi = np.where(~done & (resid > 0.0), np.minimum(q, hi), hi)
             lo = np.where(~done & (resid <= 0.0), np.maximum(q, lo), lo)
             done |= (np.abs(resid) < 1e-14) | (hi - lo < 1e-12 * (1.0 + np.abs(q)))
             if np.all(done):
                 break
-            slope = self._interp_deriv(q)
+            slope = (c2 + 2.0 * c1 * s) + 3.0 * c0 * s2
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = np.where(slope > 0.0, resid / np.where(slope > 0.0, slope, 1.0), np.nan)
             cand = q - step
@@ -512,8 +521,9 @@ def sample_meta_gaussian(
     ``(seed, (SIMULATION_STREAM, block))``; Gaussians are produced by the
     inverse normal CDF applied to that stream's uniforms.
     """
-    if t_obs < 1:
-        raise ValueError(f"need at least one observation, got {t_obs}")
+    for name, value, least in (("t_obs", t_obs, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     n = spec.n_assets
     chol = np.linalg.cholesky(spec.input_corr)
     tables = [_table(p) for p in spec.margins]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 from scipy.stats import kstest
 
 from portdim import retsim as rs
@@ -23,6 +24,52 @@ margin_targets = st.builds(
     skewness=st.just(0.0),
     kurtosis=st.floats(min_value=3.2, max_value=12.0),
 )
+
+
+def _skewed_target(mean, variance, kurtosis, skew_fraction):
+    skew_bound = math.sqrt(3.0 * (kurtosis - 3.0) / 5.0)
+    return rs.MarginTarget(mean, variance, skew_fraction * skew_bound, kurtosis)
+
+
+# skewness up to 0.9 of the NIG bound sqrt(3 (kurtosis - 3) / 5), either sign
+skewed_margins = st.builds(
+    _skewed_target,
+    mean=st.floats(min_value=-0.5, max_value=0.5),
+    variance=st.floats(min_value=0.25, max_value=4.0),
+    kurtosis=st.floats(min_value=3.2, max_value=12.0),
+    skew_fraction=st.floats(min_value=-0.9, max_value=0.9),
+)
+
+
+def _reference_quantile(table, u):
+    """The quantile's Newton loop on whole-interpolant calls.
+
+    Every step evaluates a ``PchipInterpolator`` and its ``derivative()``,
+    each with its own interval search; ``quantile_clipped`` must reproduce
+    this bit for bit.
+    """
+    interp = PchipInterpolator(table.x, table.cdf_values, extrapolate=False)
+    interp_deriv = interp.derivative()
+    ua = np.clip(np.asarray(u, dtype=float), table.cdf_values[0], table.cdf_values[-1])
+    idx = np.clip(np.searchsorted(table.cdf_values, ua, side="right") - 1, 0, table.x.size - 2)
+    lo, hi = table.x[idx], table.x[idx + 1]
+    flo, fhi = table.cdf_values[idx], table.cdf_values[idx + 1]
+    q = lo + (ua - flo) * (hi - lo) / np.where(fhi > flo, fhi - flo, 1.0)
+    done = np.zeros(q.shape, dtype=bool)
+    for _ in range(60):
+        resid = interp(q) - ua
+        hi = np.where(~done & (resid > 0.0), np.minimum(q, hi), hi)
+        lo = np.where(~done & (resid <= 0.0), np.maximum(q, lo), lo)
+        done |= (np.abs(resid) < 1e-14) | (hi - lo < 1e-12 * (1.0 + np.abs(q)))
+        if np.all(done):
+            break
+        slope = interp_deriv(q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(slope > 0.0, resid / np.where(slope > 0.0, slope, 1.0), np.nan)
+        cand = q - step
+        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
+        q = np.where(done, q, np.where(bad, 0.5 * (lo + hi), cand))
+    return q
 
 
 def test_parameter_validation():
@@ -91,6 +138,37 @@ def test_quantile_inverts_cdf():
     xs = rs.nig_quantile(us, P_ASYM)
     assert np.all(np.diff(xs) > 0.0)
     assert np.max(np.abs(rs.nig_cdf(xs, P_ASYM) - us)) < 1e-10
+
+
+@given(skewed_margins, st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_quantile_matches_whole_interpolant_newton_bitwise(t, seed):
+    table = rs._table(rs.nig_params_from_moments(t))
+    rng = np.random.default_rng(seed)
+    nodes = table.cdf_values
+    tails = 10.0 ** -rng.uniform(1.0, 16.0, 200)
+    u = np.concatenate(
+        [rng.random(2000), nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, 2.0), tails, 1.0 - tails]
+    )
+    assert table.quantile_clipped(u).tobytes() == _reference_quantile(table, u).tobytes()
+    # the slope coefficients quantile_clipped forms are derivative()'s
+    slope_c = table._interp.c[:3] * np.array([[3.0], [2.0], [1.0]])
+    assert slope_c.tobytes() == table._interp.derivative().c.tobytes()
+
+
+@given(skewed_margins, st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_quantile_round_trip_on_skewed_margins(t, seed):
+    p = rs.nig_params_from_moments(t)
+    nodes = rs._table(p).cdf_values
+    # the table's range, kept inside the open interval nig_quantile accepts
+    lo = max(nodes[0], np.finfo(float).tiny)
+    hi = min(nodes[-1], np.nextafter(1.0, 0.0))
+    u = np.sort(np.clip(lo + (hi - lo) * np.random.default_rng(seed).random(2000), lo, hi))
+    u = np.concatenate([[lo], u, [hi]])
+    q = rs.nig_quantile(u, p)
+    assert np.all(np.diff(q) >= 0.0)
+    assert np.max(np.abs(rs.nig_cdf(q, p) - u)) <= 1e-13
 
 
 @pytest.mark.parametrize("u", [0.0, 1.0, math.nan, [0.5, math.nan]])
@@ -171,6 +249,25 @@ def test_sampler_extension_preserves_prefix():
     short = rs.sample_meta_gaussian(spec, 65536, seed=1)
     long = rs.sample_meta_gaussian(spec, 65536 + 500, seed=1)
     assert np.array_equal(long.values[:65536], short.values)
+
+
+def test_pinned_panel_matches_whole_interpolant_newton(monkeypatch):
+    # 70,000 rows span two Philox blocks, the second one partial
+    spec = homogeneous_spec(3, -0.2)
+    panel = rs.sample_meta_gaussian(spec, 70_000, seed=5).values
+    monkeypatch.setattr(rs._NigTable, "quantile_clipped", _reference_quantile)
+    reference = rs.sample_meta_gaussian(spec, 70_000, seed=5).values
+    assert panel.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize(
+    "t_obs, seed, name", [(True, 5, "t_obs"), (2.5, 5, "t_obs"), (100, -1, "seed"), (100, 1.5, "seed")]
+)
+def test_sampler_rejects_non_integer_size_or_seed(t_obs, seed, name):
+    spec = homogeneous_spec(2, 0.3)
+    with pytest.raises(ValueError, match=name):
+        rs.sample_meta_gaussian(spec, t_obs, seed=seed)
+    assert rs.sample_meta_gaussian(spec, np.int64(10), seed=np.int64(5)).values.shape == (10, 2)
 
 
 def test_sample_moments_match_targets():
