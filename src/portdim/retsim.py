@@ -182,7 +182,10 @@ class _NigTable:
         left_tail, _ = quad(lambda v: nig_pdf(v, p), -np.inf, self.x[0], limit=200)
         intervals = self._interval_masses()
         self.cdf_values = left_tail + np.concatenate([[0.0], np.cumsum(intervals)])
-        self._interp = PchipInterpolator(self.x, self.cdf_values, extrapolate=False)
+        # the far-tail secant slopes can be denormal; PCHIP's harmonic mean of
+        # them overflows to the correct zero slope, so the warning is noise
+        with np.errstate(over="ignore", divide="ignore"):
+            self._interp = PchipInterpolator(self.x, self.cdf_values, extrapolate=False)
 
     def _interval_masses(self) -> np.ndarray:
         lo, hi = self.x[:-1], self.x[1:]

@@ -1,4 +1,4 @@
-"""Dense primal simplex for the packing LPs of the branch-and-bound cell bounds.
+"""Dense tableau simplex for the packing LPs of the branch-and-bound cell bounds.
 
 Every cell bound is a packing LP, max c'x s.t. A x <= b, x >= 0 with b >= 0,
 so the origin is feasible and the simplex starts from the slack basis with
@@ -6,10 +6,10 @@ no phase 1.  The ``milp`` bound picks one barycentric subcell out of m!, a
 disjunction of such LPs over column blocks; its optimum is the best of the
 block LPs.  The subproblems are tiny (a handful of rows, at most a few
 dozen columns) but are solved tens of thousands of times inside the
-branch-and-bound loop, so the implementation favours robustness and
-determinism over asymptotics: Dantzig pricing with a switch to Bland's rule
-after too many degenerate pivots, and a dense explicit basis inverse
-refactorized every 64 pivots.
+branch-and-bound loop, so the implementation is the textbook dense tableau
+[A | I | b; -c | 0 | 0]: each pivot is one row scale and one rank-1 update,
+with no basis inverse and no refactorisation.  Pricing is Dantzig's, with a
+switch to Bland's rule after too many degenerate pivots.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 _PIVOT_TOL = 1e-9
-_REFACTOR_EVERY = 64
 
 
 @dataclass(frozen=True)
@@ -94,43 +93,40 @@ class LpSolution:
 
 
 class _Breakdown(RuntimeError):
-    """Numerical breakdown inside the simplex (singular basis, stall)."""
+    """The simplex stalled past its iteration cap."""
 
 
-def _simplex_core(a: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: np.ndarray):
-    """min cost'x  s.t. a x = b, x >= 0, starting from the given feasible basis.
+def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """max c'x  s.t. a x <= b, x >= 0 (b >= 0), on the tableau [a | I | b; -c | 0 | 0].
 
-    Returns (status, x, basis, iterations); status 'optimal' or 'unbounded'.
+    Returns (x, pivots), with x None when the LP is unbounded.
     """
     m, n = a.shape
-    basis = basis.copy()
-    try:
-        b_inv = np.linalg.inv(a[:, basis])
-    except np.linalg.LinAlgError as exc:
-        raise _Breakdown(f"singular starting basis (rows={m}, cols={n})") from exc
-    xb = b_inv @ b
+    t = np.zeros((m + 1, n + m + 1))
+    t[:m, :n] = a
+    t[:m, n:-1] = np.eye(m)
+    t[:m, -1] = b
+    t[m, :n] = -c
+    d, xb, reduced = t[:m, :-1], t[:m, -1], t[m, :-1]  # views: columns, basic values, reduced costs
+    basis = np.arange(n, n + m)
     degenerate = 0
     bland = False
-    max_iter = 2000 + 200 * (m + n)
+    max_iter = 2000 + 200 * (2 * m + n)
     for it in range(max_iter):
-        y = cost[basis] @ b_inv
-        reduced = cost - y @ a
-        reduced[basis] = 0.0
         if bland:
             entering_candidates = np.flatnonzero(reduced < -_PIVOT_TOL)
             if entering_candidates.size == 0:
-                return "optimal", _basic_point(n, basis, xb), basis, it
+                break
             j = int(entering_candidates[0])
         else:
             j = int(np.argmin(reduced))
             if reduced[j] >= -_PIVOT_TOL:
-                return "optimal", _basic_point(n, basis, xb), basis, it
-        d = b_inv @ a[:, j]
-        pos = d > _PIVOT_TOL
+                break
+        pos = d[:, j] > _PIVOT_TOL
         if not np.any(pos):
-            return "unbounded", None, basis, it
+            return None, it
         ratios = np.full(m, np.inf)
-        ratios[pos] = xb[pos] / d[pos]
+        ratios[pos] = xb[pos] / d[pos, j]
         theta = ratios.min()
         # leaving: smallest ratio, ties broken by lowest variable index (Bland-safe)
         tie = np.flatnonzero(ratios <= theta + 1e-15)
@@ -142,38 +138,23 @@ def _simplex_core(a: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: np.ndar
         else:
             degenerate = 0
         basis[r] = j
-        if (it + 1) % _REFACTOR_EVERY == 0:
-            try:
-                b_inv = np.linalg.inv(a[:, basis])
-            except np.linalg.LinAlgError as exc:
-                raise _Breakdown(f"singular basis at iteration {it}") from exc
-            xb = b_inv @ b
-        else:
-            piv = d[r]
-            b_inv[r] /= piv
-            xb[r] = theta
-            other = np.arange(m) != r
-            xb[other] -= d[other] * theta
-            b_inv[other] -= np.outer(d[other], b_inv[r])
-        xb = np.maximum(xb, 0.0)  # clip tiny negative round-off
-    raise _Breakdown(f"simplex failed to converge within {max_iter} iterations")
-
-
-def _basic_point(n: int, basis: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    x = np.zeros(n)
+        t[r] /= t[r, j]
+        col = t[:, j].copy()
+        col[r] = 0.0
+        t -= col[:, None] * t[r]
+        np.maximum(xb, 0.0, out=xb)  # clip tiny negative round-off
+    else:
+        raise _Breakdown(f"simplex failed to converge within {max_iter} iterations")
+    x = np.zeros(n + m)
     x[basis] = xb
-    return x
+    return x[:n], it
 
 
 def solve_lp(p: LpProblem) -> LpSolution:
     """Dense primal simplex from the slack basis; deterministic for identical inputs."""
-    m, n = p.matrix.shape
-    a = np.hstack([p.matrix, np.eye(m)])
-    cost = np.concatenate([-p.objective, np.zeros(m)])  # maximize -> minimize
-    status, x, _, iterations = _simplex_core(a, p.rhs, cost, np.arange(n, n + m))
-    if status == "unbounded":
+    x, iterations = _simplex(p.objective, p.matrix, p.rhs)
+    if x is None:
         return LpSolution(status="unbounded", value=np.inf, x=None, iterations=iterations)
-    x = x[:n]
     return LpSolution(status="optimal", value=float(p.objective @ x), x=x, iterations=iterations)
 
 
@@ -187,12 +168,14 @@ def solve_milp(p: MilpProblem) -> LpSolution:
     iterations = 0
     for block in p.blocks:
         cols = list(block)
-        sol = solve_lp(LpProblem(lp.objective[cols], lp.matrix[:, cols], lp.rhs))
-        iterations += sol.iterations
-        if not sol.optimal:
+        c = lp.objective[cols]
+        x_block, pivots = _simplex(c, lp.matrix[:, cols], lp.rhs)
+        iterations += pivots
+        if x_block is None:
             return LpSolution(status="unbounded", value=np.inf, x=None, iterations=iterations)
-        if best is None or sol.value > best.value:
+        value = float(c @ x_block)
+        if best is None or value > best.value:
             x = np.zeros(lp.n_vars)
-            x[cols] = sol.x
-            best = LpSolution(status="optimal", value=sol.value, x=x)
+            x[cols] = x_block
+            best = LpSolution(status="optimal", value=value, x=x)
     return LpSolution(status="optimal", value=best.value, x=best.x, iterations=iterations)
