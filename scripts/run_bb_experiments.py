@@ -3,11 +3,13 @@
 Simulates a homogeneous equicorrelated universe once, then solves the same
 instance under each bounding mode (plain tangent-cut LP, the LP with extra
 cut points for several n_c, and the piecewise-linear envelope MILP) and
-prints a table of iteration counts, wall time, and the certified kurtosis.
+prints a table of iteration counts, frontier rounds, LP pivots, wall time,
+and the certified kurtosis.
 The MILP gives the tightest root bound, but it is the best of m! subcell LPs
-(6 at N=3), so each node costs several LPs and the LP2 modes win on wall
-time: with the defaults (N=3, T=10^6, rho_tol=1e-3) on a 2-core x86-64 VM the
-milp mode took 0.74 s for 259 iterations, lp2 0.26-0.39 s for 146-186.
+(6 at N=3), so each cell costs several LPs; they join the same lockstep LP
+stack as the other cells of a frontier round.  With the defaults (N=3,
+T=10^6, rho_tol=1e-3) on a 2-core x86-64 VM every mode took 0.02-0.03 s:
+lp1 and milp 261 iterations, lp2 146-188.
 """
 
 import argparse
@@ -54,7 +56,7 @@ def main() -> None:
     spec = "loaded returns" if args.returns else f"simulated {build_universe(cfg).margins[0]}"
     print(f"instance: N={c.n_assets}, T={c.n_obs}, rho={args.rho} ({spec})")
 
-    print(f"{'mode':>10} {'iters':>8} {'seconds':>9} {'kurtosis':>12} {'status':>16}")
+    print(f"{'mode':>10} {'iters':>8} {'rounds':>7} {'pivots':>8} {'seconds':>9} {'kurtosis':>12} {'status':>16}")
     for mode, n_c in MODES:
         if mode == "milp" and (args.skip_milp or c.n_assets > 6):
             continue
@@ -64,7 +66,7 @@ def main() -> None:
         elapsed = time.perf_counter() - t0
         label = mode if mode != "lp2" else f"lp2(n_c={n_c})"
         print(
-            f"{label:>10} {result.iterations:>8d} {elapsed:>9.2f} "
+            f"{label:>10} {result.iterations:>8d} {result.rounds:>7d} {result.lp_pivots:>8d} {elapsed:>9.2f} "
             f"{result.kurtosis:>12.6f} {result.status:>16}"
         )
 

@@ -4,7 +4,7 @@ Minimizing kurtosis mu4/var^2 over the weight simplex is equivalent to
 maximizing h(w) = (w'M2 w)^2 / w'M4(w (x) w (x) w), a ratio of two convex
 quartics.  The solver partitions the simplex into cells, bounds h on each
 cell from above by a linear (or mixed-integer linear) program, and bisects
-the cell with the largest bound until the incumbent is provably within a
+the cells with the largest bounds until the incumbent is provably within a
 relative tolerance of the global optimum.
 
 Three bounding modes are available, in increasing tightness and cost:
@@ -25,18 +25,27 @@ All bounds are assembled in the cone coordinates b with y = sum b_i v^i,
 u = sum b_i and w = y/u, which turns the ratio bound into a packing LP:
 max f'b s.t. A b <= 1, b >= 0, whose origin is feasible.
 
-Every cell, the root included, costs two moment-kernel calls: one batched
-call for the gradients at all of its cut anchors, and one for h at its LP
-candidate and its barycenter.
+The solver works in rounds over a frontier of cells.  Each round pops up to
+``_FRONTIER_CELLS`` of the best live cells, bisects them all at once, and
+bounds the children together: one moment-kernel call for the gradients at
+all their cut anchors, one lockstep simplex over the stack of their
+packing LPs, and one moment-kernel call for h at all their LP candidates
+and barycenters.  These kernel calls are per round, not per cell.  The
+children are then applied parent by parent in pop order (lower bound,
+push, fathom, one history row), so with a frontier of one cell this is the
+plain best-first loop.  A wider frontier can only bisect a cell early that
+best-first would bisect later, or one that the lower bound reaches during
+the round; the certificate rule is the same.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +57,8 @@ from .comoments import (
     portfolio_moments,
 )
 from .gld import _projected_descent
-from .subsolver import LpProblem, MilpProblem, solve_lp, solve_milp
+# solve_lp and solve_milp are the one-problem cases of the stack solver, re-exported here
+from .subsolver import _best_blocks, _Breakdown, solve_lp, solve_milp  # noqa: F401
 
 __all__ = [
     "SimplexCell",
@@ -66,6 +76,7 @@ __all__ = [
 
 _DEGENERATE_EDGE = 1e-12
 _MAX_ENVELOPE_VERTICES = 6  # m! subcells: the milp bound solves one LP per subcell
+_FRONTIER_CELLS = 128  # cells bisected per round; their children are bounded as one stack
 _ALPHA_GRAD_TOL = 1e-10
 _ALPHA_MAX_ITER = 100_000
 _CANDIDATE_U_TOL = 1e-12
@@ -102,14 +113,8 @@ class SimplexCell:
 
     def longest_edge(self) -> tuple[int, int, float]:
         """Longest vertex pair ``(i, j, length)``, ties to the smallest (i, j)."""
-        v = self.vertices
-        best = (0, 1, -1.0)
-        for i in range(v.shape[0] - 1):
-            for j in range(i + 1, v.shape[0]):
-                length = float(np.linalg.norm(v[i] - v[j]))
-                if length > best[2]:
-                    best = (i, j, length)
-        return best
+        i, j, length = _longest_edges(self.vertices[None])
+        return int(i[0]), int(j[0]), float(length[0])
 
     def volume(self) -> float:
         """Euclidean (N-1)-volume via the Gram determinant of the edge vectors."""
@@ -165,6 +170,9 @@ class BbResult:
     ``fraction_deleted`` counts fathomed cells against fathomed-plus-live.
     ``fathomed_cells`` holds ``(cell, lb_at_deletion)`` pairs and
     ``live_cells`` the surviving cells, both only when configured.
+    ``iterations`` counts bisected cells, ``rounds`` the frontier rounds
+    that bisected them, and ``lp_pivots`` the simplex pivots of every cell
+    LP (of every subcell LP in ``milp`` mode).
     """
 
     incumbent: Weights
@@ -175,6 +183,8 @@ class BbResult:
     iterations: int
     cells_created: int
     cells_fathomed: int
+    lp_pivots: int
+    rounds: int
     status: str
     alpha: float
     fathomed_cells: tuple[tuple[SimplexCell, float], ...] = ()
@@ -198,6 +208,40 @@ class BbResult:
 # subdivision
 
 
+@functools.cache
+def _vertex_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """All vertex pairs (i, j), i < j, in lexicographic order."""
+    return np.triu_indices(m, 1)
+
+
+def _longest_edges(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Longest vertex pair of each cell of a (K, m, N) stack.
+
+    Returns the arrays (i, j, length); edge-length ties go to the smallest
+    (i, j) in lexicographic order.
+    """
+    first, second = _vertex_pairs(vertices.shape[1])
+    edges = vertices[:, first] - vertices[:, second]
+    lengths = np.sqrt((edges * edges).sum(axis=2))
+    pair = lengths.argmax(axis=1)
+    return first[pair], second[pair], lengths[np.arange(pair.size), pair]
+
+
+def _bisect_cells(vertices: np.ndarray) -> np.ndarray:
+    """Children of each cell of a (K, m, N) stack, split at the midpoint of its
+    longest edge; the children of cell k are rows 2k and 2k + 1 of the result.
+    """
+    i, j, length = _longest_edges(vertices)
+    if np.any(length < _DEGENERATE_EDGE):
+        raise ValueError(f"degenerate cell: longest edge {length.min():.3e}")
+    k = np.arange(vertices.shape[0])
+    mid = 0.5 * (vertices[k, i] + vertices[k, j])
+    children = np.repeat(vertices, 2, axis=0)
+    children[2 * k, i] = mid
+    children[2 * k + 1, j] = mid
+    return children
+
+
 def bisect(cell: SimplexCell, first_child_id: int = 0) -> tuple[SimplexCell, SimplexCell]:
     """Split a cell at the midpoint of its longest edge.
 
@@ -205,14 +249,7 @@ def bisect(cell: SimplexCell, first_child_id: int = 0) -> tuple[SimplexCell, Sim
     two children tile the parent.  Edge-length ties go to the smallest
     vertex-index pair.
     """
-    i, j, length = cell.longest_edge()
-    if length < _DEGENERATE_EDGE:
-        raise ValueError(f"degenerate cell: longest edge {length:.3e}")
-    mid = 0.5 * (cell.vertices[i] + cell.vertices[j])
-    first = cell.vertices.copy()
-    first[i] = mid
-    second = cell.vertices.copy()
-    second[j] = mid
+    first, second = _bisect_cells(cell.vertices[None])
     depth = cell.depth + 1
     return (
         SimplexCell(first, depth=depth, id=first_child_id),
@@ -262,22 +299,27 @@ def alpha_floor(c: CoMomentSet, cfg: BbConfig) -> float:
     return cfg.alpha_safety * mu4
 
 
+def _cut_points(vertices: np.ndarray, n_c: int) -> np.ndarray:
+    """``cut_points`` of each cell of a (K, m, N) stack: (K, m n_c, N)."""
+    center = vertices.mean(axis=1, keepdims=True)
+    pieces = [vertices]
+    for j in range(1, n_c):
+        frac = j / n_c
+        pieces.append(frac * vertices + (1.0 - frac) * center)
+    return np.concatenate(pieces, axis=1)
+
+
 def cut_points(cell: SimplexCell, n_c: int) -> np.ndarray:
     """Tangent-plane anchor points: the vertices, plus for n_c >= 2 the
     points (j/n_c) v^i + (1 - j/n_c) barycenter, j = 1..n_c-1."""
     if n_c < 1:
         raise ValueError(f"n_c must be >= 1, got {n_c}")
-    pieces = [cell.vertices.copy()]
-    center = cell.barycenter
-    for j in range(1, n_c):
-        frac = j / n_c
-        pieces.append(frac * cell.vertices + (1.0 - frac) * center[None, :])
-    return np.vstack(pieces)
+    return _cut_points(cell.vertices[None], n_c)[0]
 
 
 def _vertex_objective(vertices: np.ndarray, c: CoMomentSet) -> np.ndarray:
-    """f(v) = (v'M2 v)^2 at each vertex (the envelope values)."""
-    quad = np.einsum("ij,jk,ik->i", vertices, c.m2, vertices)
+    """f(v) = (v'M2 v)^2 at each vertex (the envelope values), over any leading axes."""
+    quad = np.einsum("...ij,jk,...ik->...i", vertices, c.m2, vertices)
     return quad**2
 
 
@@ -288,52 +330,111 @@ def _cut_rows(vertices: np.ndarray, anchors: np.ndarray, c: CoMomentSet, alpha: 
     perspective of g becomes sum_i b_i (grad'v^i + g(R) - grad'R) <= 1
     after y = sum_i b_i v^i and u = sum_i b_i; the floor u <= 1/alpha
     becomes the last row, alpha * sum_i b_i <= 1.  Every right-hand side is 1.
+    Leading axes of ``vertices`` and ``anchors`` index cells; all anchors go
+    through one moment-kernel call.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    grads = _even_moments(anchors, c).grad_mu4
-    rows = np.empty((anchors.shape[0] + 1, vertices.shape[0]))
+    grads = _even_moments(anchors.reshape(-1, anchors.shape[-1]), c).grad_mu4.reshape(anchors.shape)
+    rows = np.empty(anchors.shape[:-2] + (anchors.shape[-2] + 1, vertices.shape[-2]))
     # g(R) - grad'R, where g(R) = grad'R / 4 by Euler's identity
-    rows[:-1] = grads @ vertices.T - 0.75 * np.einsum("ki,ki->k", grads, anchors)[:, None]
-    rows[-1] = alpha
+    offset = 0.75 * np.einsum("...ki,...ki->...k", grads, anchors)[..., None]
+    rows[..., :-1, :] = grads @ vertices.swapaxes(-1, -2) - offset
+    rows[..., -1, :] = alpha
     return rows
 
 
-def _candidate_from_cone(vertices: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Recover w = y/u from cone coordinates; None when u = sum b is numerically zero."""
-    u = float(b.sum())
-    if not u > _CANDIDATE_U_TOL:
-        return None
-    w = (b @ vertices) / u
+def _candidates(cone_vertices: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Recover w = y/u from the cone coordinates of each cell of a stack.
+
+    ``cone_vertices`` is (K, p, N) and ``b`` (K, p).  Returns (w, ok); ok is
+    False where u = sum b or the clipped point is numerically zero, and w
+    is then meaningless.
+    """
+    u = b.sum(axis=1)
+    ok = u > _CANDIDATE_U_TOL
+    w = np.einsum("kp,kpi->ki", b, cone_vertices) / np.where(ok, u, 1.0)[:, None]
     w = np.clip(w, 0.0, None)
-    total = w.sum()
-    if not total > 0.0:
-        return None
-    return w / total
+    total = w.sum(axis=1)
+    ok &= total > 0.0
+    return w / np.where(ok, total, 1.0)[:, None], ok
 
 
-def _solve_lp_bound(
-    cell: SimplexCell, c: CoMomentSet, alpha: float, anchors: np.ndarray
-) -> tuple[float, np.ndarray | None]:
-    """Shared packing LP of the lp1/lp2 bounds: one variable b_i per cell vertex."""
-    rows = _cut_rows(cell.vertices, anchors, c, alpha)
-    sol = solve_lp(LpProblem(_vertex_objective(cell.vertices, c), rows, np.ones(rows.shape[0])))
-    if not sol.optimal:
-        raise RuntimeError(f"cell bound LP unexpectedly {sol.status} (cell id {cell.id})")
-    return sol.value, _candidate_from_cone(cell.vertices, sol.x)
+@functools.cache
+def _subcell_chains(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex subsets and barycentric subcells of an m-vertex cell.
+
+    Returns (members, chains): ``members`` (S, m) has the weight 1 on each
+    subset's vertices, one row per nonempty subset; ``chains`` (m!, m)
+    lists, for each vertex permutation, the subsets of its prefixes.
+    """
+    subsets = [frozenset(combo) for size in range(1, m + 1) for combo in itertools.combinations(range(m), size)]
+    index = {s: k for k, s in enumerate(subsets)}
+    members = np.zeros((len(subsets), m))
+    for k, s in enumerate(subsets):
+        members[k, sorted(s)] = 1.0
+    chains = np.array(
+        [[index[frozenset(perm[: k + 1])] for k in range(m)] for perm in itertools.permutations(range(m))]
+    )
+    return members, chains
+
+
+def _bound_cells(
+    vertices: np.ndarray, c: CoMomentSet, alpha: float, mode: str, n_c: int, first_id: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Bound h on each cell of a (K, m, N) stack, all LPs in one lockstep stack.
+
+    The lp1/lp2 LP of a cell is its one column block; the milp bound's
+    blocks are the m! subcell chains.  The cells carry the ids first_id,
+    first_id + 1, ... for error messages.  Returns (ub, w, ok, pivots):
+    the bounds, the LP candidates with their validity (see ``_candidates``)
+    and the pivots of all the LPs.
+    """
+    m = vertices.shape[1]
+    center = vertices.mean(axis=1)
+    anchors = center[:, None]
+    if mode == "milp":
+        if m > _MAX_ENVELOPE_VERTICES:
+            raise ValueError(f"piecewise envelope of a {m}-vertex cell exceeds the size guard")
+        members, blocks = _subcell_chains(m)
+        cone = (members @ vertices) / members.sum(axis=1)[:, None]  # subset barycenters
+    else:
+        blocks = np.arange(m)[None]
+        cone = vertices
+        if mode == "lp2":
+            anchors = np.concatenate([anchors, _cut_points(vertices, n_c)], axis=1)
+    rows = _cut_rows(cone, anchors, c, alpha)
+    try:
+        ub, best, b, pivots, unbounded = _best_blocks(_vertex_objective(cone, c), rows, np.ones(rows.shape[:2]), blocks)
+    except _Breakdown as err:
+        k = err.problem // blocks.shape[0]
+        raise _Breakdown(
+            err.problem, err.cap, f"bound LP of cell {first_id + k} with vertices {vertices[k].tolist()}"
+        ) from err
+    if unbounded.any():
+        k = int(np.flatnonzero(unbounded.any(axis=1))[0])
+        raise RuntimeError(f"cell bound LP unexpectedly unbounded (cell id {first_id + k})")
+    w, ok = _candidates(cone[np.arange(best.size)[:, None], blocks[best]], b)
+    return ub, w, ok, int(pivots.sum())
+
+
+def _bound_one(cell: SimplexCell, c: CoMomentSet, alpha: float, mode: str, n_c: int) -> tuple[float, np.ndarray | None]:
+    ub, w, ok, _ = _bound_cells(cell.vertices[None], c, alpha, mode, n_c, cell.id)
+    return float(ub[0]), (w[0] if ok[0] else None)
 
 
 def bound_lp1(cell: SimplexCell, c: CoMomentSet, alpha: float) -> tuple[float, np.ndarray | None]:
     """Envelope/tangent bound with a single cut at the cell barycenter."""
-    return _solve_lp_bound(cell, c, alpha, cell.barycenter[None, :])
+    return _bound_one(cell, c, alpha, "lp1", 1)
 
 
 def bound_lp2(
     cell: SimplexCell, c: CoMomentSet, alpha: float, n_c: int
 ) -> tuple[float, np.ndarray | None]:
     """The lp1 bound tightened by tangent cuts at ``cut_points(cell, n_c)``."""
-    anchors = np.vstack([cell.barycenter[None, :], cut_points(cell, n_c)])
-    return _solve_lp_bound(cell, c, alpha, anchors)
+    if n_c < 1:
+        raise ValueError(f"n_c must be >= 1, got {n_c}")
+    return _bound_one(cell, c, alpha, "lp2", n_c)
 
 
 def bound_milp(cell: SimplexCell, c: CoMomentSet, alpha: float) -> tuple[float, np.ndarray | None]:
@@ -345,51 +446,23 @@ def bound_milp(cell: SimplexCell, c: CoMomentSet, alpha: float) -> tuple[float, 
     chains' columns, each under the single tangent cut at the cell
     barycenter of the lp1 bound.
     """
-    m = cell.n_vertices
-    if m > _MAX_ENVELOPE_VERTICES:
-        raise ValueError(f"piecewise envelope of a {m}-vertex cell exceeds the size guard")
-
-    subsets = [frozenset(combo) for size in range(1, m + 1) for combo in itertools.combinations(range(m), size)]
-    subset_index = {s: k for k, s in enumerate(subsets)}
-    bary_vertices = np.vstack(
-        [cell.vertices[sorted(s)].mean(axis=0) for s in subsets]
-    )
-    chains = tuple(
-        tuple(subset_index[frozenset(perm[: k + 1])] for k in range(m))
-        for perm in itertools.permutations(range(m))
-    )
-    rows = _cut_rows(bary_vertices, cell.barycenter[None, :], c, alpha)
-    problem = MilpProblem(
-        lp=LpProblem(_vertex_objective(bary_vertices, c), rows, np.ones(rows.shape[0])),
-        blocks=chains,
-    )
-    sol = solve_milp(problem)
-    if not sol.optimal:
-        raise RuntimeError(f"cell bound MILP unexpectedly {sol.status} (cell id {cell.id})")
-    return sol.value, _candidate_from_cone(bary_vertices, sol.x)
+    return _bound_one(cell, c, alpha, "milp", 1)
 
 
 # ---------------------------------------------------------------------------
 # main loop
 
 
-def _make_bound(cfg: BbConfig, c: CoMomentSet, alpha: float):
-    if cfg.bound_mode == "lp1":
-        return lambda cell: bound_lp1(cell, c, alpha)
-    if cfg.bound_mode == "lp2":
-        return lambda cell: bound_lp2(cell, c, alpha, cfg.n_c)
-    return lambda cell: bound_milp(cell, c, alpha)
-
-
 def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
     """Best-first branch-and-bound for the maximum of h over the simplex.
 
     Returns a certificate-quality result: on status ``'optimal'`` the
-    incumbent satisfies h(incumbent) >= (1 - rho_tol) * max h.  The cell
-    with the largest upper bound is bisected each iteration; a cell is
-    fathomed once (1 - rho_tol) * UB(cell) <= LB.  Iteration and wall-clock
-    limits return the best incumbent with status ``'iteration_limit'`` or
-    ``'time_limit'``.
+    incumbent satisfies h(incumbent) >= (1 - rho_tol) * max h.  Each round
+    bisects the live cells with the largest upper bounds, up to
+    ``_FRONTIER_CELLS`` of them and only those the lower bound does not
+    fathom yet; a cell is fathomed once (1 - rho_tol) * UB(cell) <= LB.
+    Iteration and wall-clock limits return the best incumbent with status
+    ``'iteration_limit'`` or ``'time_limit'``.
     """
     n = c.n_assets
     if n == 1:
@@ -404,65 +477,81 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
             iterations=0,
             cells_created=1,
             cells_fathomed=1,
+            lp_pivots=0,
+            rounds=0,
             status="optimal",
             alpha=alpha_floor(c, cfg),
         )
 
     start_time = time.perf_counter()
     alpha = alpha_floor(c, cfg)
-    bound = _make_bound(cfg, c, alpha)
     shrink = 1.0 - cfg.rho_tol
 
     lb = -math.inf
     incumbent: np.ndarray | None = None
     created = 0
     fathomed = 0
-    # main heap: best-first by (-ub, id); deletion heap: ascending ub, popped
-    # as soon as the growing lower bound certifies a cell can be discarded.
-    heap: list[tuple[float, int, SimplexCell]] = []
-    deletions: list[tuple[float, int, SimplexCell]] = []
+    lp_pivots = 0
+    # main heap: best-first by (-ub, id); deletion heap: ascending (ub, id),
+    # popped as soon as the growing lower bound certifies a cell can be
+    # discarded.  ``live`` maps each live cell's id to (vertices, ub, depth).
+    heap: list[tuple[float, int]] = []
+    deletions: list[tuple[float, int]] = []
+    live: dict[int, tuple[np.ndarray, float, int]] = {}
     fathomed_cells: list[tuple[SimplexCell, float]] = []
-    live_by_id: dict[int, SimplexCell] = {}
     lb_hist: list[float] = []
     ub_hist: list[float] = []
     frac_hist: list[float] = []
 
-    def evaluate(cell: SimplexCell, cap: float) -> None:
-        """Bound a new cell, capped at its parent's bound, score its LP
-        candidate and barycenter against the incumbent, and make it live."""
-        nonlocal lb, incumbent, created
-        ub, cand = bound(cell)
-        cell = replace(cell, upper_bound=min(ub, cap))
-        points = [p for p in (cand, cell.barycenter) if p is not None]
-        even = _even_moments(np.vstack(points), c)
-        for point, value in zip(points, even.variance**2 / even.mu4):
-            if value > lb:
-                lb, incumbent = float(value), point
-        created += 1
-        heapq.heappush(heap, (-cell.upper_bound, cell.id, cell))
-        heapq.heappush(deletions, (cell.upper_bound, cell.id, cell))
-        live_by_id[cell.id] = cell
+    def bound_and_score(cells: np.ndarray, per_group: int) -> tuple[list[float], list[float], np.ndarray]:
+        """Bound a stack of new cells and score their LP candidates and
+        barycenters; per group of ``per_group`` consecutive cells, the best
+        score and its point (the first best, in the order candidate then
+        barycenter of each cell)."""
+        nonlocal lp_pivots
+        ub, w, ok, pivots = _bound_cells(cells, c, alpha, cfg.bound_mode, cfg.n_c, created)
+        lp_pivots += pivots
+        center = cells.mean(axis=1)
+        points = np.stack([np.where(ok[:, None], w, center), center], axis=1).reshape(-1, per_group * 2, n)
+        even = _even_moments(points.reshape(-1, n), c)
+        scores = (even.variance**2 / even.mu4).reshape(points.shape[:2])
+        scores[:, ::2][~ok.reshape(-1, per_group)] = -math.inf
+        best = scores.argmax(axis=1)
+        rows = np.arange(points.shape[0])
+        return ub.tolist(), scores[rows, best].tolist(), points[rows, best]
 
-    def fathom_and_record() -> None:
+    def push(vertices: np.ndarray, ub: float, depth: int) -> None:
+        nonlocal created
+        heapq.heappush(heap, (-ub, created))
+        heapq.heappush(deletions, (ub, created))
+        live[created] = (vertices, ub, depth)
+        created += 1
+
+    def fathom_and_record(pending: int = 0, pending_ub: float = -math.inf) -> None:
         """Fathom every cell the lower bound now certifies, then append one
-        row to each history."""
+        row to each history.  The ``pending`` popped cells whose children
+        are not applied yet count as live; the best of them has bound
+        ``pending_ub``."""
         nonlocal fathomed
         while deletions and shrink * deletions[0][0] <= lb:
-            _, cell_id, cell = heapq.heappop(deletions)
-            if cell_id not in live_by_id:
+            ub, cell_id = heapq.heappop(deletions)
+            entry = live.pop(cell_id, None)
+            if entry is None:
                 continue  # stale entry: the cell was subdivided, not fathomed
             fathomed += 1
-            del live_by_id[cell_id]
             if cfg.collect_cells:
-                fathomed_cells.append((cell, lb))
-        # children are capped at their parent's bound, so the heap top never rises
+                fathomed_cells.append((SimplexCell(entry[0], ub, entry[2], cell_id), lb))
+        # children are capped at their parent's bound, so the top bound never rises
         lb_hist.append(lb)
-        ub_hist.append(-heap[0][0])
-        frac_hist.append(fathomed / (fathomed + len(live_by_id)))
+        ub_hist.append(max(-heap[0][0], pending_ub))
+        frac_hist.append(fathomed / (fathomed + len(live) + pending))
 
-    evaluate(SimplexCell(np.eye(n), id=0), math.inf)
+    root = np.eye(n)[None]
+    (root_ub,), (lb,), (incumbent,) = bound_and_score(root, 1)
+    push(root[0], root_ub, 0)
     fathom_and_record()
     iteration = 0
+    rounds = 0
     while True:
         if shrink * -heap[0][0] <= lb:
             # every live cell is below the top bound, so all are fathomed already
@@ -475,12 +564,21 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
             status = "time_limit"
             break
 
-        _, _, parent = heapq.heappop(heap)
-        del live_by_id[parent.id]
-        iteration += 1
-        for child in bisect(parent, first_child_id=created):
-            evaluate(child, parent.upper_bound)
-        fathom_and_record()
+        parents = []
+        take = min(_FRONTIER_CELLS, cfg.max_iterations - iteration)
+        while len(parents) < take and heap and shrink * -heap[0][0] > lb:
+            parents.append(live.pop(heapq.heappop(heap)[1]))
+        rounds += 1
+        children = _bisect_cells(np.stack([vertices for vertices, _, _ in parents]))
+        bounds, scores, points = bound_and_score(children, 2)
+        for p, (_, parent_ub, depth) in enumerate(parents):
+            if scores[p] > lb:
+                lb, incumbent = scores[p], points[p]
+            push(children[2 * p], min(bounds[2 * p], parent_ub), depth + 1)
+            push(children[2 * p + 1], min(bounds[2 * p + 1], parent_ub), depth + 1)
+            iteration += 1
+            pending = len(parents) - p - 1
+            fathom_and_record(pending, parents[p + 1][1] if pending else -math.inf)
     fathom_and_record()  # the bounds at the stopping test; lb has not moved, so nothing is fathomed
 
     weights = Weights(np.clip(incumbent, 0.0, None) / np.clip(incumbent, 0.0, None).sum())
@@ -493,8 +591,12 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
         iterations=iteration,
         cells_created=created,
         cells_fathomed=fathomed,
+        lp_pivots=lp_pivots,
+        rounds=rounds,
         status=status,
         alpha=alpha,
         fathomed_cells=tuple(fathomed_cells),
-        live_cells=tuple(live_by_id.values()) if cfg.collect_cells else (),
+        live_cells=tuple(SimplexCell(v, ub, depth, cell_id) for cell_id, (v, ub, depth) in live.items())
+        if cfg.collect_cells
+        else (),
     )

@@ -12,8 +12,9 @@ deterministic outputs:
   byte-identical;
 * ``*_results.json`` files are sorted-key JSON with a mandatory ``version``
   field and no timing information;
-* ``run_record.json`` captures the config snapshot, wall clock, and an
-  environment fingerprint (the one file a rerun is allowed to change).
+* ``run_record.json`` captures the config snapshot, wall clock, solver
+  work counters, and an environment fingerprint (the one file a rerun is
+  allowed to change).
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """What happened: config snapshot, version, timing, environment."""
+    """What happened: config snapshot, version, timing, work counters, environment."""
 
     command: str
     config: dict
@@ -149,9 +150,12 @@ class RunRecord:
     version: str
     wall_clock_seconds: float
     environment: dict
+    counters: dict = field(default_factory=dict)
 
     @staticmethod
-    def capture(command: str, cfg: ExperimentConfig, wall_clock_seconds: float) -> "RunRecord":
+    def capture(
+        command: str, cfg: ExperimentConfig, wall_clock_seconds: float, counters: dict | None = None
+    ) -> "RunRecord":
         snap = cfg.snapshot()
         return RunRecord(
             command=command,
@@ -159,6 +163,7 @@ class RunRecord:
             config_hash=config_hash(snap),
             version=__version__,
             wall_clock_seconds=wall_clock_seconds,
+            counters=dict(counters or {}),
             environment={
                 "python": platform.python_version(),
                 "numpy": np.__version__,
@@ -391,6 +396,8 @@ def cmd_optimize_bb(cfg: ExperimentConfig) -> tuple[Path, Path]:
             "iterations": result.iterations,
             "cells_created": result.cells_created,
             "cells_fathomed": result.cells_fathomed,
+            "lp_pivots": result.lp_pivots,
+            "rounds": result.rounds,
             "alpha": result.alpha,
             "h_value": result.incumbent_value,
             "kurtosis": result.kurtosis,
@@ -412,7 +419,8 @@ def cmd_optimize_bb(cfg: ExperimentConfig) -> tuple[Path, Path]:
         ),
         meta,
     )
-    RunRecord.capture("optimize-bb", cfg, time.perf_counter() - start).write(directory)
+    counters = {"lp_pivots": result.lp_pivots, "rounds": result.rounds}
+    RunRecord.capture("optimize-bb", cfg, time.perf_counter() - start, counters).write(directory)
     return results_path, trace_path
 
 

@@ -1,15 +1,19 @@
-"""Dense tableau simplex for the packing LPs of the branch-and-bound cell bounds.
+"""Lockstep dense tableau simplex for the packing LPs of the branch-and-bound cell bounds.
 
 Every cell bound is a packing LP, max c'x s.t. A x <= b, x >= 0 with b >= 0,
 so the origin is feasible and the simplex starts from the slack basis with
 no phase 1.  The ``milp`` bound picks one barycentric subcell out of m!, a
 disjunction of such LPs over column blocks; its optimum is the best of the
 block LPs.  The subproblems are tiny (a handful of rows, at most a few
-dozen columns) but are solved tens of thousands of times inside the
-branch-and-bound loop, so the implementation is the textbook dense tableau
-[A | I | b; -c | 0 | 0]: each pivot is one row scale and one rank-1 update,
-with no basis inverse and no refactorisation.  Pricing is Dantzig's, with a
-switch to Bland's rule after too many degenerate pivots.
+dozen columns) but are solved by the hundred thousand inside the
+branch-and-bound loop, so they are solved as a stack: one textbook dense
+tableau [A | I | b; -c | 0 | 0] per LP, all pivoted in lockstep, each
+pivot one row scale and one rank-1 update per LP with no basis inverse.
+Pricing is Dantzig's, with a switch to Bland's rule after too many
+degenerate pivots, and every choice is made per LP, so a stacked LP takes
+exactly the pivots, and returns bitwise the point, that it would alone.
+LPs that finish drop out of the stack.  ``solve_lp`` and ``solve_milp``
+are the one-problem cases.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ __all__ = [
 ]
 
 _PIVOT_TOL = 1e-9
+#: consecutive degenerate pivots per row after which an LP prices by Bland's rule
+_BLAND_AFTER = 50
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,8 @@ class MilpProblem:
     """Pick one column block of ``lp`` and solve the LP over those columns.
 
     This is the MILP with one SOS1 group of binaries, one per block, each
-    switching its block's columns on; all other columns stay at zero.
+    switching its block's columns on; all other columns stay at zero.  The
+    blocks have one size, so their LPs form one stack.
     """
 
     lp: LpProblem
@@ -77,6 +84,8 @@ class MilpProblem:
                 raise ValueError(f"column block {block} is empty or repeats a column")
             if any(i < 0 or i >= n for i in block):
                 raise ValueError(f"column block {block} is out of range for {n} variables")
+        if len({len(block) for block in blocks}) != 1:
+            raise ValueError("column blocks must all have the same size")
         object.__setattr__(self, "blocks", blocks)
 
 
@@ -93,89 +102,133 @@ class LpSolution:
 
 
 class _Breakdown(RuntimeError):
-    """The simplex stalled past its iteration cap."""
+    """An LP of the stack stalled past its pivot cap."""
+
+    def __init__(self, problem: int, cap: int, context: str = "") -> None:
+        self.problem = problem
+        self.cap = cap
+        where = f" ({context})" if context else ""
+        super().__init__(f"simplex problem {problem} of the stack did not converge within {cap} pivots{where}")
 
 
-def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, int]:
-    """max c'x  s.t. a x <= b, x >= 0 (b >= 0), on the tableau [a | I | b; -c | 0 | 0].
+def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """max c'x  s.t. a x <= b, x >= 0 (b >= 0) for a stack of LPs, in lockstep.
 
-    Returns (x, pivots), with x None when the LP is unbounded.
+    ``c`` is (B, n), ``a`` (B, m, n) and ``b`` (B, m).  Each LP runs on its
+    own tableau [a | I | b; -c | 0 | 0] from the slack basis with its own
+    pivot rule state, and leaves the stack when it is optimal or unbounded.
+    Returns (x, pivots, unbounded); the x row of an unbounded LP is its last
+    basic point.
+    Raises ``_Breakdown`` naming the first LP still pivoting after
+    2000 + 200 (2m + n) pivots.
     """
-    m, n = a.shape
-    t = np.zeros((m + 1, n + m + 1))
-    t[:m, :n] = a
-    t[:m, n:-1] = np.eye(m)
-    t[:m, -1] = b
-    t[m, :n] = -c
-    d, xb, reduced = t[:m, :-1], t[:m, -1], t[m, :-1]  # views: columns, basic values, reduced costs
-    basis = np.arange(n, n + m)
-    degenerate = 0
-    bland = False
-    max_iter = 2000 + 200 * (2 * m + n)
-    for it in range(max_iter):
-        if bland:
-            entering_candidates = np.flatnonzero(reduced < -_PIVOT_TOL)
-            if entering_candidates.size == 0:
+    n_lp, m, n = a.shape
+    t = np.zeros((n_lp, m + 1, n + m + 1))
+    t[:, :m, :n] = a
+    t[:, :m, n:-1] = np.eye(m)
+    t[:, :m, -1] = b
+    t[:, m, :n] = -c
+    x = np.zeros((n_lp, n + m))
+    pivots = np.zeros(n_lp, dtype=int)
+    unbounded = np.zeros(n_lp, dtype=bool)
+    # per LP still pivoting: its stack index, basis, Bland flag and last nondegenerate pivot
+    live = np.arange(n_lp)
+    basis = np.tile(np.arange(n, n + m), (n_lp, 1))
+    bland = np.zeros(n_lp, dtype=bool)
+    last_moved = np.full(n_lp, -1)
+    k = live.copy()
+    degenerate_run = _BLAND_AFTER * m
+    cap = 2000 + 200 * (2 * m + n)
+    for it in range(cap):
+        reduced = t[:, m, :-1]
+        j = reduced.argmin(axis=1)
+        if it > degenerate_run:  # no LP can have had more degenerate pivots in a row before
+            bland |= it - 1 - last_moved > degenerate_run
+            if bland.any():  # the first improving column instead of the most improving one
+                j[bland] = (reduced[bland] < -_PIVOT_TOL).argmax(axis=1)
+        col = t[k, :, j]  # the entering column, its reduced cost last
+        d = col[:, :m]
+        done = (col[:, m] >= -_PIVOT_TOL) | (d.max(axis=1, initial=-np.inf) <= _PIVOT_TOL)
+        if done.any():
+            finished = live[done]
+            pivots[finished] = it
+            unbounded[finished] = col[done, m] < -_PIVOT_TOL
+            x[finished[:, None], basis[done]] = t[done, :m, -1]
+            keep = ~done
+            if not keep.any():
                 break
-            j = int(entering_candidates[0])
-        else:
-            j = int(np.argmin(reduced))
-            if reduced[j] >= -_PIVOT_TOL:
-                break
-        pos = d[:, j] > _PIVOT_TOL
-        if not np.any(pos):
-            return None, it
-        ratios = np.full(m, np.inf)
-        ratios[pos] = xb[pos] / d[pos, j]
-        theta = ratios.min()
+            t, live, basis, bland, last_moved, j, col = (v[keep] for v in (t, live, basis, bland, last_moved, j, col))
+            d = col[:, :m]
+            k = k[: live.size]
+        xb = t[:, :m, -1]
+        ratios = np.full(d.shape, np.inf)
+        np.divide(xb, d, out=ratios, where=d > _PIVOT_TOL)
+        theta = ratios.min(axis=1)
         # leaving: smallest ratio, ties broken by lowest variable index (Bland-safe)
-        tie = np.flatnonzero(ratios <= theta + 1e-15)
-        r = int(tie[np.argmin(basis[tie])])
-        if theta <= 1e-12:
-            degenerate += 1
-            if degenerate > 50 * m:
-                bland = True
-        else:
-            degenerate = 0
-        basis[r] = j
-        t[r] /= t[r, j]
-        col = t[:, j].copy()
-        col[r] = 0.0
-        t -= col[:, None] * t[r]
+        r = np.where(ratios <= theta[:, None] + 1e-15, basis, n + m).argmin(axis=1)
+        last_moved[theta > 1e-12] = it
+        basis[k, r] = j
+        row = t[k, r] / col[k, r][:, None]
+        t[k, r] = row
+        col[k, r] = 0.0
+        t -= col[:, :, None] * row[:, None, :]
         np.maximum(xb, 0.0, out=xb)  # clip tiny negative round-off
     else:
-        raise _Breakdown(f"simplex failed to converge within {max_iter} iterations")
-    x = np.zeros(n + m)
-    x[basis] = xb
-    return x[:n], it
+        raise _Breakdown(int(live[0]), cap)
+    return x[:, :n], pivots, unbounded
+
+
+def _best_blocks(
+    c: np.ndarray, a: np.ndarray, b: np.ndarray, blocks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For each of a stack of LPs, the best of its LPs over the column blocks.
+
+    ``blocks`` is a (Q, k) array of column indices; the B·Q block LPs are
+    one stack.  Returns (value, best, x, pivots, unbounded): per LP the
+    value and index of the first best block and that block's point (B, k),
+    and per block LP (B, Q) its pivots and whether it is unbounded.
+    """
+    n_lp, m, _ = a.shape
+    n_blocks, size = blocks.shape
+    cb = c[:, blocks]
+    ab = a[:, :, blocks].transpose(0, 2, 1, 3)
+    x, pivots, unbounded = _simplex(
+        cb.reshape(-1, size), ab.reshape(-1, m, size), np.repeat(b, n_blocks, axis=0)
+    )
+    x = x.reshape(n_lp, n_blocks, size)
+    values = np.einsum("lqi,lqi->lq", cb, x)
+    best = values.argmax(axis=1)
+    rows = np.arange(n_lp)
+    return (
+        values[rows, best],
+        best,
+        x[rows, best],
+        pivots.reshape(n_lp, n_blocks),
+        unbounded.reshape(n_lp, n_blocks),
+    )
 
 
 def solve_lp(p: LpProblem) -> LpSolution:
     """Dense primal simplex from the slack basis; deterministic for identical inputs."""
-    x, iterations = _simplex(p.objective, p.matrix, p.rhs)
-    if x is None:
+    x, pivots, unbounded = _simplex(p.objective[None], p.matrix[None], p.rhs[None])
+    iterations = int(pivots[0])
+    if unbounded[0]:
         return LpSolution(status="unbounded", value=np.inf, x=None, iterations=iterations)
-    return LpSolution(status="optimal", value=float(p.objective @ x), x=x, iterations=iterations)
+    return LpSolution(status="optimal", value=float(p.objective @ x[0]), x=x[0], iterations=iterations)
 
 
 def solve_milp(p: MilpProblem) -> LpSolution:
     """The best of the block LPs, with the pivots of all of them.
 
     The first block wins ties; the returned point is zero off its block.
+    When a block LP is unbounded, the pivots are counted up to the first one.
     """
     lp = p.lp
-    best: LpSolution | None = None
-    iterations = 0
-    for block in p.blocks:
-        cols = list(block)
-        c = lp.objective[cols]
-        x_block, pivots = _simplex(c, lp.matrix[:, cols], lp.rhs)
-        iterations += pivots
-        if x_block is None:
-            return LpSolution(status="unbounded", value=np.inf, x=None, iterations=iterations)
-        value = float(c @ x_block)
-        if best is None or value > best.value:
-            x = np.zeros(lp.n_vars)
-            x[cols] = x_block
-            best = LpSolution(status="optimal", value=value, x=x)
-    return LpSolution(status="optimal", value=best.value, x=best.x, iterations=iterations)
+    blocks = np.array(p.blocks)
+    value, best, x_block, pivots, unbounded = _best_blocks(lp.objective[None], lp.matrix[None], lp.rhs[None], blocks)
+    if unbounded.any():
+        first = int(np.flatnonzero(unbounded[0])[0])
+        return LpSolution(status="unbounded", value=np.inf, x=None, iterations=int(pivots[0, : first + 1].sum()))
+    x = np.zeros(lp.n_vars)
+    x[blocks[best[0]]] = x_block[0]
+    return LpSolution(status="optimal", value=float(value[0]), x=x, iterations=int(pivots.sum()))

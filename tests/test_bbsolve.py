@@ -1,5 +1,6 @@
 """Simplex partition geometry, cell bounds, and the branch-and-bound loop."""
 
+import heapq
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from portdim import bbsolve as bb
 from portdim import comoments as cm
 from portdim import retsim as rs
+from portdim import subsolver as ss
 
 from conftest import homogeneous_spec, iid_comoments
 
@@ -440,6 +442,103 @@ def test_time_limit_status(c_n3):
     result = bb.solve(c_n3, bb.BbConfig(rho_tol=1e-9, max_seconds=1e-6))
     assert result.status == "time_limit"
     assert result.lower_bounds[-1] <= result.upper_bounds[-1]
+
+
+def reference_best_first(c, cfg):
+    """One cell per iteration through the one-cell entry points: bisect the
+    best live cell, bound both children (capped at the parent's bound), score
+    their LP candidates and barycenters, fathom, record one history row.
+    Returns (iterations, cells created, cells fathomed, (lb, ub, fraction) rows)."""
+    alpha = bb.alpha_floor(c, cfg)
+    bound = {
+        "lp1": lambda cell: bb.bound_lp1(cell, c, alpha),
+        "lp2": lambda cell: bb.bound_lp2(cell, c, alpha, cfg.n_c),
+        "milp": lambda cell: bb.bound_milp(cell, c, alpha),
+    }[cfg.bound_mode]
+    shrink = 1.0 - cfg.rho_tol
+    lb, created, fathomed, iterations = -math.inf, 0, 0, 0
+    heap, deletions, live, history = [], [], set(), []
+
+    def evaluate(cell, cap):
+        nonlocal lb, created
+        ub, candidate = bound(cell)
+        ub = min(ub, cap)
+        points = np.array([p for p in (candidate, cell.barycenter) if p is not None])
+        variance, _, mu4 = cm.batch_moments(points, c)
+        lb = max(lb, float(np.max(variance**2 / mu4)))
+        heapq.heappush(heap, (-ub, cell.id, cell))
+        heapq.heappush(deletions, (ub, cell.id))
+        live.add(cell.id)
+        created += 1
+
+    def fathom_and_record():
+        nonlocal fathomed
+        while deletions and shrink * deletions[0][0] <= lb:
+            cell_id = heapq.heappop(deletions)[1]
+            if cell_id in live:
+                live.remove(cell_id)
+                fathomed += 1
+        history.append((lb, -heap[0][0], fathomed / (fathomed + len(live))))
+
+    evaluate(bb.SimplexCell(np.eye(c.n_assets)), math.inf)
+    fathom_and_record()
+    while shrink * -heap[0][0] > lb:
+        neg_ub, _, parent = heapq.heappop(heap)
+        live.remove(parent.id)
+        iterations += 1
+        for child in bb.bisect(parent, first_child_id=created):
+            evaluate(child, -neg_ub)
+        fathom_and_record()
+    fathom_and_record()
+    return iterations, created, fathomed, np.array(history)
+
+
+@pytest.mark.parametrize("mode,n_c", [("lp1", 1), ("lp2", 2), ("milp", 1)])
+def test_one_cell_frontier_is_the_best_first_loop(c_n3, monkeypatch, mode, n_c):
+    cfg = bb.BbConfig(rho_tol=1e-2, bound_mode=mode, n_c=n_c)
+    monkeypatch.setattr(bb, "_FRONTIER_CELLS", 1)
+    result = bb.solve(c_n3, cfg)
+    iterations, created, fathomed, history = reference_best_first(c_n3, cfg)
+    assert (result.iterations, result.cells_created, result.cells_fathomed) == (iterations, created, fathomed)
+    assert result.rounds == iterations
+    np.testing.assert_allclose(result.lower_bounds, history[:, 0], rtol=1e-12)
+    np.testing.assert_allclose(result.upper_bounds, history[:, 1], rtol=1e-12)
+    np.testing.assert_array_equal(result.fraction_deleted, history[:, 2])
+
+
+def test_frontier_width_keeps_the_certificate(c_n3, monkeypatch):
+    # one cell per round is the plain best-first loop; the default frontier
+    # bisects many cells per round and must certify the same optimum
+    cfg = bb.BbConfig(rho_tol=1e-3, bound_mode="lp2", n_c=1)
+    wide = bb.solve(c_n3, cfg)
+    monkeypatch.setattr(bb, "_FRONTIER_CELLS", 1)
+    narrow = bb.solve(c_n3, cfg)
+    for result in (wide, narrow):
+        assert result.status == "optimal"
+        assert (1.0 - cfg.rho_tol) * result.upper_bounds[-1] <= result.lower_bounds[-1]
+        assert len(result.lower_bounds) == result.iterations + 2
+        assert np.all(np.diff(result.upper_bounds) <= 0.0)
+        assert result.lp_pivots > 0
+    assert narrow.rounds == narrow.iterations
+    assert wide.rounds < wide.iterations
+    assert abs(wide.kurtosis - narrow.kurtosis) <= cfg.rho_tol * narrow.kurtosis
+
+
+def test_stalled_cell_lp_names_its_cell(c_n3, monkeypatch):
+    def stall(c, a, b):
+        raise ss._Breakdown(a.shape[0] - 1, 4000)
+
+    monkeypatch.setattr(ss, "_simplex", stall)
+    alpha = bb.alpha_floor(c_n3, bb.BbConfig())
+    cell = bb.SimplexCell(np.eye(3), id=7)
+    with pytest.raises(ss._Breakdown, match=r"cell 7 with vertices \[\[1\.0, 0\.0, 0\.0\]") as err:
+        bb.bound_lp2(cell, c_n3, alpha, 1)
+    assert err.value.cap == 4000
+    # the last of the six subcell LPs belongs to the same cell
+    with pytest.raises(ss._Breakdown, match="cell 7 "):
+        bb.bound_milp(cell, c_n3, alpha)
+    with pytest.raises(ss._Breakdown, match="cell 0 "):
+        bb.solve(c_n3)
 
 
 def test_milp_mode_solves_small_instance(c2_iid):

@@ -190,6 +190,16 @@ def test_optimize_bb_artifacts(tmp_path):
     assert trace_again.read_bytes() == trace_path.read_bytes()
 
 
+def test_optimize_bb_reports_solver_counters(tmp_path):
+    cfg = tiny_cfg(tmp_path)
+    results_path, _ = hn.cmd_optimize_bb(cfg)
+    results = json.loads(results_path.read_text())
+    record = json.loads((tmp_path / "t" / "run_record.json").read_text())
+    assert record["counters"] == {"lp_pivots": results["lp_pivots"], "rounds": results["rounds"]}
+    assert results["lp_pivots"] > 0
+    assert 1 <= results["rounds"] <= results["iterations"]
+
+
 def test_optimize_gld_artifacts(tmp_path):
     cfg = tiny_cfg(tmp_path)
     results_path, hist_path = hn.cmd_optimize_gld(cfg, record_paths=(0, 5))

@@ -219,3 +219,94 @@ def test_milp_validation():
     for blocks in ((), ((),), ((0, 0),), ((0, 2),), ((-1,),)):
         with pytest.raises(ValueError):
             ss.MilpProblem(lp=lp, blocks=blocks)
+
+
+# ---------------------------------------------------------------------------
+# the lockstep stack
+
+
+def test_pivot_cap_raises_breakdown_with_its_cap(monkeypatch):
+    # without the switch to Bland's rule, Dantzig's rule cycles on Beale's LP
+    # until the cap of 2000 + 200 (2m + n) pivots: 4000 for m = 3, n = 4
+    monkeypatch.setattr(ss, "_BLAND_AFTER", 10**9)
+    with pytest.raises(ss._Breakdown) as err:
+        ss.solve_lp(BEALE)
+    assert (err.value.problem, err.value.cap) == (0, 4000)
+    assert "4000 pivots" in str(err.value)
+
+
+def _stack(problems):
+    return (
+        np.array([p.objective for p in problems]),
+        np.array([p.matrix for p in problems]),
+        np.array([p.rhs for p in problems]),
+    )
+
+
+def _beale_shaped_lp(rng):
+    return ss.LpProblem(rng.standard_normal(4), rng.uniform(-1.0, 2.0, (3, 4)), rng.uniform(0.0, 2.0, 3))
+
+
+def test_breakdown_names_the_stalled_problem_of_a_stack(monkeypatch):
+    monkeypatch.setattr(ss, "_BLAND_AFTER", 10**9)
+    rng = np.random.default_rng(3)
+    problems = [_beale_shaped_lp(rng), _beale_shaped_lp(rng), BEALE, _beale_shaped_lp(rng)]
+    with pytest.raises(ss._Breakdown) as err:
+        ss._simplex(*_stack(problems))
+    assert (err.value.problem, err.value.cap) == (2, 4000)
+
+
+def test_beale_lp_in_a_stack_keeps_its_pivots():
+    # the Bland switch and the degenerate-pivot count belong to each LP alone
+    rng = np.random.default_rng(8)
+    problems = [_beale_shaped_lp(rng) for _ in range(5)]
+    problems.insert(2, BEALE)
+    x, pivots, unbounded = ss._simplex(*_stack(problems))
+    assert pivots[2] == 156 and not unbounded[2]
+    assert np.allclose(x[2], [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+    assert [int(p) for p in pivots] == [ss.solve_lp(p).iterations for p in problems]
+
+
+def _beale_after_free_pivots(k):
+    """Beale's LP beside three independent columns x_i <= 1, the first k of
+    them profitable: Dantzig's rule takes those k nondegenerate pivots
+    first, so the cycle and the Bland switch come k pivots later."""
+    c = np.concatenate([BEALE.objective, [100.0, 99.0, 98.0][:k], np.zeros(3 - k)])
+    a = np.zeros((6, 7))
+    a[:3, :4] = BEALE.matrix
+    a[3:, 4:] = np.eye(3)
+    return ss.LpProblem(c, a, np.concatenate([BEALE.rhs, np.ones(3)]))
+
+
+def test_bland_switch_belongs_to_each_lp_of_a_stack():
+    # both LPs cycle; the second switches to Bland's rule three pivots after
+    # the first, and must not be switched along with it
+    problems = [_beale_after_free_pivots(0), _beale_after_free_pivots(3)]
+    _, pivots, _ = ss._simplex(*_stack(problems))
+    assert [int(p) for p in pivots] == [ss.solve_lp(p).iterations for p in problems] == [306, 309]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_stacked_solves_equal_one_problem_solves(seed):
+    # one shape per stack; LPs with and without the capping row (so some are
+    # unbounded) and with some or all right-hand sides zero
+    rng = np.random.default_rng(seed)
+    n_rows, n_vars, size = int(rng.integers(0, 6)), int(rng.integers(1, 8)), int(rng.integers(1, 12))
+    c = rng.standard_normal((size, n_vars))
+    a = rng.uniform(-1.0, 2.0, (size, n_rows + 1, n_vars))
+    capped = rng.random(size) < 0.5
+    a[capped, -1] = rng.uniform(0.1, 1.0, (int(capped.sum()), n_vars))
+    b = rng.uniform(0.0, 2.0, (size, n_rows + 1))
+    b[rng.random((size, n_rows + 1)) < rng.choice([0.0, 0.5, 1.0], (size, 1))] = 0.0
+    x, pivots, unbounded = ss._simplex(c, a, b)
+    for i in range(size):
+        x_i, pivots_i, unbounded_i = ss._simplex(c[i : i + 1], a[i : i + 1], b[i : i + 1])
+        assert (pivots[i], unbounded[i]) == (pivots_i[0], unbounded_i[0])
+        assert x[i].tobytes() == x_i[0].tobytes()
+
+
+def test_milp_blocks_must_share_a_size():
+    lp = ss.LpProblem(objective=[1.0, 1.0], matrix=[[1.0, 1.0]], rhs=[1.0])
+    with pytest.raises(ValueError, match="same size"):
+        ss.MilpProblem(lp=lp, blocks=((0,), (0, 1)))
