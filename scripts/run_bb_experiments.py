@@ -8,8 +8,8 @@ and the certified kurtosis.
 The MILP gives the tightest root bound, but it is the best of m! subcell LPs
 (6 at N=3), so each cell costs several LPs; they join the same lockstep LP
 stack as the other cells of a frontier round.  With the defaults (N=3,
-T=10^6, rho_tol=1e-3) on a 2-core x86-64 VM every mode took 0.02-0.03 s:
-lp1 and milp 261 iterations, lp2 146-188.
+T=10^6, rho_tol=1e-3) on a 2-core x86-64 VM every mode took 0.01-0.03 s:
+lp1 259 iterations, milp 261, lp2 146-190.
 """
 
 import argparse

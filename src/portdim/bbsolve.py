@@ -65,7 +65,6 @@ __all__ = [
     "BbConfig",
     "BbResult",
     "bisect",
-    "barycentric_subdivide",
     "alpha_floor",
     "cut_points",
     "bound_lp1",
@@ -133,8 +132,7 @@ class BbConfig:
     ``rho_tol`` is the relative optimality gap: the solver stops once
     ``(1 - rho_tol) * UB <= LB`` in h-space.  ``bound_mode`` picks the cell
     bound ('lp1', 'lp2', 'milp'); ``n_c`` is the tangent-plane count per
-    asset used by 'lp2'.  ``alpha_safety`` scales the computed floor of the
-    fourth moment down to keep the bound valid under floating point.
+    asset used by 'lp2'.
     """
 
     rho_tol: float = 1e-3
@@ -142,7 +140,6 @@ class BbConfig:
     n_c: int = 1
     max_iterations: int = 1_000_000
     max_seconds: float = math.inf
-    alpha_safety: float = 0.999
     collect_cells: bool = False
 
     def __post_init__(self) -> None:
@@ -156,8 +153,6 @@ class BbConfig:
             raise ValueError("max_iterations must be nonnegative")
         if not self.max_seconds > 0:
             raise ValueError("max_seconds must be positive")
-        if not 0.0 < self.alpha_safety <= 1.0:
-            raise ValueError(f"alpha_safety must lie in (0, 1], got {self.alpha_safety}")
 
 
 @dataclass(frozen=True)
@@ -257,46 +252,30 @@ def bisect(cell: SimplexCell, first_child_id: int = 0) -> tuple[SimplexCell, Sim
     )
 
 
-def barycentric_subdivide(cell: SimplexCell, first_child_id: int = 0) -> tuple[SimplexCell, ...]:
-    """Full barycentric subdivision into m! subcells (m = vertex count).
-
-    Subcell vertices are the running barycenters of vertex-permutation
-    prefixes.  Guarded to m <= 6 because of the factorial growth.
-    """
-    m = cell.n_vertices
-    if m > _MAX_ENVELOPE_VERTICES:
-        raise ValueError(f"barycentric subdivision of a {m}-vertex cell exceeds the size guard")
-    children = []
-    depth = cell.depth + 1
-    for k, perm in enumerate(itertools.permutations(range(m))):
-        prefixes = np.cumsum(cell.vertices[list(perm)], axis=0)
-        prefixes /= np.arange(1, m + 1)[:, None]
-        children.append(SimplexCell(prefixes, depth=depth, id=first_child_id + k))
-    return tuple(children)
-
-
 # ---------------------------------------------------------------------------
 # bounding subproblems
 
 
-def alpha_floor(c: CoMomentSet, cfg: BbConfig) -> float:
-    """A certified positive floor of the fourth moment over the simplex.
+def alpha_floor(c: CoMomentSet) -> float:
+    """A floor of the fourth moment g over the simplex, proven up to the
+    rounding of g and its gradient.
 
-    The fourth central moment is convex, so the projected-gradient minimum
-    from the barycenter is global; the result is scaled by
-    ``cfg.alpha_safety`` to stay below it under floating point.
+    g is convex, so at any simplex point w its minimum is at least
+    g(w) - (grad g(w)'w - min_i grad g(w)_i): the Frank-Wolfe duality gap
+    (Jaggi 2013) bounds the distance to the optimum.  w is the endpoint of
+    a projected-gradient descent from the barycenter, where that gap is
+    small, but the bound holds whether or not the descent converged.
     """
     n = c.n_assets
-    _, mu4, _, converged = _projected_descent(
+    w, mu4, _ = _projected_descent(
         lambda v: portfolio_moments(v, c).mu4,
         lambda v: moment_derivatives(v, c).grad_mu4,
         np.full(n, 1.0 / n),
         grad_tol=_ALPHA_GRAD_TOL,
         max_iter=_ALPHA_MAX_ITER,
     )
-    if not converged:
-        raise RuntimeError(f"fourth-moment floor search did not converge in {_ALPHA_MAX_ITER} iterations")
-    return cfg.alpha_safety * mu4
+    grad = moment_derivatives(w, c).grad_mu4
+    return mu4 - max(0.0, float(grad @ w - grad.min()))
 
 
 def _cut_points(vertices: np.ndarray, n_c: int) -> np.ndarray:
@@ -480,11 +459,11 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
             lp_pivots=0,
             rounds=0,
             status="optimal",
-            alpha=alpha_floor(c, cfg),
+            alpha=alpha_floor(c),
         )
 
     start_time = time.perf_counter()
-    alpha = alpha_floor(c, cfg)
+    alpha = alpha_floor(c)
     shrink = 1.0 - cfg.rho_tol
 
     lb = -math.inf

@@ -252,16 +252,16 @@ def _projected_descent(
     grad_tol: float,
     max_iter: int,
     armijo: float = 1e-4,
-) -> tuple[np.ndarray, float, int, bool]:
+) -> tuple[np.ndarray, float, int]:
     """Projected gradient descent on the simplex with Barzilai-Borwein steps.
 
     The trial step is the BB spectral estimate, halved until the Armijo
     decrease against the projected displacement holds.  Stops when the
-    unit-step gradient-projection displacement falls below ``grad_tol``, or
-    when no representable progress is left: the line search is exhausted,
-    the accepted point equals the current one, or five steps in a row
-    change the value by less than 1e-16 relative.  Returns (weights, value,
-    objective evaluations, stopped before ``max_iter``).
+    unit-step gradient-projection displacement falls below ``grad_tol``,
+    after ``max_iter`` steps, or when no representable progress is left:
+    the line search is exhausted, the accepted point equals the current one,
+    or five steps in a row change the value by less than 1e-16 relative.
+    Returns (weights, value, objective evaluations).
     """
     value = objective(w)
     grad = gradient(w)
@@ -271,7 +271,7 @@ def _projected_descent(
     for _ in range(max_iter):
         mapped = project_rows((w - grad)[None, :])[0]
         if np.linalg.norm(w - mapped) <= grad_tol:
-            return w, value, evaluations, True
+            break
         t = step
         while True:
             cand = project_rows((w - t * grad)[None, :])[0]
@@ -281,13 +281,13 @@ def _projected_descent(
                 break
             t *= 0.5
             if t <= 1e-18:
-                return w, value, evaluations, True  # line search exhausted
+                return w, value, evaluations  # line search exhausted
         if np.array_equal(cand, w):
-            return w, value, evaluations, True
+            break
         if abs(value - cand_value) <= 1e-16 * (1.0 + abs(value)):
             stall += 1
             if stall >= 5:
-                return cand, cand_value, evaluations, True
+                return cand, cand_value, evaluations
         else:
             stall = 0
         cand_grad = gradient(cand)
@@ -296,7 +296,7 @@ def _projected_descent(
         sy = float(s @ y)
         step = min(max(float(s @ s) / sy if sy > 1e-300 else 1.0, 1e-10), 1e3)
         w, value, grad = cand, cand_value, cand_grad
-    return w, value, evaluations, False
+    return w, value, evaluations
 
 
 def local_descent(
@@ -314,7 +314,7 @@ def local_descent(
     surface.  Returns (weights, kurtosis, evaluation count).
     """
     w = project_rows(np.asarray(w0, dtype=float)[None, :])[0]
-    w, _, evaluations, _ = _projected_descent(
+    w, _, evaluations = _projected_descent(
         lambda v: portfolio_kurtosis(v, c),
         lambda v: kurtosis_gradient(v, c),
         w / w.sum(),

@@ -554,6 +554,9 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     doc: dict = {}
     if getattr(args, "config", None):
         doc = json.loads(Path(args.config).read_text())
+        unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"unknown keys in config file {args.config}: {', '.join(unknown)}")
 
     def pick(name: str, default):
         return _merge(getattr(args, name, None), doc.get(name), default)

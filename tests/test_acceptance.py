@@ -129,7 +129,7 @@ def bound_battery():
         c = cm.build_comoments(sample)
         r1 = bb.solve(c, bb.BbConfig(rho_tol=RHO_TOL, bound_mode="lp1"))
         r2 = bb.solve(c, bb.BbConfig(rho_tol=RHO_TOL, bound_mode="lp2", n_c=1))
-        alpha = bb.alpha_floor(c, bb.BbConfig())
+        alpha = bb.alpha_floor(c)
         cell_bounds = []
         for cell in _probe_cells(bb.SimplexCell(np.eye(3))):
             ub1 = bb.bound_lp1(cell, c, alpha)[0]

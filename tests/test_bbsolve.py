@@ -91,20 +91,17 @@ def test_bisect_rejects_degenerate_cell():
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
-def test_barycentric_subdivision_counts_and_volume(m):
+def test_subcell_chains_tile_the_cell(m):
+    # the milp bound's m! subcells: vertex k of a subcell is the barycenter
+    # of the k+1 parent vertices in a permutation prefix
     cell = bb.SimplexCell(np.eye(m))
-    children = bb.barycentric_subdivide(cell)
-    assert len(children) == math.factorial(m)
-    total = sum(child.volume() for child in children)
-    assert total == pytest.approx(cell.volume(), rel=1e-10)
-    # every child vertex set contains the parent barycenter
-    for child in children:
-        assert any(np.allclose(v, cell.barycenter) for v in child.vertices)
-
-
-def test_barycentric_subdivision_guard():
-    with pytest.raises(ValueError):
-        bb.barycentric_subdivide(bb.SimplexCell(np.eye(7)))
+    members, chains = bb._subcell_chains(m)
+    assert chains.shape == (math.factorial(m), m)
+    barycenters = (members @ cell.vertices) / members.sum(axis=1)[:, None]
+    subcells = [bb.SimplexCell(barycenters[chain]) for chain in chains]
+    assert sum(sub.volume() for sub in subcells) == pytest.approx(cell.volume(), rel=1e-10)
+    for sub in subcells:
+        assert any(np.allclose(v, cell.barycenter) for v in sub.vertices)
 
 
 def test_cut_points_layout():
@@ -125,19 +122,36 @@ def test_cut_points_layout():
 
 def test_alpha_floor_exact_on_iid_pair(c2_iid):
     # min of mu4 over the 2-simplex: at equal weights, mu4 = 1.125
-    alpha = bb.alpha_floor(c2_iid, bb.BbConfig())
-    assert alpha == pytest.approx(0.999 * 1.125, abs=1e-9)
+    assert bb.alpha_floor(c2_iid) == pytest.approx(1.125, abs=1e-9)
 
 
-def test_alpha_floor_is_a_true_floor(c_n3):
-    alpha = bb.alpha_floor(c_n3, bb.BbConfig())
-    pts = barycentric_grid(np.eye(3), step=0.05)
-    mu4 = cm.batch_moments(pts, c_n3)[2]
-    assert alpha <= mu4.min() + 1e-12
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=2, max_value=5), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_alpha_floor_is_a_true_floor(n, seed):
+    # a random heavy-tailed panel with random cross-loadings: the floor lies
+    # below mu4 at the vertices, at equal weights and at random simplex points
+    rng = np.random.default_rng(seed)
+    mixing = np.eye(n) + rng.uniform(-0.6, 0.6, (n, n))
+    panel = rng.standard_t(rng.uniform(4.5, 30.0), size=(500, n)) @ mixing
+    c = cm.build_comoments(cm.ReturnSample(panel))
+    alpha = bb.alpha_floor(c)
+    points = np.vstack([np.eye(n), np.full((1, n), 1.0 / n), rng.dirichlet(np.ones(n), size=64)])
+    mu4 = cm.batch_moments(points, c)[2]
+    # at a vertex optimum the two agree, up to the rounding of the moment kernel
+    assert 0.0 < alpha <= mu4.min() * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 2])
+def test_alpha_floor_holds_before_the_descent_converges(c_n3, monkeypatch, max_iter):
+    converged = bb.alpha_floor(c_n3)
+    monkeypatch.setattr(bb, "_ALPHA_MAX_ITER", max_iter)
+    alpha = bb.alpha_floor(c_n3)
+    mu4 = cm.batch_moments(barycentric_grid(np.eye(3), step=0.05), c_n3)[2]
+    assert 0.0 < alpha < converged <= mu4.min()
 
 
 def test_bound_soundness_and_dominance_on_root(c_n3):
-    alpha = bb.alpha_floor(c_n3, bb.BbConfig())
+    alpha = bb.alpha_floor(c_n3)
     root = bb.SimplexCell(np.eye(3))
     ub_lp1, cand1 = bb.bound_lp1(root, c_n3, alpha)
     ub_lp2_1, _ = bb.bound_lp2(root, c_n3, alpha, 1)
@@ -190,7 +204,7 @@ def test_cut_rows_match_dense_reference(n, n_c, seed):
 def bound_instances(c_n3):
     """N=3 and N=4 co-moments with their fourth-moment floors."""
     c_n4 = cm.build_comoments(rs.sample_meta_gaussian(homogeneous_spec(4, -0.2), 20_000, seed=5))
-    return {c.n_assets: (c, bb.alpha_floor(c, bb.BbConfig())) for c in (c_n3, c_n4)}
+    return {c.n_assets: (c, bb.alpha_floor(c)) for c in (c_n3, c_n4)}
 
 
 @settings(max_examples=100, deadline=None)
@@ -217,7 +231,7 @@ def test_bounds_cover_h_on_random_cells(bound_instances, n, path, seed):
 
 def test_milp_dominates_lp1_on_descendants(c_n3):
     # the structural half of the dominance story holds on every cell
-    alpha = bb.alpha_floor(c_n3, bb.BbConfig())
+    alpha = bb.alpha_floor(c_n3)
     cells = [bb.SimplexCell(np.eye(3))]
     for _ in range(2):
         cells.extend(child for cell in list(cells) for child in bb.bisect(cell))
@@ -301,7 +315,7 @@ def test_milp_bound_matches_mccormick_reference(c_n3):
     mix = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
     c4 = cm.build_comoments(cm.ReturnSample((rng.standard_t(6, (20_000, 4)) + rng.exponential(1.0, (20_000, 4))) @ mix))
     cases = [(cell, c_n3) for cell in cells] + [(bb.bisect(bb.SimplexCell(np.eye(4)))[1], c4)]
-    alphas = {id(c): bb.alpha_floor(c, bb.BbConfig()) for c in (c_n3, c4)}
+    alphas = {id(c): bb.alpha_floor(c) for c in (c_n3, c4)}
     for cell, c in cases:
         ub, _ = bb.bound_milp(cell, c, alphas[id(c)])
         assert ub == pytest.approx(mccormick_milp_bound(cell, c, alphas[id(c)]), rel=1e-9, abs=0.0)
@@ -311,7 +325,7 @@ def test_bound_is_tight_on_tiny_cell(c_n3):
     # the gap closes linearly with the cell diameter (the bound tracks the
     # cell max of h, which moves away from the center value at first order)
     w = np.array([0.2, 0.5, 0.3])
-    alpha = bb.alpha_floor(c_n3, bb.BbConfig())
+    alpha = bb.alpha_floor(c_n3)
     variance, _, mu4 = cm.portfolio_moments(w, c_n3)
     h_w = variance**2 / mu4
     gaps = []
@@ -351,8 +365,6 @@ def test_config_validation():
         bb.BbConfig(n_c=0)
     with pytest.raises(ValueError):
         bb.BbConfig(max_seconds=0.0)
-    with pytest.raises(ValueError):
-        bb.BbConfig(alpha_safety=1.5)
 
 
 def test_single_asset_is_trivial():
@@ -449,7 +461,7 @@ def reference_best_first(c, cfg):
     best live cell, bound both children (capped at the parent's bound), score
     their LP candidates and barycenters, fathom, record one history row.
     Returns (iterations, cells created, cells fathomed, (lb, ub, fraction) rows)."""
-    alpha = bb.alpha_floor(c, cfg)
+    alpha = bb.alpha_floor(c)
     bound = {
         "lp1": lambda cell: bb.bound_lp1(cell, c, alpha),
         "lp2": lambda cell: bb.bound_lp2(cell, c, alpha, cfg.n_c),
@@ -529,7 +541,7 @@ def test_stalled_cell_lp_names_its_cell(c_n3, monkeypatch):
         raise ss._Breakdown(a.shape[0] - 1, 4000)
 
     monkeypatch.setattr(ss, "_simplex", stall)
-    alpha = bb.alpha_floor(c_n3, bb.BbConfig())
+    alpha = bb.alpha_floor(c_n3)
     cell = bb.SimplexCell(np.eye(3), id=7)
     with pytest.raises(ss._Breakdown, match=r"cell 7 with vertices \[\[1\.0, 0\.0, 0\.0\]") as err:
         bb.bound_lp2(cell, c_n3, alpha, 1)

@@ -272,6 +272,17 @@ def test_cli_merging_flags_beat_config(tmp_path):
     assert results["status"] == "optimal"
 
 
+def test_config_file_rejects_unknown_keys(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_asset": 5, "t_ob": 3000, "seed": 1}))
+    with pytest.raises(ValueError, match="unknown keys.*n_asset, t_ob$"):
+        hn.main(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path)])
+    # the solver sub-dicts are checked by their dataclasses
+    cfg_path.write_text(json.dumps({"bb": {"rho_tolerance": 0.01}}))
+    with pytest.raises(TypeError, match="rho_tolerance"):
+        hn.main(["optimize-bb", "--config", str(cfg_path), "--output-dir", str(tmp_path)])
+
+
 def test_cli_simulate_and_version(tmp_path, capsys):
     rc = hn.main(
         [

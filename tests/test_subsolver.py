@@ -286,6 +286,32 @@ def test_bland_switch_belongs_to_each_lp_of_a_stack():
     assert [int(p) for p in pivots] == [ss.solve_lp(p).iterations for p in problems] == [306, 309]
 
 
+def _klee_minty(d):
+    """The Klee-Minty cube: Dantzig's rule visits all 2^d vertices, every pivot nondegenerate."""
+    a = np.eye(d)
+    for i in range(d):
+        a[i, :i] = 2.0 ** (i + 1 - np.arange(i))
+    return ss.LpProblem(2.0 ** np.arange(d - 1, -1, -1), a, 5.0 ** np.arange(1, d + 1))
+
+
+def _padded_beale(size):
+    """Beale's LP padded to size x size with rows 0 x <= 1 and zero columns."""
+    a = np.zeros((size, size))
+    a[:3, :4] = BEALE.matrix
+    rhs = np.ones(size)
+    rhs[:3] = BEALE.rhs
+    return ss.LpProblem(np.concatenate([BEALE.objective, np.zeros(size - 4)]), a, rhs)
+
+
+def test_degenerate_run_belongs_to_each_lp_of_a_stack():
+    # the cube pivots nondegenerately for 255 pivots while Beale's LP cycles:
+    # the cycling LP's degenerate run must not restart at the cube's pivots
+    problems = [_klee_minty(8), _padded_beale(8)]
+    _, pivots, unbounded = ss._simplex(*_stack(problems))
+    assert [int(p) for p in pivots] == [ss.solve_lp(p).iterations for p in problems] == [255, 403]
+    assert not unbounded.any()
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_stacked_solves_equal_one_problem_solves(seed):
