@@ -12,7 +12,14 @@ the familiar ``N x N^2`` and ``N x N^3`` Kronecker block matrices
 
     M3 = E[(r-mu)(r-mu)' (x) (r-mu)'],   M4 = E[(r-mu)(r-mu)' (x) (r-mu)' (x) (r-mu)']
 
-are materialized lazily when first requested.  Portfolio moments follow as
+are materialized when requested.  The fourth moment is kept for evaluation
+as one ``n_p x n_p`` matrix over the n_p = N(N+1)/2 sorted index pairs,
+
+    G[(i<=j), (k<=l)] = k[i,j,k,l],
+
+symmetric and positive semidefinite (a Gram matrix of pair products); it
+holds each off-diagonal pair once where the N^2 x N^2 reshape of the
+tensor holds it twice.  Portfolio moments follow as
 
     variance(w) = w' M2 w,   mu3(w) = w' M3 (w(x)w),   mu4(w) = w' M4 (w(x)w(x)w)
 
@@ -23,8 +30,9 @@ with analytic derivatives
 
 Every evaluator, scalar or batched, runs on one private kernel over a
 (P, N) block of points.  It forms M2 w, the variance from it, and the
-(P, N, N) matrix A = reshape((w(x)w)' M4p) with ``M4p = m4_paired``, which
-gives mu4 = w'A w, grad mu4 = 4 A w and hess mu4 = 12 A.  The third moment
+(P, N, N) matrix A[i,j] = sum_kl k[i,j,k,l] w_k w_l from one product with G
+over the pair products w_k w_l (weighted 2 off the diagonal), which gives
+mu4 = w'A w, grad mu4 = 4 A w and hess mu4 = 12 A.  The third moment
 and its derivatives come from one helper on the flat ``m3``, called only
 by the functions that return mu3.  The scalar functions are P = 1 views
 of the same kernel.
@@ -32,6 +40,7 @@ of the same kernel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -56,6 +65,9 @@ __all__ = [
 
 #: chunk length for the fixed-order sequential reduction over observations
 _CHUNK_ROWS = 4096
+
+#: rows of ``m4_gram`` built per block, to bound the index temporaries
+_GRAM_BLOCK_ROWS = 128
 
 #: relative eigenvalue floor below which the covariance is rejected
 _PD_RTOL = 1e-10
@@ -172,15 +184,34 @@ def _quad_rank(i: np.ndarray, j: np.ndarray, k: np.ndarray, l: np.ndarray) -> np
 
 
 def _sorted_tuple_arrays(n: int, order: int) -> tuple[np.ndarray, ...]:
-    """Index arrays of all sorted `order`-tuples over range(n), in colex order."""
-    grids = np.indices((n,) * order)
-    flat = np.stack([g.ravel() for g in grids], axis=1)
-    keep = np.all(flat[:, 1:] >= flat[:, :-1], axis=1)
-    tuples = flat[keep]
-    # lexicographic enumeration with the last coordinate slowest == colex order
-    order_key = np.lexsort(tuple(tuples[:, c] for c in range(order)))
-    tuples = tuples[order_key]
+    """Index arrays of all sorted `order`-tuples over range(n), in colex order.
+
+    The colex list of (k+1)-tuples is, for each last index l in turn, the
+    prefix of the k-tuple list whose entries are all <= l (its first
+    C(l+k, k) rows) extended by l; memory stays linear in the output.
+    """
+    tuples = np.arange(n)[:, None]
+    for k in range(1, order):
+        lasts = np.arange(n)
+        counts = np.array([math.comb(l + k, k) for l in lasts])
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        prefix_rows = np.arange(counts.sum()) - starts
+        tuples = np.column_stack([tuples[prefix_rows], np.repeat(lasts, counts)])
     return tuple(tuples[:, c] for c in range(order))
+
+
+@functools.cache
+def _pair_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted pairs (i <= j) of range(n) in colex order, the weight 1 or 2 of
+    each pair in a sum over all ordered pairs, and the pair rank of every
+    (i, j) of the N x N grid (row-major), read-only."""
+    pair_i, pair_j = _sorted_tuple_arrays(n, 2)
+    mult = np.where(pair_i == pair_j, 1.0, 2.0)
+    i, j = np.indices((n, n))
+    pair_of = _pair_rank(np.minimum(i, j), np.maximum(i, j)).ravel()
+    for arr in (pair_i, pair_j, mult, pair_of):
+        arr.flags.writeable = False
+    return pair_i, pair_j, mult, pair_of
 
 
 @dataclass
@@ -188,8 +219,10 @@ class CoMomentSet:
     """Covariance plus unique third/fourth co-moment values of a return panel.
 
     ``m3_unique``/``m4_unique`` hold the distinct tensor entries in colex
-    order of their sorted index tuples; ``m3``/``m4`` materialize the flat
-    block matrices on first access.
+    order of their sorted index tuples.  ``m3`` (the flat third-moment block)
+    and ``m4_gram`` (the fourth moment over unique index pairs, the only
+    fourth-moment form the kernel reads) are built on first access and kept;
+    ``m4``/``m4_tensor`` expand the full N^4 entries anew on each request.
     """
 
     mean: np.ndarray
@@ -199,8 +232,7 @@ class CoMomentSet:
     n_assets: int
     n_obs: int
     _m3_full: np.ndarray | None = field(default=None, repr=False)
-    _m4_full: np.ndarray | None = field(default=None, repr=False)
-    _m4_paired: np.ndarray | None = field(default=None, repr=False)
+    _m4_gram: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         """Reject malformed sets up front: shapes, non-finite values, a
@@ -235,29 +267,40 @@ class CoMomentSet:
 
     @property
     def m4(self) -> np.ndarray:
-        """Fourth co-moment block matrix of shape (N, N^3)."""
-        if self._m4_full is None:
-            self._m4_full = self.m4_paired.reshape(self.n_assets, self.n_assets**3)
-        return self._m4_full
+        """Fourth co-moment block matrix of shape (N, N^3), expanded from
+        ``m4_gram`` on each access (N^4 floats; not kept)."""
+        n = self.n_assets
+        pair_of = _pair_layout(n)[3]
+        return self.m4_gram[np.ix_(pair_of, pair_of)].reshape(n, n**3)
 
     @property
-    def m4_paired(self) -> np.ndarray:
-        """Fourth co-moment tensor reshaped to (N^2, N^2); symmetric."""
-        if self._m4_paired is None:
-            n = self.n_assets
-            i, j = np.indices((n, n))
-            pair = _pair_rank(np.minimum(i, j), np.maximum(i, j)).ravel()
-            pr_i, pr_j = _sorted_tuple_arrays(n, 2)  # pair rank -> sorted (i, j)
-            n_pairs = pr_i.size
-            pi, pj = np.indices((n_pairs, n_pairs))
-            quad = np.sort(
-                np.stack([pr_i[pi], pr_j[pi], pr_i[pj], pr_j[pj]], axis=-1), axis=-1
-            )
-            pair_gram = self.m4_unique[
-                _quad_rank(quad[..., 0], quad[..., 1], quad[..., 2], quad[..., 3])
-            ]
-            self._m4_paired = pair_gram[np.ix_(pair, pair)].reshape(n * n, n * n)
-        return self._m4_paired
+    def m4_gram(self) -> np.ndarray:
+        """Fourth co-moment over sorted index pairs, shape (n_p, n_p) with
+        n_p = N(N+1)/2: ``G[(i<=j), (k<=l)] = k[i,j,k,l]``; symmetric PSD.
+
+        Built in row blocks: the sorted quadruple of pairs a <= b and
+        c <= d is (min(a,c), middle two, max(b,d)), where the middle two
+        are max(a,c) and min(b,d) in either order.
+        """
+        if self._m4_gram is None:
+            pair_i, pair_j = _pair_layout(self.n_assets)[:2]
+            n_pairs = pair_i.size
+            gram = np.empty((n_pairs, n_pairs))
+            for start in range(0, n_pairs, _GRAM_BLOCK_ROWS):
+                a = pair_i[start : start + _GRAM_BLOCK_ROWS, None]
+                b = pair_j[start : start + _GRAM_BLOCK_ROWS, None]
+                inner_lo = np.maximum(a, pair_i)
+                inner_hi = np.minimum(b, pair_j)
+                gram[start : start + _GRAM_BLOCK_ROWS] = self.m4_unique[
+                    _quad_rank(
+                        np.minimum(a, pair_i),
+                        np.minimum(inner_lo, inner_hi),
+                        np.maximum(inner_lo, inner_hi),
+                        np.maximum(b, pair_j),
+                    )
+                ]
+            self._m4_gram = gram
+        return self._m4_gram
 
     @property
     def m3_tensor(self) -> np.ndarray:
@@ -351,23 +394,29 @@ def _even_moments(points: np.ndarray, c: CoMomentSet) -> _EvenMoments:
     """Variance, fourth moment and its derivatives at each row of a (P, N)
     block of points.
 
-    The one place the N^2 x N^2 product with ``m4_paired`` is formed:
-    ``A = reshape((w (x) w)' M4p)`` carries both derivatives of mu4.
+    The one place the product with ``m4_gram`` is formed: with u the pair
+    products w_i w_j over sorted pairs and m their weights (2 off the
+    diagonal, 1 on it), ``G (m u)`` is A over the sorted pairs.  A carries
+    both derivatives of mu4, and mu4 = sum_q m_q u_q A_q.  Points run along
+    the last axis inside, so the pair gathers copy contiguous rows; ``a`` is
+    returned as a (P, N, N) view.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != c.n_assets:
         raise ValueError(f"expected (P, {c.n_assets}) points, got shape {pts.shape}")
     n_pts, n = pts.shape
+    pair_i, pair_j, mult, pair_of = _pair_layout(n)
+    cols = pts.T
     m2w = pts @ c.m2.T
-    flat = (pts[:, :, None] * pts[:, None, :]).reshape(n_pts, n * n)
-    half = flat @ c.m4_paired
-    a = half.reshape(n_pts, n, n)
+    weighted = cols[pair_i] * cols[pair_j] * mult[:, None]  # (n_p, P)
+    half = c.m4_gram @ weighted
+    a = half[pair_of].reshape(n, n, n_pts)
     return _EvenMoments(
         variance=np.einsum("pi,pi->p", pts, m2w),
         m2w=m2w,
-        mu4=np.einsum("pq,pq->p", half, flat),
-        grad_mu4=4.0 * (a @ pts[:, :, None])[:, :, 0],
-        a=a,
+        mu4=np.einsum("qp,qp->p", half, weighted),
+        grad_mu4=4.0 * np.einsum("ijp,jp->pi", a, cols),
+        a=a.transpose(2, 0, 1),
     )
 
 

@@ -73,10 +73,10 @@ class GldConfig:
             raise ValueError(f"step size lam must be positive, got {self.lam!r}")
         if not (self.c > 0.0):
             raise ValueError(f"temperature scale c must be positive, got {self.c!r}")
-        if self.n_sim < 1:
-            raise ValueError(f"n_sim must be >= 1, got {self.n_sim!r}")
-        if self.n_iter < 0:
-            raise ValueError(f"n_iter must be >= 0, got {self.n_iter!r}")
+        counts = (("n_sim", self.n_sim, 1), ("n_iter", self.n_iter, 0), ("seed", self.seed, 0))
+        for name, value, least in counts:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -176,12 +176,15 @@ def multistart(
     Paths execute in lockstep as one batch; per-path noise is drawn from
     that path's own substream in iteration chunks, which is bit-identical
     to stepping the path sequentially.  ``record_paths`` lists path indices
-    whose full (n_iter + 1, N) weight trajectories should be returned.
+    in [0, n_sim) whose full (n_iter + 1, N) weight trajectories should be
+    returned; any other index raises ``ValueError``.
     """
+    outside = sorted({p for p in record_paths if not 0 <= p < cfg.n_sim})
+    if outside:
+        raise ValueError(f"record_paths {outside} outside the path range [0, {cfg.n_sim})")
     n = c.n_assets
     beta = temperature(cfg.lam, n, cfg.c)
     sigma = math.sqrt(2.0 * cfg.lam / beta)
-    record_set = set(record_paths)
 
     gens = [
         np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(GLD_STREAM, p))))
@@ -191,7 +194,7 @@ def multistart(
     for p, gen in enumerate(gens):
         states[p] = sample_uniform_simplex(n, gen).w
 
-    traces = {p: np.empty((cfg.n_iter + 1, n)) for p in record_set if p < cfg.n_sim}
+    traces = {p: np.empty((cfg.n_iter + 1, n)) for p in set(record_paths)}
     for p in traces:
         traces[p][0] = states[p]
 

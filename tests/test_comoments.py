@@ -57,14 +57,54 @@ def test_block_matrix_shapes():
     c = cm.build_comoments(random_panel(3, 40))
     assert c.m3.shape == (3, 9)
     assert c.m4.shape == (3, 27)
-    assert c.m4_paired.shape == (9, 9)
-    assert np.array_equal(c.m4_paired, c.m4_paired.T)
+    assert c.m4_gram.shape == (6, 6)
+    assert np.array_equal(c.m4_gram, c.m4_gram.T)
 
 
-def test_m4_paired_is_positive_semidefinite():
+def test_m4_gram_is_positive_semidefinite():
     # Gram matrix of centered pair products, so eigenvalues >= 0 up to noise
     c = cm.build_comoments(random_panel(4, 200, seed=5))
-    assert np.linalg.eigvalsh(c.m4_paired).min() >= -1e-10
+    assert np.linalg.eigvalsh(c.m4_gram).min() >= -1e-10
+
+
+@pytest.mark.parametrize("n,order", [(n, order) for n in (1, 2, 3, 6) for order in (1, 2, 3, 4)])
+def test_sorted_tuples_are_enumerated_in_rank_order(n, order):
+    tuples = np.stack(cm._sorted_tuple_arrays(n, order))
+    assert tuples.shape == (order, math.comb(n + order - 1, order))
+    assert np.all(np.diff(tuples, axis=0) >= 0)
+    rank = {1: lambda i: i, 2: cm._pair_rank, 3: cm._triple_rank, 4: cm._quad_rank}[order]
+    assert np.array_equal(rank(*tuples), np.arange(tuples.shape[1]))
+
+
+def reference_even_moments(points, c):
+    """The kernel as it was on the N^2 x N^2 reshape of the fourth-moment
+    tensor, built here straight from ``m4_unique``."""
+    n = c.n_assets
+    quad = np.sort(np.indices((n,) * 4).reshape(4, -1), axis=0)
+    m4_paired = c.m4_unique[cm._quad_rank(*quad)].reshape(n * n, n * n)
+    flat = (points[:, :, None] * points[:, None, :]).reshape(len(points), n * n)
+    half = flat @ m4_paired
+    a = half.reshape(len(points), n, n)
+    m2w = points @ c.m2.T
+    return {
+        "variance": np.einsum("pi,pi->p", points, m2w),
+        "m2w": m2w,
+        "mu4": np.einsum("pq,pq->p", half, flat),
+        "grad_mu4": 4.0 * (a @ points[:, :, None])[:, :, 0],
+        "a": a,
+    }
+
+
+@pytest.mark.parametrize("n", [5, 15, 30])
+def test_kernel_matches_full_pair_product_reference(n):
+    c = cm.build_comoments(random_panel(n, 300, seed=n))
+    points = np.random.default_rng(n).dirichlet(np.ones(n), size=64)
+    got = cm._even_moments(points, c)
+    for name, expected in reference_even_moments(points, c).items():
+        value = getattr(got, name)
+        assert value.shape == expected.shape
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(value, expected, rtol=0.0, atol=1e-13 * scale, err_msg=name)
 
 
 def test_m2_matches_numpy_biased_covariance():

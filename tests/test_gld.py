@@ -79,6 +79,25 @@ def test_config_validation():
         gld.GldConfig(n_iter=-1)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("n_sim", 2.5),
+        ("n_sim", True),
+        ("n_iter", 2.5),
+        ("n_iter", True),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", -1),
+    ],
+)
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        gld.GldConfig(**{field: value})
+    cfg = gld.GldConfig(n_sim=np.int64(4), n_iter=np.int64(0), seed=np.int64(2))
+    assert (cfg.n_sim, cfg.n_iter, cfg.seed) == (4, 0, 2)
+
+
 def test_local_descent_finds_iid_pair_optimum(c2_iid):
     w, value, evaluations = gld.local_descent(c2_iid, np.array([0.9, 0.1]))
     assert np.allclose(w, [0.5, 0.5], atol=1e-6)
@@ -170,6 +189,13 @@ def test_recorded_paths_share_prefix_across_budgets(c_n3):
     assert trace_short.shape == (101, 3)
     assert trace_long.shape == (201, 3)
     assert np.array_equal(trace_long[:101], trace_short)
+
+
+def test_record_paths_outside_range_rejected(c_n3):
+    with pytest.raises(ValueError, match=r"\[-1, 7\] outside the path range \[0, 4\)"):
+        gld.multistart(c_n3, small_cfg(n_sim=4, n_iter=5), record_paths=(7, -1, 2))
+    result = gld.multistart(c_n3, small_cfg(n_sim=4, n_iter=5), record_paths=(0, 3, 3))
+    assert sorted(result.recorded_paths) == [0, 3]
 
 
 def test_polish_never_hurts(c_n3):
