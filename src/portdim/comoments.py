@@ -326,8 +326,8 @@ def build_comoments(sample: ReturnSample) -> CoMomentSet:
 
     The reduction over observations runs in fixed-size chunks in a fixed
     sequential order, so results are bit-reproducible.  Pair products are
-    formed per chunk and the third/fourth moments accumulated as Gram
-    matrices against the unique pair columns:
+    formed per chunk in one reused buffer, and the third/fourth moments
+    accumulated as Gram matrices against the unique pair columns:
 
         G3[i, (j,k)] = sum_t x_ti x_tj x_tk,   G4[(i,j), (k,l)] = sum_t x_ti x_tj x_tk x_tl.
     """
@@ -339,17 +339,23 @@ def build_comoments(sample: ReturnSample) -> CoMomentSet:
         mean += values[start : start + _CHUNK_ROWS].sum(axis=0)
     mean /= t_obs
 
-    pair_i, pair_j = _sorted_tuple_arrays(n, 2)
-    n_pairs = pair_i.size
+    n_pairs = n * (n + 1) // 2
     g2 = np.zeros((n, n))
     g3 = np.zeros((n, n_pairs))
     g4 = np.zeros((n_pairs, n_pairs))
+    pair_buf = np.empty((min(t_obs, _CHUNK_ROWS), n_pairs))
+    g4_chunk = np.empty((n_pairs, n_pairs))
     for start in range(0, t_obs, _CHUNK_ROWS):
         xc = values[start : start + _CHUNK_ROWS] - mean
-        pair_prod = xc[:, pair_i] * xc[:, pair_j]
+        pair_prod = pair_buf[: xc.shape[0]]
+        # the pairs (i <= j) of one j are the colex ranks j(j+1)/2 .. j(j+1)/2 + j
+        for j in range(n):
+            first = j * (j + 1) // 2
+            np.multiply(xc[:, : j + 1], xc[:, j : j + 1], out=pair_prod[:, first : first + j + 1])
         g2 += xc.T @ xc
         g3 += xc.T @ pair_prod
-        g4 += pair_prod.T @ pair_prod
+        g4 += np.matmul(pair_prod.T, pair_prod, out=g4_chunk)
+    del pair_buf, pair_prod, g4_chunk  # the quadruple gather below is the next peak
 
     m2 = g2 / t_obs
 

@@ -44,6 +44,7 @@ __all__ = [
     "sample_uniform_simplex",
     "temperature",
     "gld_step",
+    "check_record_paths",
     "multistart",
     "local_descent",
     "barrier_descent",
@@ -166,6 +167,13 @@ def gld_step(w: Weights | np.ndarray, c: CoMomentSet, cfg: GldConfig, rng: np.ra
     return project_simplex(v - cfg.lam * grad + sigma * eps)
 
 
+def check_record_paths(record_paths: tuple[int, ...], n_sim: int) -> None:
+    """Raise ``ValueError`` naming every path index outside [0, n_sim)."""
+    outside = sorted({p for p in record_paths if not 0 <= p < n_sim})
+    if outside:
+        raise ValueError(f"record_paths {outside} outside the path range [0, {n_sim})")
+
+
 def multistart(
     c: CoMomentSet,
     cfg: GldConfig,
@@ -179,9 +187,7 @@ def multistart(
     in [0, n_sim) whose full (n_iter + 1, N) weight trajectories should be
     returned; any other index raises ``ValueError``.
     """
-    outside = sorted({p for p in record_paths if not 0 <= p < cfg.n_sim})
-    if outside:
-        raise ValueError(f"record_paths {outside} outside the path range [0, {cfg.n_sim})")
+    check_record_paths(record_paths, cfg.n_sim)
     n = c.n_assets
     beta = temperature(cfg.lam, n, cfg.c)
     sigma = math.sqrt(2.0 * cfg.lam / beta)

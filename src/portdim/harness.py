@@ -48,7 +48,7 @@ from .divmeasure import (
     toy_dr_weight,
     toy_rp_weight,
 )
-from .gld import GldConfig, local_descent, multistart
+from .gld import GldConfig, check_record_paths, local_descent, multistart
 from .retsim import MarginTarget, MetaGaussianSpec, sample_meta_gaussian
 
 __all__ = [
@@ -426,6 +426,7 @@ def cmd_optimize_bb(cfg: ExperimentConfig) -> tuple[Path, Path]:
 
 def cmd_optimize_gld(cfg: ExperimentConfig, record_paths: tuple[int, ...] = ()) -> tuple[Path, Path]:
     """Langevin multistart run: results JSON plus final-iterate histograms."""
+    check_record_paths(record_paths, cfg.gld.n_sim)  # fail before seconds of sampling
     start = time.perf_counter()
     sample = load_or_simulate(cfg)
     c = build_comoments(sample)

@@ -59,6 +59,11 @@ _BLOCK_ROWS = 65536
 
 _TABLE_NODES = 2048
 _TABLE_HALF_WIDTH_SD = 40.0
+#: bins of the quantile's guide table; a power of two, so u * _GUIDE_BINS
+#: and every bin edge k / _GUIDE_BINS are exact
+_GUIDE_BINS = 8192
+#: values per Newton block, so that the loop's temporaries stay in cache
+_NEWTON_BLOCK = 8192
 
 _BISECT_TOL = 1e-6
 
@@ -158,6 +163,37 @@ def nig_params_from_moments(t: MarginTarget) -> NigParams:
 # ---------------------------------------------------------------------------
 
 
+def _guide_table(cdf_values: np.ndarray) -> np.ndarray:
+    """Guide table of a tabulated CDF (indexed search, Chen & Asau 1974).
+
+    Entry k is the last node whose CDF value is at most k / _GUIDE_BINS.  It
+    is -1, and the bin [k, k+1) / _GUIDE_BINS searched, where one compare
+    against the next node cannot settle a u of the bin: the bin holds more
+    than one node, starts below the first node or ends above the last
+    interval.  A final bin, for u >= 1 and NaN, is searched as well.
+    """
+    edges = np.arange(_GUIDE_BINS + 1) / _GUIDE_BINS
+    below = np.searchsorted(cdf_values, edges, side="right") - 1
+    lo, hi = below[:-1], below[1:]
+    one_compare = (hi - lo <= 1) & (hi <= cdf_values.size - 2)
+    return np.append(np.where(one_compare, lo, -1), -1)
+
+
+def _table_interval(cdf_values: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Interval of each u >= 0 (or NaN) in a tabulated CDF, by its guide table:
+    ``clip(searchsorted(cdf_values, u, "right") - 1, 0, n - 2)``.
+
+    ``fmin`` sends NaN and u >= 1 to the final bin before the cast, so no
+    NaN reaches it."""
+    idx = guide[np.fmin(u * _GUIDE_BINS, _GUIDE_BINS).astype(np.intp)]
+    searched = idx < 0
+    idx += cdf_values[idx + 1] <= u  # the searched entries are overwritten below
+    if searched.any():
+        found = np.searchsorted(cdf_values, u[searched], side="right") - 1
+        idx[searched] = np.clip(found, 0, cdf_values.size - 2)
+    return idx
+
+
 class _NigTable:
     """CDF tabulation of a NIG law on 2048 sinh-spaced nodes.
 
@@ -166,6 +202,13 @@ class _NigTable:
     panels with one adaptive refinement pass; the cumulative sums are
     interpolated with a monotone cubic (PCHIP), which the quantile inverts by
     Newton on the cubic of the one interval bracketing each target.
+
+    The bracketing interval comes from a guide table over 8192 equal bins
+    of u (``_guide_table``): ``_guide[k]`` is the last node whose CDF value
+    is at most k / 8192, so a u of bin k lies in interval ``_guide[k]`` or
+    the next one, and one compare against the next node decides.  Only u in
+    the few bins marked -1 (more than one node, the table's ends, u >= 1,
+    NaN) are binary-searched.
     """
 
     def __init__(self, p: NigParams) -> None:
@@ -186,6 +229,9 @@ class _NigTable:
         # them overflows to the correct zero slope, so the warning is noise
         with np.errstate(over="ignore", divide="ignore"):
             self._interp = PchipInterpolator(self.x, self.cdf_values, extrapolate=False)
+        # row i holds interval i's (c0, c1, c2, c3), so one gather reads all four
+        self._coef = np.ascontiguousarray(self._interp.c.T)
+        self._guide = _guide_table(self.cdf_values)
 
     def _interval_masses(self) -> np.ndarray:
         lo, hi = self.x[:-1], self.x[1:]
@@ -215,17 +261,30 @@ class _NigTable:
     def quantile_clipped(self, u) -> np.ndarray:
         """Safeguarded vector Newton on the tabulated CDF; clips u into table range.
 
-        Each step evaluates the bracketing interval's cubic and its slope (3c0,
-        2c1, c2, as ``derivative()`` forms them) in ascending powers of
-        s = q - x[idx], the order ``PPoly`` sums in: bitwise the interpolant.
+        The values run in blocks of 8192, each block's intervals read from
+        the guide table (see the class docstring).  Each step evaluates the
+        bracketing interval's cubic and its slope (3c0, 2c1, c2, as
+        ``derivative()`` forms them) in ascending powers of s = q - x[idx],
+        the order ``PPoly`` sums in: bitwise the interpolant.  Every value
+        follows its own Newton path, so the blocks do not change any bit.
+        Returns an array of ``u``'s shape.
         """
-        ua = np.clip(np.asarray(u, dtype=float), self.cdf_values[0], self.cdf_values[-1])
-        idx = np.clip(np.searchsorted(self.cdf_values, ua, side="right") - 1, 0, self.x.size - 2)
+        ua = np.asarray(u, dtype=float)
+        q = np.empty(ua.shape)
+        flat_u, flat_q = ua.reshape(-1), q.reshape(-1)
+        for start in range(0, flat_u.size, _NEWTON_BLOCK):
+            block = slice(start, start + _NEWTON_BLOCK)
+            flat_q[block] = self._newton(np.clip(flat_u[block], self.cdf_values[0], self.cdf_values[-1]))
+        return q
+
+    def _newton(self, ua: np.ndarray) -> np.ndarray:
+        """The quantiles of one block of u already clipped into table range."""
+        idx = _table_interval(self.cdf_values, self._guide, ua)
         lo, hi = self.x[idx], self.x[idx + 1]
         flo, fhi = self.cdf_values[idx], self.cdf_values[idx + 1]
         q = lo + (ua - flo) * (hi - lo) / np.where(fhi > flo, fhi - flo, 1.0)
         origin = lo
-        c0, c1, c2, c3 = self._interp.c[:, idx]
+        c0, c1, c2, c3 = self._coef[idx].T
         done = np.zeros(q.shape, dtype=bool)
         for _ in range(60):
             s = q - origin

@@ -122,6 +122,26 @@ def test_chunked_reduction_spans_chunk_boundary():
     assert np.allclose(c.m4_tensor, m4, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 15])
+def test_in_place_pair_products_match_gathered_reference_bitwise(n):
+    # the pair products gathered whole per chunk, as the build once formed them
+    sample = random_panel(n, 2 * 4096 + 7, seed=n)
+    values = sample.values
+    mean = np.zeros(n)
+    for start in range(0, values.shape[0], 4096):
+        mean += values[start : start + 4096].sum(axis=0)
+    mean /= values.shape[0]
+    pair_i, pair_j = cm._sorted_tuple_arrays(n, 2)
+    g4 = np.zeros((pair_i.size, pair_i.size))
+    for start in range(0, values.shape[0], 4096):
+        xc = values[start : start + 4096] - mean
+        pair_prod = xc[:, pair_i] * xc[:, pair_j]
+        g4 += pair_prod.T @ pair_prod
+    quad = cm._sorted_tuple_arrays(n, 4)
+    m4_unique = g4[cm._pair_rank(quad[0], quad[1]), cm._pair_rank(quad[2], quad[3])] / values.shape[0]
+    assert cm.build_comoments(sample).m4_unique.tobytes() == m4_unique.tobytes()
+
+
 def test_build_comoments_is_deterministic():
     sample = random_panel(3, 500, seed=11)
     a = cm.build_comoments(sample)

@@ -200,6 +200,16 @@ def test_optimize_bb_reports_solver_counters(tmp_path):
     assert 1 <= results["rounds"] <= results["iterations"]
 
 
+def test_optimize_gld_rejects_record_paths_before_sampling(tmp_path, monkeypatch):
+    def no_sampling(cfg):
+        raise AssertionError("sampled before checking --record-paths")
+
+    monkeypatch.setattr(hn, "load_or_simulate", no_sampling)
+    cfg = tiny_cfg(tmp_path, gld=gld.GldConfig(n_sim=4, n_iter=5, seed=7))
+    with pytest.raises(ValueError, match=r"record_paths \[7\] outside the path range \[0, 4\)"):
+        hn.cmd_optimize_gld(cfg, record_paths=(0, 7))
+
+
 def test_optimize_gld_artifacts(tmp_path):
     cfg = tiny_cfg(tmp_path)
     results_path, hist_path = hn.cmd_optimize_gld(cfg, record_paths=(0, 5))

@@ -42,6 +42,20 @@ skewed_margins = st.builds(
 )
 
 
+# kurtosis up to 30: dozens of zero-mass tail intervals and guide bins that hold many nodes
+heavy_skewed_margins = st.builds(
+    _skewed_target,
+    mean=st.floats(min_value=-0.5, max_value=0.5),
+    variance=st.floats(min_value=0.25, max_value=4.0),
+    kurtosis=st.floats(min_value=3.05, max_value=30.0),
+    skew_fraction=st.floats(min_value=-0.9, max_value=0.9),
+)
+
+
+def _reference_interval(cdf_values, u):
+    return np.clip(np.searchsorted(cdf_values, u, side="right") - 1, 0, cdf_values.size - 2)
+
+
 def _reference_quantile(table, u):
     """The quantile's Newton loop on whole-interpolant calls.
 
@@ -164,6 +178,82 @@ def test_quantile_matches_whole_interpolant_newton_bitwise(t, seed):
     # the slope coefficients quantile_clipped forms are derivative()'s
     slope_c = table._interp.c[:3] * np.array([[3.0], [2.0], [1.0]])
     assert slope_c.tobytes() == table._interp.derivative().c.tobytes()
+
+
+@given(heavy_skewed_margins, st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_quantile_matches_whole_interpolant_newton_bitwise_on_heavy_tails(t, seed):
+    table = rs._table(rs.nig_params_from_moments(t))
+    rng = np.random.default_rng(seed)
+    nodes = table.cdf_values
+    tails = 10.0 ** -rng.uniform(1.0, 16.0, 200)
+    edges = np.arange(rs._GUIDE_BINS + 2) / rs._GUIDE_BINS
+    below = np.concatenate([[-1.0, 0.0, np.nextafter(nodes[0], 0.0)], nodes[0] * rng.random(20)])
+    above = np.concatenate([[1.0, 1.5, np.nextafter(nodes[-1], 2.0)], nodes[-1] + rng.random(20) * 1e-3])
+    u = np.concatenate(
+        [rng.random(2000), nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, 2.0), edges, below, above, tails, 1.0 - tails]
+    )
+    # the reference rebuilds the PCHIP, whose denormal tail slopes overflow harmlessly
+    with np.errstate(over="ignore", divide="ignore"):
+        reference = _reference_quantile(table, u)
+    assert table.quantile_clipped(u).tobytes() == reference.tobytes()
+
+
+@given(heavy_skewed_margins)
+@settings(max_examples=40, deadline=None)
+def test_guide_table_interval_equals_searchsorted(t):
+    table = rs._table(rs.nig_params_from_moments(t))
+    nodes = table.cdf_values
+    edges = np.arange(rs._GUIDE_BINS + 2) / rs._GUIDE_BINS
+    u = np.concatenate([nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, 2.0), edges, [0.0, 1.0]])
+    assert np.array_equal(rs._table_interval(nodes, table._guide, u), _reference_interval(nodes, u))
+
+
+@pytest.mark.parametrize(
+    "cdf",
+    [
+        [0.2, 0.5, 0.9, 1.0 - 1e-9],  # one node in each end bin, the last below 1
+        [0.0, 0.0, 0.4, 0.4, 1.0, 1.0 + 1e-12],  # zero-mass intervals, a last node above 1
+        [1e-300, 2e-300, 0.5, 0.5 + 1e-5, 0.5 + 2e-5, 1.0],
+    ],
+)
+def test_guide_table_interval_on_end_bins_and_flat_intervals(cdf):
+    cdf = np.array(cdf)
+    edges = np.arange(rs._GUIDE_BINS + 2) / rs._GUIDE_BINS
+    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), edges, np.nextafter(edges, 2.0)])
+    assert np.array_equal(rs._table_interval(cdf, rs._guide_table(cdf), u), _reference_interval(cdf, u))
+
+
+@pytest.mark.parametrize(
+    "make_u",
+    [
+        lambda u: u[0, 0],  # 0-d
+        lambda u: u[:, 1],  # a strided column, as the sampler passes
+        lambda u: u,  # 2-d, more values than one Newton block
+        lambda u: u.T,  # 2-d, not C-contiguous
+        lambda u: u[:0, 0],  # empty
+    ],
+    ids=["0d", "strided", "2d", "2d-transposed", "empty"],
+)
+def test_quantile_keeps_shape_and_reference_bits(make_u):
+    table = rs._table(P_ASYM)
+    u = make_u(np.random.default_rng(4).random((6000, 3)))
+    q = table.quantile_clipped(u)
+    assert q.shape == np.shape(u)
+    assert q.tobytes() == _reference_quantile(table, u).tobytes()
+    if np.ndim(u) == 0:
+        assert rs.nig_quantile(float(u), P_ASYM) == float(q)
+
+
+def test_quantile_nan_never_reaches_the_bin_cast():
+    table = rs._table(P_ASYM)
+    u = np.array([0.25, math.nan, 0.75, 1.0 + 1e-9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an invalid NaN-to-integer cast warns
+        idx = rs._table_interval(table.cdf_values, table._guide, u)
+        q = table.quantile_clipped(u)
+    assert np.array_equal(idx, _reference_interval(table.cdf_values, u))
+    assert q.tobytes() == _reference_quantile(table, u).tobytes()
 
 
 @given(skewed_margins, st.integers(min_value=0, max_value=2**32 - 1))
