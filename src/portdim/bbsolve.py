@@ -66,7 +66,6 @@ __all__ = [
     "BbResult",
     "bisect",
     "alpha_floor",
-    "cut_points",
     "bound_lp1",
     "bound_lp2",
     "bound_milp",
@@ -101,19 +100,6 @@ class SimplexCell:
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"cell needs N vertices of dimension N, got shape {v.shape}")
         object.__setattr__(self, "vertices", v)
-
-    @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[0]
-
-    @property
-    def barycenter(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
-    def longest_edge(self) -> tuple[int, int, float]:
-        """Longest vertex pair ``(i, j, length)``, ties to the smallest (i, j)."""
-        i, j, length = _longest_edges(self.vertices[None])
-        return int(i[0]), int(j[0]), float(length[0])
 
     def volume(self) -> float:
         """Euclidean (N-1)-volume via the Gram determinant of the edge vectors."""
@@ -279,21 +265,15 @@ def alpha_floor(c: CoMomentSet) -> float:
 
 
 def _cut_points(vertices: np.ndarray, n_c: int) -> np.ndarray:
-    """``cut_points`` of each cell of a (K, m, N) stack: (K, m n_c, N)."""
+    """Tangent-plane anchor points of each cell of a (K, m, N) stack, as a
+    (K, m n_c, N) stack: the vertices, plus for n_c >= 2 the points
+    (j/n_c) v^i + (1 - j/n_c) barycenter, j = 1..n_c-1."""
     center = vertices.mean(axis=1, keepdims=True)
     pieces = [vertices]
     for j in range(1, n_c):
         frac = j / n_c
         pieces.append(frac * vertices + (1.0 - frac) * center)
     return np.concatenate(pieces, axis=1)
-
-
-def cut_points(cell: SimplexCell, n_c: int) -> np.ndarray:
-    """Tangent-plane anchor points: the vertices, plus for n_c >= 2 the
-    points (j/n_c) v^i + (1 - j/n_c) barycenter, j = 1..n_c-1."""
-    if n_c < 1:
-        raise ValueError(f"n_c must be >= 1, got {n_c}")
-    return _cut_points(cell.vertices[None], n_c)[0]
 
 
 def _vertex_objective(vertices: np.ndarray, c: CoMomentSet) -> np.ndarray:
@@ -410,7 +390,7 @@ def bound_lp1(cell: SimplexCell, c: CoMomentSet, alpha: float) -> tuple[float, n
 def bound_lp2(
     cell: SimplexCell, c: CoMomentSet, alpha: float, n_c: int
 ) -> tuple[float, np.ndarray | None]:
-    """The lp1 bound tightened by tangent cuts at ``cut_points(cell, n_c)``."""
+    """The lp1 bound tightened by tangent cuts at ``_cut_points`` of the cell."""
     if n_c < 1:
         raise ValueError(f"n_c must be >= 1, got {n_c}")
     return _bound_one(cell, c, alpha, "lp2", n_c)

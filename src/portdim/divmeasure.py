@@ -59,40 +59,34 @@ class NuMeasure(enum.Enum):
     EXCESS_KURTOSIS = "excess_kurtosis"
     SQUARED_SKEWNESS = "squared_skewness"
 
-    @property
-    def kind(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class ReferenceAsset:
     """Reference random variable Z, reduced to its nu value."""
 
     nu_value: float
-    description: str = ""
 
     def __post_init__(self) -> None:
         if not (self.nu_value > 0.0 and np.isfinite(self.nu_value)):
             raise ValueError(f"reference nu must be positive and finite, got {self.nu_value!r}")
 
     @classmethod
-    def from_nig(cls, params: NigParams, measure: NuMeasure, description: str = "") -> "ReferenceAsset":
+    def from_nig(cls, params: NigParams, measure: NuMeasure) -> "ReferenceAsset":
         """Analytic nu(Z) from NIG parameters (no Monte Carlo re-estimation)."""
         moments = nig_moments(params)
         if measure is NuMeasure.EXCESS_KURTOSIS:
             value = moments.kurtosis - 3.0
         else:
             value = moments.skewness**2
-        label = description or f"NIG({params.alpha:g},{params.beta:g},{params.delta:g},{params.mu:g})"
-        return cls(nu_value=value, description=label)
+        return cls(nu_value=value)
 
     @classmethod
-    def from_target(cls, target: MarginTarget, measure: NuMeasure, description: str = "") -> "ReferenceAsset":
+    def from_target(cls, target: MarginTarget, measure: NuMeasure) -> "ReferenceAsset":
         if measure is NuMeasure.EXCESS_KURTOSIS:
             value = target.kurtosis - 3.0
         else:
             value = target.skewness**2
-        return cls(nu_value=value, description=description or "target margin")
+        return cls(nu_value=value)
 
 
 @dataclass(frozen=True)

@@ -39,11 +39,9 @@ __all__ = [
     "GldConfig",
     "GldResult",
     "FinalIterateSummary",
-    "project_simplex",
     "project_rows",
     "sample_uniform_simplex",
     "temperature",
-    "gld_step",
     "check_record_paths",
     "multistart",
     "local_descent",
@@ -56,6 +54,16 @@ GLD_STREAM = 1
 _HIST_BINS = 200
 
 _NOISE_CHUNK_ITERS = 512
+
+#: sufficient-decrease factor of the descents' backtracking line searches
+_ARMIJO = 1e-4
+#: stationarity tolerance of local_descent and barrier_descent
+_DESCENT_GRAD_TOL = 1e-8
+_DESCENT_MAX_ITER = 50_000
+#: barrier_descent's barrier weights, factor-10 stages from 0.1 down to
+#: 1e-9, each of at most _BARRIER_MAX_ITER Newton steps
+_MU_LADDER = np.maximum(0.1 * 10.0 ** -np.arange(9), 1e-9)
+_BARRIER_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -122,18 +130,6 @@ def project_rows(points: np.ndarray) -> np.ndarray:
     return np.maximum(v + theta[:, None], 0.0)
 
 
-def project_simplex(v: np.ndarray) -> Weights:
-    """Euclidean-nearest simplex point of a single vector."""
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {arr.shape}")
-    out = project_rows(arr[None, :])[0]
-    # the threshold construction sums to 1 up to round-off; renormalize the
-    # last ulp so the Weights invariant (sum within 1e-12) always holds
-    out = out / out.sum()
-    return Weights(out)
-
-
 def sample_uniform_simplex(n: int, rng: np.random.Generator) -> Weights:
     """Uniform draw on the (n-1)-simplex via sorted-uniform spacings."""
     if n < 1:
@@ -153,18 +149,6 @@ def temperature(lam: float, n_assets: int, c: float) -> float:
 def _gaussian_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     # inverse-CDF transform keeps streams identical however draws are batched
     return ndtri(np.clip(rng.random(shape), 1e-300, None))
-
-
-def gld_step(w: Weights | np.ndarray, c: CoMomentSet, cfg: GldConfig, rng: np.random.Generator) -> Weights:
-    """One Langevin iterate from state ``w``; consumes n uniforms from ``rng``."""
-    v = np.asarray(w, dtype=float)
-    grad = kurtosis_gradient(v, c)
-    if not np.all(np.isfinite(grad)):
-        raise FloatingPointError("kurtosis gradient is non-finite")
-    beta = temperature(cfg.lam, c.n_assets, cfg.c)
-    sigma = math.sqrt(2.0 * cfg.lam / beta)
-    eps = _gaussian_noise(rng, (c.n_assets,))
-    return project_simplex(v - cfg.lam * grad + sigma * eps)
 
 
 def check_record_paths(record_paths: tuple[int, ...], n_sim: int) -> None:
@@ -260,7 +244,6 @@ def _projected_descent(
     w: np.ndarray,
     grad_tol: float,
     max_iter: int,
-    armijo: float = 1e-4,
 ) -> tuple[np.ndarray, float, int]:
     """Projected gradient descent on the simplex with Barzilai-Borwein steps.
 
@@ -286,7 +269,7 @@ def _projected_descent(
             cand = project_rows((w - t * grad)[None, :])[0]
             cand_value = objective(cand)
             evaluations += 1
-            if cand_value <= value + armijo * float(grad @ (cand - w)):
+            if cand_value <= value + _ARMIJO * float(grad @ (cand - w)):
                 break
             t *= 0.5
             if t <= 1e-18:
@@ -308,13 +291,7 @@ def _projected_descent(
     return w, value, evaluations
 
 
-def local_descent(
-    c: CoMomentSet,
-    w0: np.ndarray,
-    grad_tol: float = 1e-8,
-    armijo: float = 1e-4,
-    max_iter: int = 50_000,
-) -> tuple[np.ndarray, float, int]:
+def local_descent(c: CoMomentSet, w0: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Projected gradient descent of kurtosis with BB steps and Armijo halving.
 
     Deterministic local kurtosis minimizer used both as the multistart
@@ -327,33 +304,25 @@ def local_descent(
         lambda v: portfolio_kurtosis(v, c),
         lambda v: kurtosis_gradient(v, c),
         w / w.sum(),
-        grad_tol=grad_tol,
-        max_iter=max_iter,
-        armijo=armijo,
+        grad_tol=_DESCENT_GRAD_TOL,
+        max_iter=_DESCENT_MAX_ITER,
     )
     w = w / w.sum()
     return w, portfolio_kurtosis(w, c), evaluations
 
 
-def barrier_descent(
-    c: CoMomentSet,
-    w0: np.ndarray,
-    mu_start: float = 0.1,
-    mu_end: float = 1e-9,
-    grad_tol: float = 1e-8,
-    max_iter: int = 200,
-) -> tuple[np.ndarray, float, int]:
+def barrier_descent(c: CoMomentSet, w0: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Log-barrier interior-point local kurtosis minimizer.
 
     Minimizes kappa(w) - mu * sum(log w) on the simplex for a geometric
-    ladder of barrier weights mu (factor-10 steps from ``mu_start`` down to
-    ``mu_end``), warm-starting each stage from the previous one.  Each
+    ladder of barrier weights mu (factor-10 steps from 0.1 down to 1e-9),
+    warm-starting each stage from the previous one.  Each
     stage runs damped Newton on the sum-zero subspace: the reduced Hessian
     gets an eigenvalue-shift ridge when indefinite, steps are capped by a
     0.99 fraction-to-boundary rule and Armijo halving enforces decrease,
     so iterates stay strictly inside the simplex.
 
-    ``mu_start`` must be large enough for the barrier to dominate the
+    The first mu is large enough for the barrier to dominate the
     kurtosis surface at the first stage (the analytic center of the
     simplex is the equal-weight point); the mu-path from any interior
     start then tracks the *interior* stationary point of kappa as mu
@@ -369,9 +338,8 @@ def barrier_descent(
     # orthonormal basis of the sum-zero subspace
     basis = np.linalg.svd(np.eye(n) - 1.0 / n)[0][:, : n - 1]
     evaluations = 0
-    n_stages = max(1, int(round(math.log10(mu_start / mu_end))) + 1)
-    for mu in mu_start * 10.0 ** -np.arange(n_stages):
-        mu = max(float(mu), mu_end)
+    for mu in _MU_LADDER:
+        mu = float(mu)
 
         def objective(v: np.ndarray) -> float:
             return portfolio_kurtosis(v, c) - mu * float(np.log(v).sum())
@@ -379,10 +347,10 @@ def barrier_descent(
         value = objective(w)
         evaluations += 1
         stall = 0
-        for _ in range(max_iter):
+        for _ in range(_BARRIER_MAX_ITER):
             grad = kurtosis_gradient(w, c) - mu / w
             reduced_grad = basis.T @ grad
-            if np.linalg.norm(reduced_grad) <= max(grad_tol, 1e-3 * mu):
+            if np.linalg.norm(reduced_grad) <= max(_DESCENT_GRAD_TOL, 1e-3 * mu):
                 break
             hess = kurtosis_hessian(w, c) + np.diag(mu / w**2)
             reduced_hess = basis.T @ hess @ basis

@@ -134,10 +134,7 @@ class ExperimentConfig:
 
     def snapshot(self) -> dict:
         """A plain-JSON view of the config used for hashing and records."""
-        raw = dataclasses.asdict(self)
-        if self.margins is not None:
-            raw["margins"] = [dataclasses.asdict(m) for m in self.margins]
-        return _jsonable(raw)
+        return _jsonable(dataclasses.asdict(self))
 
 
 @dataclass(frozen=True)
@@ -583,6 +580,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         ("noise_scale", "c"),
         ("n_sim", "n_sim"),
         ("n_iter", "n_iter"),
+        ("seed", "seed"),
     ]:
         value = getattr(args, flag, None)
         if value is not None:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -482,12 +481,13 @@ def _check_correlation_matrix(mat: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} is not positive definite: smallest eigenvalue {smallest:.6e}")
 
 
-def adjust_correlation(target: np.ndarray, margins, tol: float = _BISECT_TOL) -> np.ndarray:
+def adjust_correlation(target: np.ndarray, margins) -> np.ndarray:
     """Input correlation matrix whose copula output correlations hit ``target``.
 
     Each off-diagonal entry is inverted through :func:`rho_out` by bisection
-    on (-1, 1) to tolerance ``tol`` in the input correlation.  The adjusted
-    matrix must itself be positive definite; it is verified, never repaired.
+    on (-1, 1) to tolerance ``_BISECT_TOL`` in the input correlation.  The
+    adjusted matrix must itself be positive definite; it is verified, never
+    repaired.
     """
     target = np.asarray(target, dtype=float)
     _check_correlation_matrix(target, "target correlation matrix")
@@ -504,7 +504,7 @@ def adjust_correlation(target: np.ndarray, margins, tol: float = _BISECT_TOL) ->
             key_m = tuple(sorted([(mx.alpha, mx.beta, mx.delta, mx.mu), (my.alpha, my.beta, my.delta, my.mu)]))
             key = (float(target[i, j]), key_m)
             if key not in cache:
-                cache[key] = _invert_rho_out(float(target[i, j]), mx, my, tol)
+                cache[key] = _invert_rho_out(float(target[i, j]), mx, my)
             adjusted[i, j] = adjusted[j, i] = cache[key]
 
     smallest = float(np.linalg.eigvalsh(adjusted)[0])
@@ -515,7 +515,7 @@ def adjust_correlation(target: np.ndarray, margins, tol: float = _BISECT_TOL) ->
     return adjusted
 
 
-def _invert_rho_out(target: float, mx: NigParams, my: NigParams, tol: float) -> float:
+def _invert_rho_out(target: float, mx: NigParams, my: NigParams) -> float:
     if target == 0.0:
         return 0.0  # independence copula has exactly zero covariance
     lo, hi = -1.0 + 1e-9, 1.0 - 1e-9
@@ -525,7 +525,7 @@ def _invert_rho_out(target: float, mx: NigParams, my: NigParams, tol: float) -> 
             f"target correlation {target!r} is outside the attainable range "
             f"[{f_lo:.6f}, {f_hi:.6f}] for these margins"
         )
-    while hi - lo > tol:
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if rho_out(mid, mx, my) < target:
             lo = mid
@@ -571,12 +571,7 @@ class MetaGaussianSpec:
         return len(self.margins)
 
 
-def sample_meta_gaussian(
-    spec: MetaGaussianSpec,
-    t_obs: int,
-    seed: int,
-    asset_names: Sequence[str] | None = None,
-) -> ReturnSample:
+def sample_meta_gaussian(spec: MetaGaussianSpec, t_obs: int, seed: int) -> ReturnSample:
     """Draw a T x N meta-Gaussian return panel, bit-reproducible in the seed.
 
     Each 65536-row block owns a Philox substream spawned from
@@ -599,5 +594,4 @@ def sample_meta_gaussian(
         u = ndtr(z)
         for i in range(n):
             out[start : start + rows, i] = tables[i].quantile_clipped(u[:, i])
-    names = tuple(asset_names) if asset_names is not None else ()
-    return ReturnSample(out, names)
+    return ReturnSample(out)

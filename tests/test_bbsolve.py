@@ -41,20 +41,19 @@ def grid_max_h(c, vertices, step):
 # geometry
 
 
-def test_cell_barycenter_and_validation():
-    cell = bb.SimplexCell(np.eye(3))
-    assert np.allclose(cell.barycenter, np.full(3, 1.0 / 3.0))
-    assert cell.n_vertices == 3
+def test_cell_validation():
     with pytest.raises(ValueError):
         bb.SimplexCell(np.ones((2, 3)))
 
 
 def test_longest_edge_tie_breaks_to_smallest_pair():
-    # the unit simplex has all edges equal: the (0, 1) pair must win
-    cell = bb.SimplexCell(np.eye(4))
-    i, j, length = cell.longest_edge()
-    assert (i, j) == (0, 1)
-    assert length == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    # the unit simplex has all edges equal: the (0, 1) pair must win; its
+    # first child keeps three tied edges, (1, 2), (1, 3) and (2, 3)
+    child = np.eye(4)
+    child[0] = [0.5, 0.5, 0.0, 0.0]
+    i, j, length = bb._longest_edges(np.stack([np.eye(4), child]))
+    assert (i.tolist(), j.tolist()) == ([0, 1], [1, 2])
+    np.testing.assert_allclose(length, math.sqrt(2.0), rtol=0.0, atol=1e-15)
 
 
 def test_unit_simplex_volume():
@@ -78,10 +77,10 @@ def test_bisect_children_tile_parent():
 
 def test_repeated_bisection_shrinks_cells():
     cell = bb.SimplexCell(np.eye(3))
-    first_length = cell.longest_edge()[2]
+    first_length = bb._longest_edges(cell.vertices[None])[2][0]
     for _ in range(20):
         cell, _ = bb.bisect(cell)
-    assert cell.longest_edge()[2] < 0.01 * first_length
+    assert bb._longest_edges(cell.vertices[None])[2][0] < 0.01 * first_length
 
 
 def test_bisect_rejects_degenerate_cell():
@@ -101,16 +100,16 @@ def test_subcell_chains_tile_the_cell(m):
     subcells = [bb.SimplexCell(barycenters[chain]) for chain in chains]
     assert sum(sub.volume() for sub in subcells) == pytest.approx(cell.volume(), rel=1e-10)
     for sub in subcells:
-        assert any(np.allclose(v, cell.barycenter) for v in sub.vertices)
+        assert any(np.allclose(v, np.full(m, 1.0 / m)) for v in sub.vertices)
 
 
 def test_cut_points_layout():
-    cell = bb.SimplexCell(np.eye(3))
-    assert np.array_equal(bb.cut_points(cell, 1), cell.vertices)
-    pts = bb.cut_points(cell, 2)
+    vertices = np.eye(3)
+    assert np.array_equal(bb._cut_points(vertices[None], 1)[0], vertices)
+    pts = bb._cut_points(vertices[None], 2)[0]
     assert pts.shape == (6, 3)
     # the extra three points are vertex-barycenter midpoints
-    expected = 0.5 * cell.vertices + 0.5 * cell.barycenter[None, :]
+    expected = 0.5 * vertices + 0.5 * vertices.mean(axis=0)
     assert np.allclose(pts[3:], expected)
     # all points stay inside the cell (valid barycentric coordinates)
     assert np.all(pts >= -1e-15) and np.allclose(pts.sum(axis=1), 1.0)
@@ -186,7 +185,7 @@ def test_cut_rows_match_dense_reference(n, n_c, seed):
     panel = rng.standard_normal((200, n)) + 0.3 * rng.standard_t(5, (200, n))
     c = cm.build_comoments(cm.ReturnSample(panel))
     cell = bb.SimplexCell(rng.dirichlet(np.ones(n), size=n))
-    anchors = np.vstack([cell.barycenter[None, :], bb.cut_points(cell, n_c)])
+    anchors = np.vstack([cell.vertices.mean(axis=0)[None, :], bb._cut_points(cell.vertices[None], n_c)[0]])
     rows = bb._cut_rows(cell.vertices, anchors, c, 0.5)
     assert rows.shape == (anchors.shape[0] + 1, n)
     t = c.m4_tensor
@@ -250,7 +249,7 @@ def mccormick_milp_bound(cell, c, alpha):
     subcells whose chain contains subset k; z_j = q_j u by McCormick rows
     under 0 <= u <= 1/alpha.
     """
-    m = cell.n_vertices
+    m = cell.vertices.shape[0]
     subsets = [s for size in range(1, m + 1) for s in itertools.combinations(range(m), size)]
     bary = np.array([cell.vertices[list(s)].mean(axis=0) for s in subsets])
     perms = list(itertools.permutations(range(m)))
@@ -271,7 +270,7 @@ def mccormick_milp_bound(cell, c, alpha):
 
     add([(k, 1.0) for k in range(n_b)] + [(u, -1.0)], 0.0, 0.0)
     add([(q + j, 1.0) for j in range(n_cell)], 1.0, 1.0)
-    center = cell.barycenter
+    center = cell.vertices.mean(axis=0)
     m4 = c.m4_tensor
     grad = 4.0 * np.einsum("ijkl,j,k,l->i", m4, center, center, center)
     mu4 = np.einsum("ijkl,i,j,k,l->", m4, center, center, center, center)
@@ -475,7 +474,7 @@ def reference_best_first(c, cfg):
         nonlocal lb, created
         ub, candidate = bound(cell)
         ub = min(ub, cap)
-        points = np.array([p for p in (candidate, cell.barycenter) if p is not None])
+        points = np.array([p for p in (candidate, cell.vertices.mean(axis=0)) if p is not None])
         variance, _, mu4 = cm.batch_moments(points, c)
         lb = max(lb, float(np.max(variance**2 / mu4)))
         heapq.heappush(heap, (-ub, cell.id, cell))

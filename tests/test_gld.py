@@ -5,44 +5,39 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from portdim import bbsolve as bb
 from portdim import comoments as cm
 from portdim import gld
 
 from conftest import iid_comoments
 
-free_points = arrays(
+free_rows = arrays(
     np.float64,
-    st.integers(min_value=1, max_value=6),
+    st.tuples(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=6)),
     elements=st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
 )
 
 
 def test_projection_known_cases():
-    assert np.allclose(gld.project_simplex(np.array([2.0, 0.0, 0.0])), [1.0, 0.0, 0.0])
-    assert np.allclose(gld.project_simplex(np.full(3, 0.5)), np.full(3, 1.0 / 3.0))
     w = np.array([0.2, 0.3, 0.5])
-    assert np.allclose(gld.project_simplex(w), w)  # already feasible: fixed point
+    rows = gld.project_rows(np.vstack([[2.0, 0.0, 0.0], np.full(3, 0.5), w]))
+    assert np.allclose(rows[0], [1.0, 0.0, 0.0])
+    assert np.allclose(rows[1], np.full(3, 1.0 / 3.0))
+    assert np.allclose(rows[2], w)  # already feasible: fixed point
 
 
-@given(free_points)
+@given(free_rows)
 @settings(max_examples=100, deadline=None)
 def test_projection_is_feasible_and_optimal(v):
-    p = np.asarray(gld.project_simplex(v), dtype=float)
+    p = gld.project_rows(v)
+    assert p.shape == v.shape
     assert np.all(p >= 0.0)
-    assert p.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
     # optimality of a Euclidean projection: (v - p)'(z - p) <= 0 for every
     # feasible z; checking the simplex vertices suffices by convexity
-    inner = (v - p) @ (np.eye(v.size) - p).T
-    assert np.max(inner) <= 1e-9
-
-
-@given(free_points)
-@settings(max_examples=50, deadline=None)
-def test_project_rows_matches_single(v):
-    stacked = np.vstack([v, 2.0 * v, v - 1.0])
-    rows = gld.project_rows(stacked)
-    for k in range(3):
-        assert np.allclose(rows[k], gld.project_simplex(stacked[k]), atol=1e-12)
+    for row, proj in zip(v, p):
+        inner = (row - proj) @ (np.eye(row.size) - proj).T
+        assert np.max(inner) <= 1e-9
 
 
 def test_uniform_simplex_sampling_statistics():
@@ -59,13 +54,13 @@ def test_temperature_heuristic():
     assert gld.temperature(0.01, 5, 0.06) == pytest.approx(2 * 0.01 * 25 / 0.0036, rel=1e-12)
 
 
-def test_gld_step_stays_feasible(c_n3):
-    rng = np.random.default_rng(1)
-    w = np.full(3, 1.0 / 3.0)
-    for _ in range(50):
-        w = np.asarray(gld.gld_step(w, c_n3, gld.GldConfig(), rng))
-        assert np.all(w >= 0.0)
-        assert w.sum() == pytest.approx(1.0, abs=1e-9)
+def test_recorded_iterates_stay_feasible(c_n3):
+    cfg = gld.GldConfig(n_sim=4, n_iter=50, seed=1, polish=False)
+    result = gld.multistart(c_n3, cfg, record_paths=(0, 1, 2, 3))
+    for trace in result.recorded_paths.values():
+        assert trace.shape == (51, 3)
+        assert np.all(trace >= 0.0)
+        assert np.allclose(trace.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
 
 
 def test_config_validation():
@@ -113,8 +108,8 @@ def test_local_descent_is_monotone_from_any_start(c_n3):
         assert value <= cm.portfolio_kurtosis(w0, c_n3) + 1e-12
         assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0, abs=1e-12)
         # first-order stationarity of the projected point
-        mapped = gld.project_simplex(w - cm.kurtosis_gradient(w, c_n3))
-        assert np.linalg.norm(w - np.asarray(mapped)) < 1e-6
+        mapped = gld.project_rows((w - cm.kurtosis_gradient(w, c_n3))[None, :])[0]
+        assert np.linalg.norm(w - mapped) < 1e-6
 
 
 def test_barrier_descent_finds_iid_pair_optimum(c2_iid):
@@ -222,3 +217,14 @@ def test_multistart_result_weights_are_feasible(c_n3):
     assert np.all(w >= 0.0)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     assert 0 <= result.best_path < 40
+
+
+def test_multistart_single_asset(sample_n3):
+    c = cm.build_comoments(cm.ReturnSample(sample_n3.values[:, :1]))
+    result = gld.multistart(c, small_cfg(n_sim=5, n_iter=20), record_paths=(0,))
+    assert np.array_equal(np.asarray(result.best_weights), [1.0])
+    assert np.all(result.recorded_paths[0] == 1.0)
+    assert result.best_path == 0
+    kurtosis = c.m4_unique[0] / c.m2[0, 0] ** 2
+    assert result.best_kurtosis == pytest.approx(kurtosis, rel=1e-12)
+    assert bb.solve(c).kurtosis == pytest.approx(kurtosis, rel=1e-12)

@@ -266,6 +266,7 @@ def test_cli_merging_flags_beat_config(tmp_path):
         "seed": 11,
         "output_dir": str(tmp_path),
         "bb": {"bound_mode": "lp1", "rho_tol": 0.02},
+        "gld": {"seed": 5},
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
@@ -278,8 +279,15 @@ def test_cli_merging_flags_beat_config(tmp_path):
     assert record["config"]["n_assets"] == 2  # config wins over default
     assert record["config"]["bb"]["bound_mode"] == "lp2"
     assert record["config"]["bb"]["rho_tol"] == 0.02
+    # inside the file, gld.seed beats the top-level seed
+    assert (record["config"]["seed"], record["config"]["gld"]["seed"]) == (11, 5)
     results = json.loads((tmp_path / "merged" / "bb_results.json").read_text())
     assert results["status"] == "optimal"
+    # a --seed flag beats both
+    rc = hn.main(["simulate", "--config", str(cfg_path), "--seed", "9", "--experiment", "reseeded"])
+    assert rc == 0
+    record = json.loads((tmp_path / "reseeded" / "run_record.json").read_text())
+    assert (record["config"]["seed"], record["config"]["gld"]["seed"]) == (9, 9)
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):

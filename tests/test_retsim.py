@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
+from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
 from portdim import retsim as rs
@@ -283,6 +284,33 @@ def test_cdf_matches_integrated_pdf():
         assert rs.nig_cdf(x, P_ASYM) == pytest.approx(ref, abs=1e-8)
 
 
+def _bvn_cdf_by_quadrature(h, k, r):
+    """P(X <= h, Y <= k) as the integral of phi(x) Phi((k - r x) / sqrt(1 - r^2)) up to h."""
+    if abs(r) == 1.0:
+        return ndtr(min(h, k)) if r > 0.0 else max(ndtr(h) + ndtr(k) - 1.0, 0.0)
+    s = math.sqrt((1.0 - r) * (1.0 + r))
+
+    def integrand(x):
+        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * ndtr((k - r * x) / s)
+
+    # the Phi factor steps between 0 and 1 across x = k/r, over a width of about s/|r|
+    steps = [k / r + t * s / abs(r) for t in (-40.0, 0.0, 40.0)] if r != 0.0 else []
+    edges = [-np.inf] + [x for x in steps if x < h] + [h]
+    return sum(quad(integrand, a, b, epsabs=1e-16, epsrel=1e-13, limit=200)[0] for a, b in zip(edges, edges[1:]))
+
+
+# every branch of the Genz rule: |r| < 0.3, < 0.75, < 0.925, the tail form up
+# to 1 - 1e-9, negative r, and the closed forms at r = +-1
+@pytest.mark.parametrize(
+    "r", [0.0, 0.2, -0.25, 0.5, -0.6, 0.8, -0.9, 0.93, -0.95, 0.999, -0.9999, 1 - 1e-9, -(1 - 1e-9), 1.0, -1.0]
+)
+def test_bvn_cdf_matches_quadrature(r):
+    z = ndtri(rs._U64)[::7]  # nodes of the rho_out grid, both end nodes included
+    got = rs._bvn_cdf(z[:, None], z[None, :], r)
+    expected = np.array([[_bvn_cdf_by_quadrature(h, k, r) for k in z] for h in z])
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14)
+
+
 def test_rho_out_zero_and_symmetry(margin_k6):
     p = rs.nig_params_from_moments(margin_k6)
     assert rs.rho_out(0.0, p, p) == pytest.approx(0.0, abs=1e-12)
@@ -396,8 +424,6 @@ def test_gaussian_rank_dependence_is_exact():
     # the copula layer is Gaussian: transforming the sampled margins back
     # through their CDFs and the normal quantile recovers correlation
     # close to the adjusted input value
-    from scipy.special import ndtri
-
     spec = homogeneous_spec(2, 0.5)
     sample = rs.sample_meta_gaussian(spec, 100_000, seed=2)
     z = ndtri(np.clip(rs.nig_cdf(sample.values, spec.margins[0]), 1e-12, 1 - 1e-12))
