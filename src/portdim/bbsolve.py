@@ -52,6 +52,7 @@ import numpy as np
 from .comoments import (
     CoMomentSet,
     Weights,
+    _check_counts,
     _even_moments,
     moment_derivatives,
     portfolio_moments,
@@ -133,10 +134,7 @@ class BbConfig:
             raise ValueError(f"rho_tol must lie in [0, 1), got {self.rho_tol}")
         if self.bound_mode not in ("lp1", "lp2", "milp"):
             raise ValueError(f"unknown bound_mode {self.bound_mode!r}")
-        if self.n_c < 1:
-            raise ValueError(f"n_c must be >= 1, got {self.n_c}")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be nonnegative")
+        _check_counts(("n_c", self.n_c, 1), ("max_iterations", self.max_iterations, 0))
         if not self.max_seconds > 0:
             raise ValueError("max_seconds must be positive")
 

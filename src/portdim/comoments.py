@@ -147,6 +147,14 @@ def _as_weight_vector(w: "Weights | np.ndarray | Sequence[float]") -> np.ndarray
     return v
 
 
+def _check_counts(*counts: tuple[str, object, int]) -> None:
+    """Reject a ``(name, value, least)`` count that is not an integer >= least;
+    numpy integers pass, bools do not."""
+    for name, value, least in counts:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def unique_element_counts(n: int) -> tuple[int, int]:
     """Number of distinct entries of the third and fourth co-moment tensors.
 
@@ -221,8 +229,9 @@ class CoMomentSet:
     ``m3_unique``/``m4_unique`` hold the distinct tensor entries in colex
     order of their sorted index tuples.  ``m3`` (the flat third-moment block)
     and ``m4_gram`` (the fourth moment over unique index pairs, the only
-    fourth-moment form the kernel reads) are built on first access and kept;
-    ``m4``/``m4_tensor`` expand the full N^4 entries anew on each request.
+    fourth-moment form the kernel reads) are built on first access and kept
+    (a ``dataclasses.replace`` copy starts without them); ``m4``/``m4_tensor``
+    expand the full N^4 entries anew on each request.
     """
 
     mean: np.ndarray
@@ -231,8 +240,8 @@ class CoMomentSet:
     m4_unique: np.ndarray
     n_assets: int
     n_obs: int
-    _m3_full: np.ndarray | None = field(default=None, repr=False)
-    _m4_gram: np.ndarray | None = field(default=None, repr=False)
+    _m3_full: np.ndarray | None = field(init=False, default=None, repr=False)
+    _m4_gram: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         """Reject malformed sets up front: shapes, non-finite values, a

@@ -73,12 +73,7 @@ class ReferenceAsset:
     @classmethod
     def from_nig(cls, params: NigParams, measure: NuMeasure) -> "ReferenceAsset":
         """Analytic nu(Z) from NIG parameters (no Monte Carlo re-estimation)."""
-        moments = nig_moments(params)
-        if measure is NuMeasure.EXCESS_KURTOSIS:
-            value = moments.kurtosis - 3.0
-        else:
-            value = moments.skewness**2
-        return cls(nu_value=value)
+        return cls.from_target(nig_moments(params), measure)
 
     @classmethod
     def from_target(cls, target: MarginTarget, measure: NuMeasure) -> "ReferenceAsset":

@@ -29,6 +29,7 @@ from scipy.special import ndtri
 from .comoments import (
     CoMomentSet,
     Weights,
+    _check_counts,
     batch_kurtosis_and_gradient,
     kurtosis_gradient,
     kurtosis_hessian,
@@ -82,10 +83,7 @@ class GldConfig:
             raise ValueError(f"step size lam must be positive, got {self.lam!r}")
         if not (self.c > 0.0):
             raise ValueError(f"temperature scale c must be positive, got {self.c!r}")
-        counts = (("n_sim", self.n_sim, 1), ("n_iter", self.n_iter, 0), ("seed", self.seed, 0))
-        for name, value, least in counts:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        _check_counts(("n_sim", self.n_sim, 1), ("n_iter", self.n_iter, 0), ("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .comoments import (
     CoMomentSet,
     ReturnSample,
     Weights,
+    _check_counts,
     build_comoments,
     portfolio_kurtosis,
 )
@@ -95,10 +96,7 @@ class ExperimentConfig:
     gld: GldConfig = field(default_factory=GldConfig)
 
     def __post_init__(self) -> None:
-        if self.n_assets < 1:
-            raise ValueError(f"n_assets must be >= 1, got {self.n_assets}")
-        if self.t_obs < 2:
-            raise ValueError(f"t_obs must be >= 2, got {self.t_obs}")
+        _check_counts(("n_assets", self.n_assets, 1), ("t_obs", self.t_obs, 2))
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"homogeneous rho must lie in (-1, 1), got {self.rho}")
         if self.margins is not None and len(self.margins) != self.n_assets:
@@ -540,156 +538,110 @@ def cmd_bench(cfg: ExperimentConfig) -> dict:
 # CLI plumbing
 
 
-def _merge(flag, config_value, default):
-    if flag is not None:
-        return flag
-    if config_value is not None:
-        return config_value
-    return default
+_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+    """Defaults, overlaid by the ``--config`` file, overlaid by the flags set.
+
+    A config flag's ``dest`` names the field it sets: a top-level field by
+    its name, a solver field as ``bb.<field>`` or ``gld.<field>``.  A top-level
+    ``null`` in the file means the default.  ``--seed`` sets ``gld.seed`` too;
+    in the file, ``gld.seed`` beats the top-level ``seed``.
+    """
     doc: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         doc = json.loads(Path(args.config).read_text())
-        unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(ExperimentConfig)})
+        unknown = sorted(set(doc) - _FIELDS)
         if unknown:
             raise ValueError(f"unknown keys in config file {args.config}: {', '.join(unknown)}")
-
-    def pick(name: str, default):
-        return _merge(getattr(args, name, None), doc.get(name), default)
-
-    margins = None
-    if doc.get("margins") is not None:
-        margins = tuple(MarginTarget(**m) for m in doc["margins"])
-
-    bb_doc = dict(doc.get("bb", {}))
-    for flag, key in [
-        ("rho_tol", "rho_tol"),
-        ("bound_mode", "bound_mode"),
-        ("n_c", "n_c"),
-        ("max_iterations", "max_iterations"),
-        ("max_seconds", "max_seconds"),
-    ]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            bb_doc[key] = value
-    gld_doc = dict(doc.get("gld", {}))
-    for flag, key in [
-        ("lam", "lam"),
-        ("noise_scale", "c"),
-        ("n_sim", "n_sim"),
-        ("n_iter", "n_iter"),
-        ("seed", "seed"),
-    ]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            gld_doc[key] = value
-    seed = pick("seed", 0)
-    gld_doc.setdefault("seed", seed)
-    if getattr(args, "no_polish", False):
-        gld_doc["polish"] = False
-
-    defaults = ExperimentConfig()
-    return ExperimentConfig(
-        experiment=pick("experiment", defaults.experiment),
-        n_assets=pick("n_assets", defaults.n_assets),
-        mean=pick("mean", defaults.mean),
-        variance=pick("variance", defaults.variance),
-        skewness=pick("skewness", defaults.skewness),
-        kurtosis=pick("kurtosis", defaults.kurtosis),
-        rho=pick("rho", defaults.rho),
-        margins=margins,
-        correlation_file=pick("correlation_file", None),
-        t_obs=pick("t_obs", defaults.t_obs),
-        seed=seed,
-        returns_file=pick("returns_file", None),
-        output_dir=pick("output_dir", defaults.output_dir),
-        bb=BbConfig(**bb_doc),
-        gld=GldConfig(**gld_doc),
-    )
+    doc = {key: value for key, value in doc.items() if value is not None}
+    blocks = {"bb": dict(doc.pop("bb", {})), "gld": dict(doc.pop("gld", {}))}
+    blocks["gld"].setdefault("seed", doc.get("seed", 0))
+    flags = {dest: value for dest, value in vars(args).items() if value is not None}
+    if "seed" in flags:
+        flags["gld.seed"] = flags["seed"]
+    for dest, value in flags.items():
+        block, _, name = dest.rpartition(".")
+        if block:
+            blocks[block][name] = value
+        elif dest in _FIELDS:
+            doc[dest] = value
+    if "margins" in doc:
+        doc["margins"] = tuple(MarginTarget(**m) for m in doc["margins"])
+    return ExperimentConfig(**doc, bb=BbConfig(**blocks["bb"]), gld=GldConfig(**blocks["gld"]))
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; CLI flags override its fields")
-    parser.add_argument("--experiment", help="experiment id (output subdirectory name)")
-    parser.add_argument("--output-dir", dest="output_dir", help="root output directory")
-    parser.add_argument("--seed", type=int, help="top-level seed for all substreams")
-
-
-def _add_universe(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-assets", dest="n_assets", type=int, help="universe size")
-    parser.add_argument("--mean", type=float, help="margin mean")
-    parser.add_argument("--variance", type=float, help="margin variance")
-    parser.add_argument("--skewness", type=float, help="margin skewness")
-    parser.add_argument("--kurtosis", type=float, help="margin kurtosis (> 3)")
-    parser.add_argument("--rho", type=float, help="homogeneous correlation")
-    parser.add_argument(
+def _parser() -> argparse.ArgumentParser:
+    """The ``portdim`` parser: each command takes the flag groups it reads."""
+    common, output, universe, returns, bb, gld = (argparse.ArgumentParser(add_help=False) for _ in range(6))
+    common.add_argument("--config", help="JSON config file; CLI flags override its fields")
+    common.add_argument("--seed", type=int, help="top-level seed for all substreams")
+    common.add_argument("--mean", type=float, help="margin mean")
+    common.add_argument("--variance", type=float, help="margin variance")
+    common.add_argument("--skewness", type=float, help="margin skewness")
+    common.add_argument("--kurtosis", type=float, help="margin kurtosis (> 3)")
+    common.add_argument("--t-obs", dest="t_obs", type=int, help="number of simulated observations")
+    output.add_argument("--experiment", help="experiment id (output subdirectory name)")
+    output.add_argument("--output-dir", dest="output_dir", help="root output directory")
+    universe.add_argument("--n-assets", dest="n_assets", type=int, help="universe size")
+    universe.add_argument("--rho", type=float, help="homogeneous correlation")
+    universe.add_argument(
         "--correlation-file", dest="correlation_file", help="CSV with an explicit target correlation matrix"
     )
-    parser.add_argument("--t-obs", dest="t_obs", type=int, help="number of simulated observations")
-    parser.add_argument("--returns", dest="returns_file", help="existing returns CSV instead of simulation")
-
-
-def _add_bb(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rho-tol", dest="rho_tol", type=float, help="relative optimality tolerance")
-    parser.add_argument("--bound-mode", dest="bound_mode", choices=["lp1", "lp2", "milp"])
-    parser.add_argument("--n-c", dest="n_c", type=int, help="tangent cuts per asset (lp2)")
-    parser.add_argument("--max-iterations", dest="max_iterations", type=int)
-    parser.add_argument("--max-seconds", dest="max_seconds", type=float)
-
-
-def _add_gld(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lam", type=float, help="Langevin step size")
-    parser.add_argument("--noise-scale", dest="noise_scale", type=float, help="noise scale c")
-    parser.add_argument("--n-sim", dest="n_sim", type=int, help="number of Langevin paths")
-    parser.add_argument("--n-iter", dest="n_iter", type=int, help="iterations per path")
-    parser.add_argument("--no-polish", dest="no_polish", action="store_true", help="skip the local polish step")
-    parser.add_argument(
+    returns.add_argument("--returns", dest="returns_file", help="existing returns CSV instead of simulation")
+    bb.add_argument(
+        "--rho-tol", dest="bb.rho_tol", metavar="RHO_TOL", type=float, help="relative optimality tolerance"
+    )
+    bb.add_argument("--bound-mode", dest="bb.bound_mode", choices=["lp1", "lp2", "milp"])
+    bb.add_argument("--n-c", dest="bb.n_c", metavar="N_C", type=int, help="tangent cuts per asset (lp2)")
+    bb.add_argument("--max-iterations", dest="bb.max_iterations", metavar="MAX_ITERATIONS", type=int)
+    bb.add_argument("--max-seconds", dest="bb.max_seconds", metavar="MAX_SECONDS", type=float)
+    gld.add_argument("--lam", dest="gld.lam", metavar="LAM", type=float, help="Langevin step size")
+    gld.add_argument("--noise-scale", dest="gld.c", metavar="NOISE_SCALE", type=float, help="noise scale c")
+    gld.add_argument("--n-sim", dest="gld.n_sim", metavar="N_SIM", type=int, help="number of Langevin paths")
+    gld.add_argument("--n-iter", dest="gld.n_iter", metavar="N_ITER", type=int, help="iterations per path")
+    gld.add_argument(
+        "--no-polish", dest="gld.polish", action="store_const", const=False, help="skip the local polish step"
+    )
+    gld.add_argument(
         "--record-paths",
         dest="record_paths",
         default="",
         help="comma-separated path indices whose full trajectories are written",
     )
 
-
-def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="portdim",
         description="Portfolio dimensionality: simulation, co-moments, and global kurtosis minimization.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="simulate a return panel to CSV")
-    _add_common(p)
-    _add_universe(p)
-
-    p = sub.add_parser("build-moments", help="estimate co-moments from returns")
-    _add_common(p)
-    _add_universe(p)
-
-    p = sub.add_parser("toy-example", help="three-asset weight comparison over a rho grid")
-    _add_common(p)
-    _add_universe(p)
-    _add_bb(p)
+    sub.add_parser("simulate", parents=[common, output, universe], help="simulate a return panel to CSV")
+    sub.add_parser(
+        "build-moments", parents=[common, output, universe, returns], help="estimate co-moments from returns"
+    )
+    p = sub.add_parser(
+        "toy-example", parents=[common, output, bb], help="three-asset weight comparison over a rho grid"
+    )
     p.add_argument("--rho-grid", dest="rho_grid", default="-0.7,-0.5,-0.3,0.0,0.5,0.95,0.99",
                    help="comma-separated correlation grid; write --rho-grid=-0.5,0.99 when "
                         "the first value is negative")
-
-    p = sub.add_parser("optimize-bb", help="global kurtosis minimization by branch and bound")
-    _add_common(p)
-    _add_universe(p)
-    _add_bb(p)
-
-    p = sub.add_parser("optimize-gld", help="global kurtosis minimization by Langevin multistart")
-    _add_common(p)
-    _add_universe(p)
-    _add_gld(p)
-
-    p = sub.add_parser("dimensionality", help="diversification and dimensionality of a portfolio")
-    _add_common(p)
-    _add_universe(p)
+    sub.add_parser(
+        "optimize-bb",
+        parents=[common, output, universe, returns, bb],
+        help="global kurtosis minimization by branch and bound",
+    )
+    sub.add_parser(
+        "optimize-gld",
+        parents=[common, output, universe, returns, gld],
+        help="global kurtosis minimization by Langevin multistart",
+    )
+    p = sub.add_parser(
+        "dimensionality",
+        parents=[common, output, universe, returns],
+        help="diversification and dimensionality of a portfolio",
+    )
     p.add_argument("--weights-file", dest="weights_file", required=True,
                    help='JSON file with a "weights" array')
     p.add_argument("--moments", dest="moments_file", help="moments JSON from build-moments")
@@ -697,12 +649,12 @@ def main(argv=None) -> int:
     p.add_argument("--ref-kurtosis", dest="ref_kurtosis", type=float,
                    help="reference-asset kurtosis (> 3); defaults to the universe margin")
     p.add_argument("--ref-skewness", dest="ref_skewness", type=float, default=None)
+    sub.add_parser("bench", parents=[common, universe], help="coarse kernel timings at the configured sizes")
+    return parser
 
-    p = sub.add_parser("bench", help="coarse kernel timings at the configured sizes")
-    _add_common(p)
-    _add_universe(p)
 
-    args = parser.parse_args(argv)
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     cfg = _build_config(args)
 
     if args.command == "simulate":

@@ -35,7 +35,7 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 from scipy.special import k1e, ndtr, ndtri
 
-from .comoments import ReturnSample
+from .comoments import ReturnSample, _check_counts
 
 __all__ = [
     "NigParams",
@@ -578,9 +578,7 @@ def sample_meta_gaussian(spec: MetaGaussianSpec, t_obs: int, seed: int) -> Retur
     ``(seed, (SIMULATION_STREAM, block))``; Gaussians are produced by the
     inverse normal CDF applied to that stream's uniforms.
     """
-    for name, value, least in (("t_obs", t_obs, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    _check_counts(("t_obs", t_obs, 1), ("seed", seed, 0))
     n = spec.n_assets
     chol = np.linalg.cholesky(spec.input_corr)
     tables = [_table(p) for p in spec.margins]

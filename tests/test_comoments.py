@@ -1,5 +1,6 @@
 """Co-moment estimation, unique-element storage, and analytic derivatives."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -65,6 +66,16 @@ def test_m4_gram_is_positive_semidefinite():
     # Gram matrix of centered pair products, so eigenvalues >= 0 up to noise
     c = cm.build_comoments(random_panel(4, 200, seed=5))
     assert np.linalg.eigvalsh(c.m4_gram).min() >= -1e-10
+
+
+def test_replaced_set_rebuilds_its_caches():
+    # dataclasses.replace must not carry over the m3 and m4_gram built for the original
+    c = iid_comoments(2, skew=0.5)
+    w = np.array([0.5, 0.5])
+    kurt, skew = cm.portfolio_kurtosis(w, c), cm.portfolio_skewness(w, c)  # builds both caches
+    replaced = dataclasses.replace(c, m3_unique=-c.m3_unique, m4_unique=2.0 * c.m4_unique)
+    assert cm.portfolio_kurtosis(w, replaced) == pytest.approx(2.0 * kurt, rel=1e-15)
+    assert cm.portfolio_skewness(w, replaced) == pytest.approx(-skew, rel=1e-15)
 
 
 @pytest.mark.parametrize("n,order", [(n, order) for n in (1, 2, 3, 6) for order in (1, 2, 3, 4)])

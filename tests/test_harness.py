@@ -1,6 +1,8 @@
 """Experiment runner: config merging, deterministic artifacts, CLI wiring."""
 
+import argparse
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -299,6 +301,108 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cfg_path.write_text(json.dumps({"bb": {"rho_tolerance": 0.01}}))
     with pytest.raises(TypeError, match="rho_tolerance"):
         hn.main(["optimize-bb", "--config", str(cfg_path), "--output-dir", str(tmp_path)])
+
+
+@pytest.mark.parametrize("name", ["n_c", "max_iterations", "n_assets", "t_obs"])
+def test_counts_must_be_integers(name, tmp_path):
+    solver = name in ("n_c", "max_iterations")
+    make = bb.BbConfig if solver else hn.ExperimentConfig
+    for bad in (2.0, 10.5, True):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d, got {bad!r}$"):
+            make(**{name: bad})
+    assert getattr(make(**{name: np.int64(3)}), name) == 3
+    # the same message from a config file, before any work starts
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"bb": {name: 2.5}} if solver else {name: 2.5}))
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d, got 2.5$"):
+        hn.main(["optimize-bb", "--config", str(cfg_path), "--output-dir", str(tmp_path)])
+
+
+# the config flags of each command, by group
+COMMON = {"--seed", "--mean", "--variance", "--skewness", "--kurtosis", "--t-obs"}
+OUTPUT = {"--experiment", "--output-dir"}
+UNIVERSE = {"--n-assets", "--rho", "--correlation-file"}
+BB_FLAGS = {"--rho-tol", "--bound-mode", "--n-c", "--max-iterations", "--max-seconds"}
+GLD_FLAGS = {"--lam", "--noise-scale", "--n-sim", "--n-iter", "--no-polish"}
+CONFIG_FLAGS = {
+    "simulate": COMMON | OUTPUT | UNIVERSE,
+    "build-moments": COMMON | OUTPUT | UNIVERSE | {"--returns"},
+    "toy-example": COMMON | OUTPUT | BB_FLAGS,
+    "optimize-bb": COMMON | OUTPUT | UNIVERSE | {"--returns"} | BB_FLAGS,
+    "optimize-gld": COMMON | OUTPUT | UNIVERSE | {"--returns"} | GLD_FLAGS,
+    "dimensionality": COMMON | OUTPUT | UNIVERSE | {"--returns"},
+    "bench": COMMON | UNIVERSE,
+}
+OTHER_FLAGS = {
+    "--help", "--config", "--rho-grid", "--record-paths", "--weights-file", "--moments", "--measure",
+    "--ref-kurtosis", "--ref-skewness",
+}
+
+
+def flag_table(tmp_path):
+    """Flag -> (its argument, the field it sets, the value reached), none the default."""
+    existing = tmp_path / "exists.csv"
+    existing.write_text("")
+    return {
+        "--seed": ("9", "seed", 9),
+        "--mean": ("0.5", "mean", 0.5),
+        "--variance": ("2", "variance", 2.0),
+        "--skewness": ("0.3", "skewness", 0.3),
+        "--kurtosis": ("7", "kurtosis", 7.0),
+        "--t-obs": ("500", "t_obs", 500),
+        "--experiment": ("e1", "experiment", "e1"),
+        "--output-dir": ("out", "output_dir", "out"),
+        "--n-assets": ("5", "n_assets", 5),
+        "--rho": ("0.3", "rho", 0.3),
+        "--correlation-file": (str(existing), "correlation_file", str(existing)),
+        "--returns": (str(existing), "returns_file", str(existing)),
+        "--rho-tol": ("0.02", "bb.rho_tol", 0.02),
+        "--bound-mode": ("milp", "bb.bound_mode", "milp"),
+        "--n-c": ("3", "bb.n_c", 3),
+        "--max-iterations": ("77", "bb.max_iterations", 77),
+        "--max-seconds": ("5", "bb.max_seconds", 5.0),
+        "--lam": ("0.005", "gld.lam", 0.005),
+        "--noise-scale": ("0.1", "gld.c", 0.1),
+        "--n-sim": ("8", "gld.n_sim", 8),
+        "--n-iter": ("9", "gld.n_iter", 9),
+        "--no-polish": (None, "gld.polish", False),
+    }
+
+
+def config_field(cfg, path):
+    return functools.reduce(getattr, path.split("."), cfg)
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_FLAGS))
+def test_each_flag_reaches_its_field(command, tmp_path):
+    parser = hn._parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+    offered = {flag for action in sub._actions for flag in action.option_strings if flag.startswith("--")}
+    assert offered - OTHER_FLAGS == CONFIG_FLAGS[command]
+    table = flag_table(tmp_path)
+    assert set(table) == set().union(*CONFIG_FLAGS.values())
+    required = ["--weights-file", "w.json"] if command == "dimensionality" else []
+    for flag, (arg, path, value) in table.items():
+        argv = [command, *required, flag, *([arg] if arg is not None else [])]
+        if flag not in CONFIG_FLAGS[command]:  # a flag the command would ignore is rejected
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2
+            continue
+        cfg = hn._build_config(parser.parse_args(argv))
+        assert config_field(cfg, path) == value != config_field(hn.ExperimentConfig(), path)
+        if flag == "--seed":
+            assert cfg.gld.seed == 9
+
+
+def test_config_file_null_means_default(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    doc = {"n_assets": None, "seed": None, "margins": None, "bb": None, "t_obs": 500, "gld": {"n_sim": 4}}
+    cfg_path.write_text(json.dumps(doc))
+    cfg = hn._build_config(hn._parser().parse_args(["optimize-gld", "--config", str(cfg_path)]))
+    default = hn.ExperimentConfig()
+    assert (cfg.n_assets, cfg.seed, cfg.margins, cfg.bb) == (default.n_assets, 0, None, default.bb)
+    assert (cfg.t_obs, cfg.gld.n_sim, cfg.gld.seed) == (500, 4, 0)
 
 
 def test_cli_simulate_and_version(tmp_path, capsys):
