@@ -222,7 +222,7 @@ def _pair_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return pair_i, pair_j, mult, pair_of
 
 
-@dataclass
+@dataclass(eq=False)
 class CoMomentSet:
     """Covariance plus unique third/fourth co-moment values of a return panel.
 
@@ -231,7 +231,8 @@ class CoMomentSet:
     and ``m4_gram`` (the fourth moment over unique index pairs, the only
     fourth-moment form the kernel reads) are built on first access and kept
     (a ``dataclasses.replace`` copy starts without them); ``m4``/``m4_tensor``
-    expand the full N^4 entries anew on each request.
+    expand the full N^4 entries anew on each request.  Sets compare by
+    identity: a field-wise ``==`` of the arrays has no single truth value.
     """
 
     mean: np.ndarray

@@ -545,9 +545,10 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Defaults, overlaid by the ``--config`` file, overlaid by the flags set.
 
     A config flag's ``dest`` names the field it sets: a top-level field by
-    its name, a solver field as ``bb.<field>`` or ``gld.<field>``.  A top-level
-    ``null`` in the file means the default.  ``--seed`` sets ``gld.seed`` too;
-    in the file, ``gld.seed`` beats the top-level ``seed``.
+    its name, a solver field as ``bb.<field>`` or ``gld.<field>``.  A ``null``
+    in the file, at the top level or in a solver block, means the default.
+    ``--seed`` sets ``gld.seed`` too; in the file, ``gld.seed`` beats the
+    top-level ``seed``.
     """
     doc: dict = {}
     if args.config:
@@ -556,7 +557,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown keys in config file {args.config}: {', '.join(unknown)}")
     doc = {key: value for key, value in doc.items() if value is not None}
-    blocks = {"bb": dict(doc.pop("bb", {})), "gld": dict(doc.pop("gld", {}))}
+    blocks = {name: {k: v for k, v in doc.pop(name, {}).items() if v is not None} for name in ("bb", "gld")}
     blocks["gld"].setdefault("seed", doc.get("seed", 0))
     flags = {dest: value for dest, value in vars(args).items() if value is not None}
     if "seed" in flags:

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
-from scipy.special import k1e, ndtr, ndtri
+from scipy.special import k1e, ndtr, ndtri, owens_t
 
 from .comoments import ReturnSample, _check_counts
 
@@ -324,108 +324,54 @@ def nig_quantile(u, p: NigParams):
 
 
 # ---------------------------------------------------------------------------
-# bivariate normal CDF (vectorized port of Genz's BVND rule)
-# ---------------------------------------------------------------------------
-
-
-def _bvn_upper(dh, dk, r: float) -> np.ndarray:
-    """P(X > dh, Y > dk) for a standard bivariate normal pair with correlation r.
-
-    Gauss-Legendre quadrature over the arc-sine transformed correlation for
-    |r| < 0.925 and the tail-expansion form beyond; accuracy ~1e-14.
-    """
-    h = np.asarray(dh, dtype=float)
-    k = np.asarray(dk, dtype=float)
-    h, k = np.broadcast_arrays(h, k)
-    h = h.astype(float, copy=True)
-    k = k.astype(float, copy=True)
-    absr = abs(r)
-    if absr > 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {r!r}")
-    if absr == 1.0:
-        if r > 0.0:
-            return ndtr(-np.maximum(h, k))
-        return np.maximum(ndtr(-h) - ndtr(k), 0.0)
-
-    if absr < 0.3:
-        order = 6
-    elif absr < 0.75:
-        order = 12
-    else:
-        order = 20
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    nodes = 0.5 * (gx + 1.0)  # the full symmetric set, mapped onto (0, 1)
-    weights = 0.5 * gw
-
-    if absr < 0.925:
-        bvn = np.zeros_like(h)
-        if absr > 0.0:
-            hk = h * k
-            hs = 0.5 * (h * h + k * k)
-            asr = math.asin(r)
-            sn = np.sin(asr * nodes)
-            f = np.exp(
-                (sn[:, None] * hk.ravel()[None, :] - hs.ravel()[None, :]) / (1.0 - sn * sn)[:, None]
-            )
-            bvn = (asr / (2.0 * math.pi)) * (weights @ f).reshape(h.shape)
-        return bvn + ndtr(-h) * ndtr(-k)
-
-    # |r| in [0.925, 1): integrate the complement near the diagonal
-    if r < 0.0:
-        k = -k
-    hk = h * k
-    a2 = (1.0 - r) * (1.0 + r)
-    a = math.sqrt(a2)
-    bs = (h - k) ** 2
-    c = (4.0 - hk) / 8.0
-    d = (12.0 - hk) / 16.0
-    asr0 = -(bs / a2 + hk) / 2.0
-    with np.errstate(over="ignore", under="ignore"):
-        bvn = np.where(
-            asr0 > -100.0,
-            a * np.exp(asr0) * (1.0 - c * (bs - a2) * (1.0 - d * bs / 5.0) / 3.0 + c * d * a2 * a2 / 5.0),
-            0.0,
-        )
-        mask = -hk < 100.0
-        b = np.sqrt(bs)
-        sp = math.sqrt(2.0 * math.pi) * ndtr(-b / a)
-        bvn -= np.where(
-            mask,
-            np.exp(np.where(mask, -hk / 2.0, 0.0)) * sp * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0),
-            0.0,
-        )
-    # quadrature over s in (0, a): substitute s = a * t with t the (0,1) nodes
-    xs = (a * nodes) ** 2
-    rs = np.sqrt(1.0 - xs)
-    flat_hk = hk.ravel()[None, :]
-    flat_bs = bs.ravel()[None, :]
-    flat_c = c.ravel()[None, :]
-    flat_d = d.ravel()[None, :]
-    asr1 = -(flat_bs / xs[:, None] + flat_hk) / 2.0
-    with np.errstate(over="ignore", under="ignore"):
-        ep = np.exp(-flat_hk * (1.0 - rs[:, None]) / (2.0 * (1.0 + rs[:, None]))) / rs[:, None]
-        sp1 = 1.0 + flat_c * xs[:, None] * (1.0 + flat_d * xs[:, None])
-        contrib = np.where(asr1 > -100.0, np.exp(np.where(asr1 > -100.0, asr1, 0.0)) * (ep - sp1), 0.0)
-    bvn = bvn + a * ((weights @ contrib).reshape(h.shape))
-    bvn = -bvn / (2.0 * math.pi)
-    if r > 0.0:
-        return bvn + ndtr(-np.maximum(h, k))
-    bvn = -bvn
-    return bvn + np.where(k > h, ndtr(k) - ndtr(h), 0.0)
-
-
-def _bvn_cdf(x, y, r: float) -> np.ndarray:
-    """P(X <= x, Y <= y) for a standard bivariate normal pair."""
-    return _bvn_upper(-np.asarray(x, float), -np.asarray(y, float), r)
-
-
-# ---------------------------------------------------------------------------
 # correlation adjustment
 # ---------------------------------------------------------------------------
 
 _U64_NODES, _U64_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _U64 = 0.5 * (_U64_NODES + 1.0)
 _W64 = 0.5 * _U64_WEIGHTS
+
+
+def _bvn_grid(z: np.ndarray, r: float) -> np.ndarray:
+    """Phi2(z_i, z_j; r) = P(X <= z_i, Y <= z_j) of a standard bivariate normal, |r| < 1.
+
+    Owen's (1956) identity with h = z_i, k = z_j and Owen's T function:
+    Phi2 = (Phi(h) + Phi(k)) / 2 - T(h, a) - T(k, a') - [hk < 0] / 2, where
+    a = (k - r h) / (h sqrt(1 - r^2)) and a' swaps h and k.  On the square
+    grid T(k, a') is the transpose of T(h, a), so one call gives both and the
+    result is exactly symmetric.  k - r h is (k - h) + (1 - r) h, or
+    (k + h) - (1 + r) h for r < 0, where 1 -+ r is exact; the plain form
+    loses ~1e-13 near |r| = 1.  No z may be 0, and none is on ``rho_out``'s
+    grid: its 64 Gauss-Legendre nodes pair up around u = 1/2.
+    """
+    h, k = z[:, None], z[None, :]
+    k_minus_rh = (k - h) + (1.0 - r) * h if r >= 0.0 else (k + h) - (1.0 + r) * h
+    t = owens_t(h, k_minus_rh / (h * math.sqrt((1.0 - r) * (1.0 + r))))
+    phi = ndtr(z)
+    return 0.5 * (phi[:, None] + phi[None, :]) - (t + t.T) - 0.5 * (h * k < 0.0)
+
+
+def _rho_out_map(mx: NigParams, my: NigParams):
+    """``rho_out`` of the margins ``mx``, ``my`` as a function of rho_in; a
+    bisection reuses the margin factors, which are formed once."""
+    weights, variances = [], []
+    for p in (mx, my):
+        quant = _table(p).quantile_clipped(_U64)
+        dens = nig_pdf(quant, p)
+        weights.append(_W64 / dens)
+        variances.append(nig_moments(p).variance)
+    z = ndtri(_U64)
+    independent = np.outer(_U64, _U64)
+    scale = math.sqrt(variances[0] * variances[1])
+
+    def rho(rho_in: float) -> float:
+        cov = weights[0] @ (_bvn_grid(z, rho_in) - independent) @ weights[1]
+        result = cov / scale
+        if not np.isfinite(result):
+            raise RuntimeError(f"correlation integral did not converge (got {result!r})")
+        return float(result)
+
+    return rho
 
 
 def rho_out(rho_in: float, mx: NigParams, my: NigParams) -> float:
@@ -441,20 +387,7 @@ def rho_out(rho_in: float, mx: NigParams, my: NigParams) -> float:
     """
     if not (-1.0 < rho_in < 1.0):
         raise ValueError(f"input correlation must lie strictly inside (-1, 1), got {rho_in!r}")
-    weights = []
-    variances = []
-    for p in (mx, my):
-        quant = _table(p).quantile_clipped(_U64)
-        dens = nig_pdf(quant, p)
-        weights.append(_W64 / dens)
-        variances.append(nig_moments(p).variance)
-    z = ndtri(_U64)
-    cop = _bvn_cdf(z[:, None], z[None, :], rho_in)
-    cov = weights[0] @ (cop - np.outer(_U64, _U64)) @ weights[1]
-    result = cov / math.sqrt(variances[0] * variances[1])
-    if not np.isfinite(result):
-        raise RuntimeError(f"correlation integral did not converge (got {result!r})")
-    return float(result)
+    return _rho_out_map(mx, my)(rho_in)
 
 
 def _margin_params(margins) -> tuple[NigParams, ...]:
@@ -518,8 +451,9 @@ def adjust_correlation(target: np.ndarray, margins) -> np.ndarray:
 def _invert_rho_out(target: float, mx: NigParams, my: NigParams) -> float:
     if target == 0.0:
         return 0.0  # independence copula has exactly zero covariance
+    rho = _rho_out_map(mx, my)
     lo, hi = -1.0 + 1e-9, 1.0 - 1e-9
-    f_lo, f_hi = rho_out(lo, mx, my), rho_out(hi, mx, my)
+    f_lo, f_hi = rho(lo), rho(hi)
     if not (f_lo <= target <= f_hi):
         raise ValueError(
             f"target correlation {target!r} is outside the attainable range "
@@ -527,7 +461,7 @@ def _invert_rho_out(target: float, mx: NigParams, my: NigParams) -> float:
         )
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if rho_out(mid, mx, my) < target:
+        if rho(mid) < target:
             lo = mid
         else:
             hi = mid

@@ -78,6 +78,12 @@ def test_replaced_set_rebuilds_its_caches():
     assert cm.portfolio_skewness(w, replaced) == pytest.approx(-skew, rel=1e-15)
 
 
+def test_sets_compare_by_identity_without_raising():
+    a, b = iid_comoments(2), iid_comoments(2)
+    assert (a == b) is False
+    assert (a == a) is True
+
+
 @pytest.mark.parametrize("n,order", [(n, order) for n in (1, 2, 3, 6) for order in (1, 2, 3, 4)])
 def test_sorted_tuples_are_enumerated_in_rank_order(n, order):
     tuples = np.stack(cm._sorted_tuple_arrays(n, order))

@@ -403,6 +403,12 @@ def test_config_file_null_means_default(tmp_path):
     default = hn.ExperimentConfig()
     assert (cfg.n_assets, cfg.seed, cfg.margins, cfg.bb) == (default.n_assets, 0, None, default.bb)
     assert (cfg.t_obs, cfg.gld.n_sim, cfg.gld.seed) == (500, 4, 0)
+    # a null inside a solver block means that field's default too
+    doc = {"seed": 7, "bb": {"max_seconds": None, "rho_tol": 0.01}, "gld": {"seed": None, "n_sim": None}}
+    cfg_path.write_text(json.dumps(doc))
+    cfg = hn._build_config(hn._parser().parse_args(["optimize-gld", "--config", str(cfg_path)]))
+    assert cfg.bb == dataclasses.replace(default.bb, rho_tol=0.01)
+    assert (cfg.gld.seed, cfg.gld.n_sim) == (7, default.gld.n_sim)
 
 
 def test_cli_simulate_and_version(tmp_path, capsys):

@@ -286,8 +286,6 @@ def test_cdf_matches_integrated_pdf():
 
 def _bvn_cdf_by_quadrature(h, k, r):
     """P(X <= h, Y <= k) as the integral of phi(x) Phi((k - r x) / sqrt(1 - r^2)) up to h."""
-    if abs(r) == 1.0:
-        return ndtr(min(h, k)) if r > 0.0 else max(ndtr(h) + ndtr(k) - 1.0, 0.0)
     s = math.sqrt((1.0 - r) * (1.0 + r))
 
     def integrand(x):
@@ -299,16 +297,51 @@ def _bvn_cdf_by_quadrature(h, k, r):
     return sum(quad(integrand, a, b, epsabs=1e-16, epsrel=1e-13, limit=200)[0] for a, b in zip(edges, edges[1:]))
 
 
-# every branch of the Genz rule: |r| < 0.3, < 0.75, < 0.925, the tail form up
-# to 1 - 1e-9, negative r, and the closed forms at r = +-1
+# r of either sign from 0 out to 1 - 1e-9, the end of the bisection's bracket,
+# where k - r h must be formed without cancellation
 @pytest.mark.parametrize(
-    "r", [0.0, 0.2, -0.25, 0.5, -0.6, 0.8, -0.9, 0.93, -0.95, 0.999, -0.9999, 1 - 1e-9, -(1 - 1e-9), 1.0, -1.0]
+    "r", [0.0, 0.2, -0.25, 0.5, -0.6, 0.8, -0.9, 0.93, -0.95, 0.999, -0.9999, 1 - 1e-9, -(1 - 1e-9)]
 )
 def test_bvn_cdf_matches_quadrature(r):
     z = ndtri(rs._U64)[::7]  # nodes of the rho_out grid, both end nodes included
-    got = rs._bvn_cdf(z[:, None], z[None, :], r)
+    got = rs._bvn_grid(z, r)
     expected = np.array([[_bvn_cdf_by_quadrature(h, k, r) for k in z] for h in z])
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14)
+
+
+near_one = st.floats(min_value=2.0**-53, max_value=1e-12).map(lambda eps: 1.0 - eps)  # each < 1
+correlations = st.one_of(
+    st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    near_one,
+    near_one.map(lambda r: -r),
+)
+
+
+@given(
+    correlations,
+    st.lists(
+        st.floats(min_value=1e-3, max_value=8.0) | st.floats(min_value=-8.0, max_value=-1e-3), min_size=1, max_size=12
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_bvn_grid_is_symmetric_within_frechet_bounds_and_reflects(r, half):
+    z = np.array(half + [-x for x in half])  # both z and -z, never 0
+    got = rs._bvn_grid(z, r)
+    assert np.array_equal(got, got.T)
+    phi_h, phi_k = ndtr(z)[:, None], ndtr(z)[None, :]
+    assert np.all(got >= np.maximum(phi_h + phi_k - 1.0, 0.0) - 1e-15)
+    assert np.all(got <= np.minimum(phi_h, phi_k) + 1e-15)
+    # Phi2(h, k; r) + Phi2(h, -k; -r) = Phi(h); column j of the reflected grid is -z_j
+    n = len(half)
+    reflected = rs._bvn_grid(z, -r)[:, np.r_[n : 2 * n, 0:n]]
+    np.testing.assert_allclose(got + reflected, np.broadcast_to(phi_h, got.shape), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("rho_in", [1.0, -1.0, 1.5, math.nan])
+def test_rho_out_rejects_correlations_outside_open_interval(rho_in, margin_k6):
+    p = rs.nig_params_from_moments(margin_k6)
+    with pytest.raises(ValueError, match="strictly inside"):
+        rs.rho_out(rho_in, p, p)
 
 
 def test_rho_out_zero_and_symmetry(margin_k6):
