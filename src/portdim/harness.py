@@ -32,15 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bbsolve import BbConfig, solve
-from .comoments import (
-    CoMomentSet,
-    ReturnSample,
-    Weights,
-    _check_counts,
-    build_comoments,
-    portfolio_kurtosis,
-)
+from .bbsolve import _MAX_ENVELOPE_VERTICES, BbConfig, solve
+from .comoments import CoMomentSet, ReturnSample, Weights, _check_counts, build_comoments
 from .divmeasure import (
     NuMeasure,
     ReferenceAsset,
@@ -49,7 +42,7 @@ from .divmeasure import (
     toy_dr_weight,
     toy_rp_weight,
 )
-from .gld import GldConfig, check_record_paths, local_descent, multistart
+from .gld import GldConfig, check_record_paths, multistart
 from .retsim import MarginTarget, MetaGaussianSpec, sample_meta_gaussian
 
 __all__ = [
@@ -514,24 +507,48 @@ def cmd_dimensionality(
     return path
 
 
+#: the bound-mode table's rows, as (bound_mode, n_c)
+_BENCH_ROWS = (("lp1", 1), ("lp2", 1), ("lp2", 2), ("lp2", 3), ("lp2", 4), ("milp", 1))
+
+
 def cmd_bench(cfg: ExperimentConfig) -> dict:
-    """Coarse timings of the expensive kernels at the configured sizes."""
-    timings: dict[str, float] = {}
-    spec = build_universe(cfg)
+    """The bound-mode table: one panel, certified under each bounding mode.
+
+    The panel and its co-moments are built once.  Each row solves them with
+    ``cfg.bb`` under its own ``bound_mode`` and ``n_c``; the ``milp`` row is
+    left out when N exceeds the envelope's vertex cap.
+    """
     start = time.perf_counter()
-    sample = sample_meta_gaussian(spec, cfg.t_obs, seed=cfg.seed)
-    timings["simulate_seconds"] = time.perf_counter() - start
+    sample = load_or_simulate(cfg)
+    panel_seconds = time.perf_counter() - start
     start = time.perf_counter()
     c = build_comoments(sample)
-    timings["build_moments_seconds"] = time.perf_counter() - start
-    w0 = np.full(cfg.n_assets, 1.0 / cfg.n_assets)
-    start = time.perf_counter()
-    portfolio_kurtosis(w0, c)
-    timings["kurtosis_eval_seconds"] = time.perf_counter() - start
-    start = time.perf_counter()
-    local_descent(c, w0)
-    timings["local_descent_seconds"] = time.perf_counter() - start
-    return timings
+    moments_seconds = time.perf_counter() - start
+    rows = []
+    for bound_mode, n_c in _BENCH_ROWS:
+        if bound_mode == "milp" and c.n_assets > _MAX_ENVELOPE_VERTICES:
+            continue
+        start = time.perf_counter()
+        result = solve(c, dataclasses.replace(cfg.bb, bound_mode=bound_mode, n_c=n_c))
+        rows.append(
+            {
+                "bound_mode": bound_mode,
+                "n_c": n_c,
+                "iterations": result.iterations,
+                "rounds": result.rounds,
+                "lp_pivots": result.lp_pivots,
+                "seconds": time.perf_counter() - start,
+                "kurtosis": result.kurtosis,
+                "status": result.status,
+            }
+        )
+    return {
+        "n_assets": c.n_assets,
+        "n_obs": c.n_obs,
+        "panel_seconds": panel_seconds,
+        "moments_seconds": moments_seconds,
+        "rows": rows,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +556,27 @@ def cmd_bench(cfg: ExperimentConfig) -> dict:
 
 
 _FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def _read_config_file(path: str) -> dict:
+    """The ``--config`` file, with each part `_build_config` unpacks checked for shape."""
+    doc = json.loads(Path(path).read_text())
+
+    def expect(ok: bool, part: str, shape: str, value) -> None:
+        if not ok:
+            raise ValueError(f"config file {path}: {part} must be {shape}, got {value!r}")
+
+    expect(isinstance(doc, dict), "the top level", "an object", doc)
+    unknown = sorted(set(doc) - _FIELDS)
+    if unknown:
+        raise ValueError(f"unknown keys in config file {path}: {', '.join(unknown)}")
+    for name in ("bb", "gld"):
+        expect(doc.get(name) is None or isinstance(doc[name], dict), name, "an object", doc.get(name))
+    margins = doc.get("margins")
+    expect(margins is None or isinstance(margins, list), "margins", "a list", margins)
+    for i, margin in enumerate(margins or ()):
+        expect(isinstance(margin, dict), f"margins[{i}]", "an object", margin)
+    return doc
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -550,12 +588,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     ``--seed`` sets ``gld.seed`` too; in the file, ``gld.seed`` beats the
     top-level ``seed``.
     """
-    doc: dict = {}
-    if args.config:
-        doc = json.loads(Path(args.config).read_text())
-        unknown = sorted(set(doc) - _FIELDS)
-        if unknown:
-            raise ValueError(f"unknown keys in config file {args.config}: {', '.join(unknown)}")
+    doc = _read_config_file(args.config) if args.config else {}
     doc = {key: value for key, value in doc.items() if value is not None}
     blocks = {name: {k: v for k, v in doc.pop(name, {}).items() if v is not None} for name in ("bb", "gld")}
     blocks["gld"].setdefault("seed", doc.get("seed", 0))
@@ -575,7 +608,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _parser() -> argparse.ArgumentParser:
     """The ``portdim`` parser: each command takes the flag groups it reads."""
-    common, output, universe, returns, bb, gld = (argparse.ArgumentParser(add_help=False) for _ in range(6))
+    groups = (argparse.ArgumentParser(add_help=False) for _ in range(7))
+    common, output, universe, returns, stop, bound, gld = groups
     common.add_argument("--config", help="JSON config file; CLI flags override its fields")
     common.add_argument("--seed", type=int, help="top-level seed for all substreams")
     common.add_argument("--mean", type=float, help="margin mean")
@@ -591,13 +625,13 @@ def _parser() -> argparse.ArgumentParser:
         "--correlation-file", dest="correlation_file", help="CSV with an explicit target correlation matrix"
     )
     returns.add_argument("--returns", dest="returns_file", help="existing returns CSV instead of simulation")
-    bb.add_argument(
+    stop.add_argument(
         "--rho-tol", dest="bb.rho_tol", metavar="RHO_TOL", type=float, help="relative optimality tolerance"
     )
-    bb.add_argument("--bound-mode", dest="bb.bound_mode", choices=["lp1", "lp2", "milp"])
-    bb.add_argument("--n-c", dest="bb.n_c", metavar="N_C", type=int, help="tangent cuts per asset (lp2)")
-    bb.add_argument("--max-iterations", dest="bb.max_iterations", metavar="MAX_ITERATIONS", type=int)
-    bb.add_argument("--max-seconds", dest="bb.max_seconds", metavar="MAX_SECONDS", type=float)
+    stop.add_argument("--max-iterations", dest="bb.max_iterations", metavar="MAX_ITERATIONS", type=int)
+    stop.add_argument("--max-seconds", dest="bb.max_seconds", metavar="MAX_SECONDS", type=float)
+    bound.add_argument("--bound-mode", dest="bb.bound_mode", choices=["lp1", "lp2", "milp"])
+    bound.add_argument("--n-c", dest="bb.n_c", metavar="N_C", type=int, help="tangent cuts per asset (lp2)")
     gld.add_argument("--lam", dest="gld.lam", metavar="LAM", type=float, help="Langevin step size")
     gld.add_argument("--noise-scale", dest="gld.c", metavar="NOISE_SCALE", type=float, help="noise scale c")
     gld.add_argument("--n-sim", dest="gld.n_sim", metavar="N_SIM", type=int, help="number of Langevin paths")
@@ -623,14 +657,16 @@ def _parser() -> argparse.ArgumentParser:
         "build-moments", parents=[common, output, universe, returns], help="estimate co-moments from returns"
     )
     p = sub.add_parser(
-        "toy-example", parents=[common, output, bb], help="three-asset weight comparison over a rho grid"
+        "toy-example",
+        parents=[common, output, stop, bound],
+        help="three-asset weight comparison over a rho grid",
     )
     p.add_argument("--rho-grid", dest="rho_grid", default="-0.7,-0.5,-0.3,0.0,0.5,0.95,0.99",
                    help="comma-separated correlation grid; write --rho-grid=-0.5,0.99 when "
                         "the first value is negative")
     sub.add_parser(
         "optimize-bb",
-        parents=[common, output, universe, returns, bb],
+        parents=[common, output, universe, returns, stop, bound],
         help="global kurtosis minimization by branch and bound",
     )
     sub.add_parser(
@@ -650,7 +686,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--ref-kurtosis", dest="ref_kurtosis", type=float,
                    help="reference-asset kurtosis (> 3); defaults to the universe margin")
     p.add_argument("--ref-skewness", dest="ref_skewness", type=float, default=None)
-    sub.add_parser("bench", parents=[common, universe], help="coarse kernel timings at the configured sizes")
+    sub.add_parser(
+        "bench",
+        parents=[common, universe, returns, stop],
+        help="branch and bound under each bounding mode on one panel",
+    )
     return parser
 
 

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -248,15 +249,27 @@ def test_dimensionality_command(tmp_path, margin_k6):
     assert not payload["near_gaussian"]
 
 
-def test_bench_returns_positive_timings(tmp_path):
-    timings = hn.cmd_bench(tiny_cfg(tmp_path, t_obs=500))
-    assert set(timings) == {
-        "simulate_seconds",
-        "build_moments_seconds",
-        "kurtosis_eval_seconds",
-        "local_descent_seconds",
-    }
-    assert all(v > 0.0 for v in timings.values())
+def test_bench_rows_match_direct_solves(tmp_path):
+    cfg = tiny_cfg(tmp_path, t_obs=2000)
+    table = hn.cmd_bench(cfg)
+    c = cm.build_comoments(hn.load_or_simulate(cfg))
+    assert (table["n_assets"], table["n_obs"]) == (3, 2000)
+    assert table["panel_seconds"] > 0.0 and table["moments_seconds"] > 0.0
+    modes = [(row["bound_mode"], row["n_c"]) for row in table["rows"]]
+    assert modes == [("lp1", 1), ("lp2", 1), ("lp2", 2), ("lp2", 3), ("lp2", 4), ("milp", 1)]
+    for row in table["rows"]:
+        direct = bb.solve(c, dataclasses.replace(cfg.bb, bound_mode=row["bound_mode"], n_c=row["n_c"]))
+        fields = ("iterations", "rounds", "lp_pivots", "kurtosis", "status")
+        assert [row[f] for f in fields] == [getattr(direct, f) for f in fields]
+        assert row["seconds"] > 0.0
+    assert {row["status"] for row in table["rows"]} == {"optimal"}
+
+
+def test_bench_leaves_out_milp_above_the_envelope_cap(tmp_path):
+    cfg = tiny_cfg(tmp_path, n_assets=7, rho=-0.1, t_obs=500, bb=bb.BbConfig(max_iterations=3))
+    table = hn.cmd_bench(cfg)
+    assert [row["bound_mode"] for row in table["rows"]] == ["lp1", "lp2", "lp2", "lp2", "lp2"]
+    assert {row["status"] for row in table["rows"]} == {"iteration_limit"}
 
 
 def test_cli_merging_flags_beat_config(tmp_path):
@@ -303,6 +316,24 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         hn.main(["optimize-bb", "--config", str(cfg_path), "--output-dir", str(tmp_path)])
 
 
+@pytest.mark.parametrize(
+    "doc, part",
+    [
+        (3, "the top level must be an object, got 3"),
+        ([{"seed": 1}], "the top level must be an object, got [{'seed': 1}]"),
+        ({"bb": 3}, "bb must be an object, got 3"),
+        ({"gld": [5]}, "gld must be an object, got [5]"),
+        ({"margins": 3}, "margins must be a list, got 3"),
+        ({"n_assets": 2, "margins": [{"kurtosis": 5.0}, 3]}, "margins[1] must be an object, got 3"),
+    ],
+)
+def test_config_file_shape_errors_name_the_file_and_part(doc, part, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'config file {cfg_path}: {part}')}$"):
+        hn.main(["optimize-bb", "--config", str(cfg_path), "--output-dir", str(tmp_path)])
+
+
 @pytest.mark.parametrize("name", ["n_c", "max_iterations", "n_assets", "t_obs"])
 def test_counts_must_be_integers(name, tmp_path):
     solver = name in ("n_c", "max_iterations")
@@ -322,7 +353,8 @@ def test_counts_must_be_integers(name, tmp_path):
 COMMON = {"--seed", "--mean", "--variance", "--skewness", "--kurtosis", "--t-obs"}
 OUTPUT = {"--experiment", "--output-dir"}
 UNIVERSE = {"--n-assets", "--rho", "--correlation-file"}
-BB_FLAGS = {"--rho-tol", "--bound-mode", "--n-c", "--max-iterations", "--max-seconds"}
+STOP_FLAGS = {"--rho-tol", "--max-iterations", "--max-seconds"}
+BB_FLAGS = STOP_FLAGS | {"--bound-mode", "--n-c"}
 GLD_FLAGS = {"--lam", "--noise-scale", "--n-sim", "--n-iter", "--no-polish"}
 CONFIG_FLAGS = {
     "simulate": COMMON | OUTPUT | UNIVERSE,
@@ -331,7 +363,7 @@ CONFIG_FLAGS = {
     "optimize-bb": COMMON | OUTPUT | UNIVERSE | {"--returns"} | BB_FLAGS,
     "optimize-gld": COMMON | OUTPUT | UNIVERSE | {"--returns"} | GLD_FLAGS,
     "dimensionality": COMMON | OUTPUT | UNIVERSE | {"--returns"},
-    "bench": COMMON | UNIVERSE,
+    "bench": COMMON | UNIVERSE | {"--returns"} | STOP_FLAGS,
 }
 OTHER_FLAGS = {
     "--help", "--config", "--rho-grid", "--record-paths", "--weights-file", "--moments", "--measure",
