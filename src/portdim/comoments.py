@@ -353,19 +353,24 @@ def build_comoments(sample: ReturnSample) -> CoMomentSet:
     g2 = np.zeros((n, n))
     g3 = np.zeros((n, n_pairs))
     g4 = np.zeros((n_pairs, n_pairs))
-    pair_buf = np.empty((min(t_obs, _CHUNK_ROWS), n_pairs))
+    # assets and pairs in rows, observations along them: each pair block
+    # below is one contiguous multiply
+    chunk = min(t_obs, _CHUNK_ROWS)
+    xc_buf = np.empty((n, chunk))
+    pair_buf = np.empty((n_pairs, chunk))
     g4_chunk = np.empty((n_pairs, n_pairs))
     for start in range(0, t_obs, _CHUNK_ROWS):
-        xc = values[start : start + _CHUNK_ROWS] - mean
-        pair_prod = pair_buf[: xc.shape[0]]
+        block = values[start : start + _CHUNK_ROWS]
+        xc = np.subtract(block.T, mean[:, None], out=xc_buf[:, : block.shape[0]])
+        pair_prod = pair_buf[:, : block.shape[0]]
         # the pairs (i <= j) of one j are the colex ranks j(j+1)/2 .. j(j+1)/2 + j
         for j in range(n):
             first = j * (j + 1) // 2
-            np.multiply(xc[:, : j + 1], xc[:, j : j + 1], out=pair_prod[:, first : first + j + 1])
-        g2 += xc.T @ xc
-        g3 += xc.T @ pair_prod
-        g4 += np.matmul(pair_prod.T, pair_prod, out=g4_chunk)
-    del pair_buf, pair_prod, g4_chunk  # the quadruple gather below is the next peak
+            np.multiply(xc[: j + 1], xc[j], out=pair_prod[first : first + j + 1])
+        g2 += xc @ xc.T
+        g3 += xc @ pair_prod.T
+        g4 += np.matmul(pair_prod, pair_prod.T, out=g4_chunk)
+    del xc_buf, pair_buf, pair_prod, g4_chunk  # the quadruple gather below is the next peak
 
     m2 = g2 / t_obs
 

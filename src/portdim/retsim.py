@@ -61,8 +61,8 @@ _TABLE_HALF_WIDTH_SD = 40.0
 #: bins of the quantile's guide table; a power of two, so u * _GUIDE_BINS
 #: and every bin edge k / _GUIDE_BINS are exact
 _GUIDE_BINS = 8192
-#: values per Newton block, so that the loop's temporaries stay in cache
-_NEWTON_BLOCK = 8192
+#: values per quantile block, so that its temporaries stay in cache
+_QUANTILE_BLOCK = 8192
 
 _BISECT_TOL = 1e-6
 
@@ -198,9 +198,11 @@ class _NigTable:
 
     Node positions cluster near the mean (spacing ~0.006 sd) and widen
     toward +-40 sd.  Per-interval integrals of the pdf use Gauss-Legendre
-    panels with one adaptive refinement pass; the cumulative sums are
-    interpolated with a monotone cubic (PCHIP), which the quantile inverts by
-    Newton on the cubic of the one interval bracketing each target.
+    panels with one adaptive refinement pass; the cumulative sums, capped at
+    1, are interpolated with a monotone cubic (PCHIP), which the quantile
+    inverts on the cubic of the one interval bracketing each target: one
+    Newton step from an inverse-Hermite start, with a safeguarded Newton loop
+    behind it.
 
     The bracketing interval comes from a guide table over 8192 equal bins
     of u (``_guide_table``): ``_guide[k]`` is the last node whose CDF value
@@ -223,14 +225,49 @@ class _NigTable:
 
         left_tail, _ = quad(lambda v: nig_pdf(v, p), -np.inf, self.x[0], limit=200)
         intervals = self._interval_masses()
-        self.cdf_values = left_tail + np.concatenate([[0.0], np.cumsum(intervals)])
+        # the rounded cumulative sum can pass 1; the cap keeps it nondecreasing
+        self.cdf_values = np.minimum(left_tail + np.concatenate([[0.0], np.cumsum(intervals)]), 1.0)
         # the far-tail secant slopes can be denormal; PCHIP's harmonic mean of
         # them overflows to the correct zero slope, so the warning is noise
         with np.errstate(over="ignore", divide="ignore"):
             self._interp = PchipInterpolator(self.x, self.cdf_values, extrapolate=False)
-        # row i holds interval i's (c0, c1, c2, c3), so one gather reads all four
-        self._coef = np.ascontiguousarray(self._interp.c.T)
         self._guide = _guide_table(self.cdf_values)
+        # per-interval columns, each gathered on its own: the cubic's four
+        # coefficients and its slope's 3c0 and 2c1, as ``derivative()`` forms them
+        c0, c1, c2, c3 = self._interp.c
+        self._cubic = (c0, c1, c2, c3, 3.0 * c0, 2.0 * c1)
+        self._inverse = self._inverse_hermite()
+
+    def _inverse_hermite(self) -> tuple[np.ndarray, ...]:
+        """Cubic Hermite interpolant of the inverse CDF on each interval
+        (Hörmann & Leydold 2003): x(t) = x_i + t (b1 + t (b2 + t b3)) at
+        t = (u - F_i) / (F_{i+1} - F_i), through (F_i, x_i) and
+        (F_{i+1}, x_{i+1}) with end slopes 1 / F' from the PCHIP derivatives.
+
+        Returns the columns (F_i, 1 / (F_{i+1} - F_i), b1, b2, b3).  An
+        interval whose mass or an end slope is zero, denormal or not finite
+        gets the linear start (b2 = b3 = 0), and one without a normal mass
+        starts at x_i (1 / mass stored as 0).
+        """
+        tiny = np.finfo(float).tiny
+        flo, mass = self.cdf_values[:-1], np.diff(self.cdf_values)
+        width = np.diff(self.x)
+        slopes = self._interp(self.x, nu=1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            m0 = mass / slopes[:-1]  # dx/dt at each end of the interval
+            m1 = mass / slopes[1:]
+            b2 = 3.0 * width - 2.0 * m0 - m1
+            b3 = m0 + m1 - 2.0 * width
+        has_mass = mass >= tiny
+        hermite = has_mass & (np.minimum(slopes[:-1], slopes[1:]) >= tiny) & np.isfinite(b2) & np.isfinite(b3)
+        inv_mass = np.divide(1.0, mass, out=np.zeros_like(mass), where=has_mass)
+        return (
+            flo,
+            inv_mass,
+            np.where(hermite, m0, width),
+            np.where(hermite, b2, 0.0),
+            np.where(hermite, b3, 0.0),
+        )
 
     def _interval_masses(self) -> np.ndarray:
         lo, hi = self.x[:-1], self.x[1:]
@@ -258,32 +295,60 @@ class _NigTable:
         return np.where(xa <= self.x[0], self.cdf_values[0], np.where(xa >= self.x[-1], self.cdf_values[-1], out))
 
     def quantile_clipped(self, u) -> np.ndarray:
-        """Safeguarded vector Newton on the tabulated CDF; clips u into table range.
+        """Quantiles of the tabulated CDF; clips u into table range, keeps NaN.
 
         The values run in blocks of 8192, each block's intervals read from
-        the guide table (see the class docstring).  Each step evaluates the
-        bracketing interval's cubic and its slope (3c0, 2c1, c2, as
-        ``derivative()`` forms them) in ascending powers of s = q - x[idx],
-        the order ``PPoly`` sums in: bitwise the interpolant.  Every value
-        follows its own Newton path, so the blocks do not change any bit.
-        Returns an array of ``u``'s shape.
+        the guide table (see the class docstring).  Each value starts from
+        its interval's inverse Hermite interpolant (``_inverse_hermite``) and
+        takes one Newton step on the interval's cubic.  The step is kept when
+        it stays in the interval and the cubic there is within 1e-14 of u:
+        the safeguarded loop's own acceptance rule.  The few others, compacted,
+        run that loop (``_newton``) from the start.  Every value follows its
+        own path, so the blocks do not change any bit.  Returns an array of
+        ``u``'s shape.
         """
         ua = np.asarray(u, dtype=float)
         q = np.empty(ua.shape)
         flat_u, flat_q = ua.reshape(-1), q.reshape(-1)
-        for start in range(0, flat_u.size, _NEWTON_BLOCK):
-            block = slice(start, start + _NEWTON_BLOCK)
-            flat_q[block] = self._newton(np.clip(flat_u[block], self.cdf_values[0], self.cdf_values[-1]))
+        for start in range(0, flat_u.size, _QUANTILE_BLOCK):
+            block = slice(start, start + _QUANTILE_BLOCK)
+            flat_q[block] = self._one_step(np.clip(flat_u[block], self.cdf_values[0], self.cdf_values[-1]))
+        return q
+
+    def _one_step(self, ua: np.ndarray) -> np.ndarray:
+        """The quantiles of one block of u already clipped into table range."""
+        idx = _table_interval(self.cdf_values, self._guide, ua)
+        flo, inv_mass, b1, b2, b3 = (col[idx] for col in self._inverse)
+        lo = self.x[idx]
+        t = (ua - flo) * inv_mass
+        s = t * (b1 + t * (b2 + t * b3))  # the start's offset from x[idx]
+        c0, c1, c2, c3, d0, d1 = (col[idx] for col in self._cubic)
+        s2 = s * s
+        resid = (((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)) - ua
+        slope = (c2 + d1 * s) + d0 * s2
+        # a zero slope sends q to +-inf or NaN, which the test below rejects
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q = (lo + s) - resid / slope
+            s = q - lo
+            s2 = s * s
+            resid = (((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)) - ua
+        accepted = (np.abs(resid) < 1e-14) & (lo <= q) & (q <= self.x[idx + 1])
+        redo = np.flatnonzero(~accepted)
+        redo = redo[~np.isnan(ua[redo])]  # a NaN u fails every compare and keeps its NaN
+        if redo.size:
+            q[redo] = self._newton(ua[redo])
         return q
 
     def _newton(self, ua: np.ndarray) -> np.ndarray:
-        """The quantiles of one block of u already clipped into table range."""
+        """Safeguarded Newton on the interval cubics for u already clipped
+        into table range, from the linear start; bitwise the loop on whole
+        ``PchipInterpolator`` calls."""
         idx = _table_interval(self.cdf_values, self._guide, ua)
         lo, hi = self.x[idx], self.x[idx + 1]
         flo, fhi = self.cdf_values[idx], self.cdf_values[idx + 1]
         q = lo + (ua - flo) * (hi - lo) / np.where(fhi > flo, fhi - flo, 1.0)
         origin = lo
-        c0, c1, c2, c3 = self._coef[idx].T
+        c0, c1, c2, c3, d0, d1 = (col[idx] for col in self._cubic)
         done = np.zeros(q.shape, dtype=bool)
         for _ in range(60):
             s = q - origin
@@ -294,7 +359,7 @@ class _NigTable:
             done |= (np.abs(resid) < 1e-14) | (hi - lo < 1e-12 * (1.0 + np.abs(q)))
             if np.all(done):
                 break
-            slope = (c2 + 2.0 * c1 * s) + 3.0 * c0 * s2
+            slope = (c2 + d1 * s) + d0 * s2
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = np.where(slope > 0.0, resid / np.where(slope > 0.0, slope, 1.0), np.nan)
             cand = q - step
