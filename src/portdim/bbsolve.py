@@ -102,15 +102,6 @@ class SimplexCell:
             raise ValueError(f"cell needs N vertices of dimension N, got shape {v.shape}")
         object.__setattr__(self, "vertices", v)
 
-    def volume(self) -> float:
-        """Euclidean (N-1)-volume via the Gram determinant of the edge vectors."""
-        edges = self.vertices[1:] - self.vertices[0]
-        if edges.shape[0] == 0:
-            return 1.0
-        gram = edges @ edges.T
-        det = float(np.linalg.det(gram))
-        return math.sqrt(max(det, 0.0)) / math.factorial(edges.shape[0])
-
 
 @dataclass(frozen=True)
 class BbConfig:

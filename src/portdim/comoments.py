@@ -7,13 +7,13 @@ biased (divide-by-T) estimator,
     s[i,j,k]    = E[(r_i - mu_i)(r_j - mu_j)(r_k - mu_k)]
     k[i,j,k,l]  = E[(r_i - mu_i)(r_j - mu_j)(r_k - mu_k)(r_l - mu_l)]
 
-Only the unique elements (sorted index tuples) are computed and stored;
-the familiar ``N x N^2`` and ``N x N^3`` Kronecker block matrices
+Only the unique elements (sorted index tuples) are computed and stored.
+Of the familiar ``N x N^2`` and ``N x N^3`` Kronecker block matrices
 
     M3 = E[(r-mu)(r-mu)' (x) (r-mu)'],   M4 = E[(r-mu)(r-mu)' (x) (r-mu)' (x) (r-mu)']
 
-are materialized when requested.  The fourth moment is kept for evaluation
-as one ``n_p x n_p`` matrix over the n_p = N(N+1)/2 sorted index pairs,
+only M3 is materialized, on first use.  The fourth moment is kept for
+evaluation as one ``n_p x n_p`` matrix over the n_p = N(N+1)/2 sorted index pairs,
 
     G[(i<=j), (k<=l)] = k[i,j,k,l],
 
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -227,11 +227,10 @@ class CoMomentSet:
     """Covariance plus unique third/fourth co-moment values of a return panel.
 
     ``m3_unique``/``m4_unique`` hold the distinct tensor entries in colex
-    order of their sorted index tuples.  ``m3`` (the flat third-moment block)
-    and ``m4_gram`` (the fourth moment over unique index pairs, the only
-    fourth-moment form the kernel reads) are built on first access and kept
-    (a ``dataclasses.replace`` copy starts without them); ``m4``/``m4_tensor``
-    expand the full N^4 entries anew on each request.  Sets compare by
+    order of their sorted index tuples.  The two forms the moment kernels
+    read, ``m3`` (the flat third-moment block) and ``m4_gram`` (the fourth
+    moment over unique index pairs), are built on first access and kept; a
+    ``dataclasses.replace`` copy starts without them.  Sets compare by
     identity: a field-wise ``==`` of the arrays has no single truth value.
     """
 
@@ -241,8 +240,6 @@ class CoMomentSet:
     m4_unique: np.ndarray
     n_assets: int
     n_obs: int
-    _m3_full: np.ndarray | None = field(init=False, default=None, repr=False)
-    _m4_gram: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         """Reject malformed sets up front: shapes, non-finite values, a
@@ -264,26 +261,15 @@ class CoMomentSet:
             raise ValueError(f"covariance is not symmetric: max |m2 - m2'| = {asymmetry:.3e}")
         _check_positive_definite(self.m2)
 
-    @property
+    @functools.cached_property
     def m3(self) -> np.ndarray:
         """Third co-moment block matrix of shape (N, N^2)."""
-        if self._m3_full is None:
-            n = self.n_assets
-            i, j, k = np.indices((n, n, n))
-            sort3 = np.sort(np.stack([i, j, k], axis=-1), axis=-1)
-            ranks = _triple_rank(sort3[..., 0], sort3[..., 1], sort3[..., 2])
-            self._m3_full = self.m3_unique[ranks].reshape(n, n * n)
-        return self._m3_full
-
-    @property
-    def m4(self) -> np.ndarray:
-        """Fourth co-moment block matrix of shape (N, N^3), expanded from
-        ``m4_gram`` on each access (N^4 floats; not kept)."""
         n = self.n_assets
-        pair_of = _pair_layout(n)[3]
-        return self.m4_gram[np.ix_(pair_of, pair_of)].reshape(n, n**3)
+        i, j, k = np.indices((n, n, n))
+        sort3 = np.sort(np.stack([i, j, k], axis=-1), axis=-1)
+        return self.m3_unique[_triple_rank(sort3[..., 0], sort3[..., 1], sort3[..., 2])].reshape(n, n * n)
 
-    @property
+    @functools.cached_property
     def m4_gram(self) -> np.ndarray:
         """Fourth co-moment over sorted index pairs, shape (n_p, n_p) with
         n_p = N(N+1)/2: ``G[(i<=j), (k<=l)] = k[i,j,k,l]``; symmetric PSD.
@@ -292,33 +278,23 @@ class CoMomentSet:
         c <= d is (min(a,c), middle two, max(b,d)), where the middle two
         are max(a,c) and min(b,d) in either order.
         """
-        if self._m4_gram is None:
-            pair_i, pair_j = _pair_layout(self.n_assets)[:2]
-            n_pairs = pair_i.size
-            gram = np.empty((n_pairs, n_pairs))
-            for start in range(0, n_pairs, _GRAM_BLOCK_ROWS):
-                a = pair_i[start : start + _GRAM_BLOCK_ROWS, None]
-                b = pair_j[start : start + _GRAM_BLOCK_ROWS, None]
-                inner_lo = np.maximum(a, pair_i)
-                inner_hi = np.minimum(b, pair_j)
-                gram[start : start + _GRAM_BLOCK_ROWS] = self.m4_unique[
-                    _quad_rank(
-                        np.minimum(a, pair_i),
-                        np.minimum(inner_lo, inner_hi),
-                        np.maximum(inner_lo, inner_hi),
-                        np.maximum(b, pair_j),
-                    )
-                ]
-            self._m4_gram = gram
-        return self._m4_gram
-
-    @property
-    def m3_tensor(self) -> np.ndarray:
-        return self.m3.reshape((self.n_assets,) * 3)
-
-    @property
-    def m4_tensor(self) -> np.ndarray:
-        return self.m4.reshape((self.n_assets,) * 4)
+        pair_i, pair_j = _pair_layout(self.n_assets)[:2]
+        n_pairs = pair_i.size
+        gram = np.empty((n_pairs, n_pairs))
+        for start in range(0, n_pairs, _GRAM_BLOCK_ROWS):
+            a = pair_i[start : start + _GRAM_BLOCK_ROWS, None]
+            b = pair_j[start : start + _GRAM_BLOCK_ROWS, None]
+            inner_lo = np.maximum(a, pair_i)
+            inner_hi = np.minimum(b, pair_j)
+            gram[start : start + _GRAM_BLOCK_ROWS] = self.m4_unique[
+                _quad_rank(
+                    np.minimum(a, pair_i),
+                    np.minimum(inner_lo, inner_hi),
+                    np.maximum(inner_lo, inner_hi),
+                    np.maximum(b, pair_j),
+                )
+            ]
+        return gram
 
 
 def _check_positive_definite(m2: np.ndarray) -> None:

@@ -606,6 +606,17 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**doc, bb=BbConfig(**blocks["bb"]), gld=GldConfig(**blocks["gld"]))
 
 
+def _comma_list(kind: type):
+    """An argparse ``type=`` for a comma-separated list of ``kind``; a bad
+    token makes argparse exit 2 with "invalid comma-separated <kind> value"."""
+
+    def parse(text: str) -> tuple:
+        return tuple(kind(tok) for tok in text.split(",") if tok.strip())
+
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
+
+
 def _parser() -> argparse.ArgumentParser:
     """The ``portdim`` parser: each command takes the flag groups it reads."""
     groups = (argparse.ArgumentParser(add_help=False) for _ in range(7))
@@ -642,6 +653,7 @@ def _parser() -> argparse.ArgumentParser:
     gld.add_argument(
         "--record-paths",
         dest="record_paths",
+        type=_comma_list(int),
         default="",
         help="comma-separated path indices whose full trajectories are written",
     )
@@ -661,7 +673,8 @@ def _parser() -> argparse.ArgumentParser:
         parents=[common, output, stop, bound],
         help="three-asset weight comparison over a rho grid",
     )
-    p.add_argument("--rho-grid", dest="rho_grid", default="-0.7,-0.5,-0.3,0.0,0.5,0.95,0.99",
+    p.add_argument("--rho-grid", dest="rho_grid", type=_comma_list(float),
+                   default="-0.7,-0.5,-0.3,0.0,0.5,0.95,0.99",
                    help="comma-separated correlation grid; write --rho-grid=-0.5,0.99 when "
                         "the first value is negative")
     sub.add_parser(
@@ -695,7 +708,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
     cfg = _build_config(args)
 
     if args.command == "simulate":
@@ -705,23 +719,23 @@ def main(argv=None) -> int:
         path = cmd_build_moments(cfg)
         print(path)
     elif args.command == "toy-example":
-        grid = [float(tok) for tok in args.rho_grid.split(",") if tok.strip()]
-        path = cmd_toy_example(cfg, grid)
+        path = cmd_toy_example(cfg, args.rho_grid)
         print(path)
     elif args.command == "optimize-bb":
         results_path, trace_path = cmd_optimize_bb(cfg)
         print(results_path)
         print(trace_path)
     elif args.command == "optimize-gld":
-        record = tuple(int(tok) for tok in args.record_paths.split(",") if tok.strip())
-        results_path, hist_path = cmd_optimize_gld(cfg, record_paths=record)
+        results_path, hist_path = cmd_optimize_gld(cfg, record_paths=args.record_paths)
         print(results_path)
         print(hist_path)
     elif args.command == "dimensionality":
-        weights = np.asarray(json.loads(Path(args.weights_file).read_text())["weights"], dtype=float)
         measure = NuMeasure(args.measure)
         ref_kurt = args.ref_kurtosis if args.ref_kurtosis is not None else cfg.kurtosis
         ref_skew = args.ref_skewness if args.ref_skewness is not None else cfg.skewness
+        if measure is NuMeasure.SQUARED_SKEWNESS and ref_skew == 0.0:
+            parser.error("--measure squared_skewness needs a nonzero reference skewness: set --ref-skewness")
+        weights = np.asarray(json.loads(Path(args.weights_file).read_text())["weights"], dtype=float)
         reference = ReferenceAsset.from_target(
             MarginTarget(mean=cfg.mean, variance=cfg.variance, skewness=ref_skew, kurtosis=ref_kurt),
             measure,

@@ -201,8 +201,8 @@ class _NigTable:
     panels with one adaptive refinement pass; the cumulative sums, capped at
     1, are interpolated with a monotone cubic (PCHIP), which the quantile
     inverts on the cubic of the one interval bracketing each target: one
-    Newton step from an inverse-Hermite start, with a safeguarded Newton loop
-    behind it.
+    Newton step from an inverse-Hermite start, with a bisection of that
+    interval behind it.
 
     The bracketing interval comes from a guide table over 8192 equal bins
     of u (``_guide_table``): ``_guide[k]`` is the last node whose CDF value
@@ -301,11 +301,11 @@ class _NigTable:
         the guide table (see the class docstring).  Each value starts from
         its interval's inverse Hermite interpolant (``_inverse_hermite``) and
         takes one Newton step on the interval's cubic.  The step is kept when
-        it stays in the interval and the cubic there is within 1e-14 of u:
-        the safeguarded loop's own acceptance rule.  The few others, compacted,
-        run that loop (``_newton``) from the start.  Every value follows its
-        own path, so the blocks do not change any bit.  Returns an array of
-        ``u``'s shape.
+        it stays in the interval and the cubic there is within 1e-14 of u.
+        The few others, compacted, bisect the same interval (``_bisect``), so
+        every quantile lies in the interval its u falls in.  Every value
+        follows its own path, so the blocks do not change any bit.  Returns
+        an array of ``u``'s shape.
         """
         ua = np.asarray(u, dtype=float)
         q = np.empty(ua.shape)
@@ -336,35 +336,28 @@ class _NigTable:
         redo = np.flatnonzero(~accepted)
         redo = redo[~np.isnan(ua[redo])]  # a NaN u fails every compare and keeps its NaN
         if redo.size:
-            q[redo] = self._newton(ua[redo])
+            q[redo] = self._bisect(ua[redo], idx[redo])
         return q
 
-    def _newton(self, ua: np.ndarray) -> np.ndarray:
-        """Safeguarded Newton on the interval cubics for u already clipped
-        into table range, from the linear start; bitwise the loop on whole
-        ``PchipInterpolator`` calls."""
-        idx = _table_interval(self.cdf_values, self._guide, ua)
+    def _bisect(self, ua: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Bisection of each interval cubic on [x_idx, x_idx+1] for u already
+        clipped into table range, until the cubic is within 1e-14 of u; a
+        settled value holds both ends, so it stays put.  Every midpoint lies
+        in the interval, so no quantile can leave it."""
         lo, hi = self.x[idx], self.x[idx + 1]
-        flo, fhi = self.cdf_values[idx], self.cdf_values[idx + 1]
-        q = lo + (ua - flo) * (hi - lo) / np.where(fhi > flo, fhi - flo, 1.0)
         origin = lo
-        c0, c1, c2, c3, d0, d1 = (col[idx] for col in self._cubic)
-        done = np.zeros(q.shape, dtype=bool)
+        c0, c1, c2, c3 = (col[idx] for col in self._cubic[:4])
+        q = 0.5 * (lo + hi)
         for _ in range(60):
             s = q - origin
             s2 = s * s
             resid = (((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)) - ua
-            hi = np.where(~done & (resid > 0.0), np.minimum(q, hi), hi)
-            lo = np.where(~done & (resid <= 0.0), np.maximum(q, lo), lo)
-            done |= (np.abs(resid) < 1e-14) | (hi - lo < 1e-12 * (1.0 + np.abs(q)))
-            if np.all(done):
+            settled = np.abs(resid) < 1e-14
+            if settled.all():
                 break
-            slope = (c2 + d1 * s) + d0 * s2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(slope > 0.0, resid / np.where(slope > 0.0, slope, 1.0), np.nan)
-            cand = q - step
-            bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-            q = np.where(done, q, np.where(bad, 0.5 * (lo + hi), cand))
+            lo = np.where(settled | (resid <= 0.0), q, lo)
+            hi = np.where(settled | (resid > 0.0), q, hi)
+            q = 0.5 * (lo + hi)
         return q
 
 

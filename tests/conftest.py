@@ -1,10 +1,13 @@
-"""Shared fixtures: exact synthetic co-moment sets and one simulated panel.
+"""Shared fixtures: exact synthetic co-moment sets and one simulated panel,
+plus the dense forms that only tests read.
 
 The synthetic iid co-moments are population values written down by hand
 (unit variances, zero or prescribed third moments, marginal kurtosis
 ``kurt``), so tests against them are exact up to float arithmetic rather
 than Monte Carlo tolerance.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -35,6 +38,30 @@ def iid_comoments(n: int, kurt: float = 6.0, skew: float = 0.0) -> cm.CoMomentSe
         n_assets=n,
         n_obs=1,
     )
+
+
+def m4_block(c: cm.CoMomentSet) -> np.ndarray:
+    """Fourth co-moment block matrix of shape (N, N^3), expanded from ``m4_gram``."""
+    n = c.n_assets
+    pair_of = cm._pair_layout(n)[3]
+    return c.m4_gram[np.ix_(pair_of, pair_of)].reshape(n, n**3)
+
+
+def m3_tensor(c: cm.CoMomentSet) -> np.ndarray:
+    return c.m3.reshape((c.n_assets,) * 3)
+
+
+def m4_tensor(c: cm.CoMomentSet) -> np.ndarray:
+    return m4_block(c).reshape((c.n_assets,) * 4)
+
+
+def cell_volume(cell) -> float:
+    """Euclidean (N-1)-volume of a simplex cell via the Gram determinant of its edge vectors."""
+    edges = cell.vertices[1:] - cell.vertices[0]
+    if edges.shape[0] == 0:
+        return 1.0
+    det = float(np.linalg.det(edges @ edges.T))
+    return math.sqrt(max(det, 0.0)) / math.factorial(edges.shape[0])
 
 
 def homogeneous_spec(n: int, rho: float, kurt: float = 6.0) -> rs.MetaGaussianSpec:

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -481,6 +482,46 @@ def test_cli_toy_example_negative_rho_grid(tmp_path, capsys):
     rows = [l.split(",") for l in open(path).read().splitlines() if not l.startswith("#")][1:]
     assert [float(r[0]) for r in rows] == [-0.5, 0.99]
     assert all(r[5] == "optimal" for r in rows)
+
+
+def test_list_flags_parse_to_tuples():
+    parser = hn._parser()
+    assert parser.parse_args(["toy-example"]).rho_grid == (-0.7, -0.5, -0.3, 0.0, 0.5, 0.95, 0.99)
+    assert parser.parse_args(["optimize-gld"]).record_paths == ()
+    assert parser.parse_args(["optimize-gld", "--record-paths", "0, 2,"]).record_paths == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["toy-example", "--rho-grid=-0.5,abc"], "argument --rho-grid: invalid comma-separated float value: '-0.5,abc'"),
+        (["optimize-gld", "--record-paths", "0,x"], "argument --record-paths: invalid comma-separated int value: '0,x'"),
+    ],
+)
+def test_malformed_list_flag_exits_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        hn.main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_dimensionality_under_both_measures_at_default_margins(tmp_path, capsys):
+    moments_path = hn.cmd_build_moments(tiny_cfg(tmp_path))
+    weights_path = tmp_path / "w.json"
+    weights_path.write_text(json.dumps({"weights": [0.5, 0.3, 0.2]}))
+    argv = ["dimensionality", "--weights-file", str(weights_path), "--moments", str(moments_path),
+            "--output-dir", str(tmp_path)]
+    assert hn.main(argv) == 0
+    assert json.loads(Path(capsys.readouterr().out.strip()).read_text())["nu_reference"] == 3.0
+    # the default margins have no skewness, so squared_skewness has no reference without the flag
+    with pytest.raises(SystemExit) as exc:
+        hn.main([*argv, "--measure", "squared_skewness"])
+    assert exc.value.code == 2
+    assert "nonzero reference skewness: set --ref-skewness" in capsys.readouterr().err
+    assert hn.main([*argv, "--measure", "squared_skewness", "--ref-skewness", "0.3"]) == 0
+    payload = json.loads(Path(capsys.readouterr().out.strip()).read_text())
+    assert payload["nu_reference"] == pytest.approx(0.09, rel=1e-15)
+    assert payload["measure"] == "squared_skewness"
 
 
 def test_jsonable_handles_numpy_and_inf():

@@ -62,8 +62,8 @@ def _reference_quantile(table, u):
     """The quantile's Newton loop on whole-interpolant calls.
 
     Every step evaluates a ``PchipInterpolator`` and its ``derivative()``,
-    each with its own interval search; ``quantile_clipped`` must reproduce
-    this bit for bit.
+    each with its own interval search; ``_assert_meets_reference`` holds
+    ``quantile_clipped`` to it.
     """
     interp = PchipInterpolator(table.x, table.cdf_values, extrapolate=False)
     interp_deriv = interp.derivative()
@@ -279,7 +279,7 @@ def test_quantile_nan_never_reaches_the_bin_cast():
 
 
 def test_quantile_from_a_linear_start_still_meets_reference():
-    # one step from the linear start leaves many values short of 1e-14; they take the loop
+    # one step from the linear start leaves many values short of 1e-14; they take the bisection
     table = copy.copy(rs._table(P_ASYM))
     flo, inv_mass, _, b2, b3 = table._inverse
     table._inverse = (flo, inv_mass, np.diff(table.x), np.zeros_like(b2), np.zeros_like(b3))
@@ -297,15 +297,31 @@ def _grid_margin(kurtosis, skew_fraction):
 def test_one_newton_step_settles_nearly_every_uniform_draw(kurtosis, skew_fraction, monkeypatch):
     table = rs._table(_grid_margin(kurtosis, skew_fraction))
     reached = []
-    newton = rs._NigTable._newton
+    bisect = rs._NigTable._bisect
 
-    def counting(self, ua):
+    def counting(self, ua, idx):
         reached.append(ua.size)
-        return newton(self, ua)
+        return bisect(self, ua, idx)
 
-    monkeypatch.setattr(rs._NigTable, "_newton", counting)
+    monkeypatch.setattr(rs._NigTable, "_bisect", counting)
     table.quantile_clipped(np.random.default_rng(20).random(100_000))
     assert sum(reached) <= 100  # 0.1 %
+
+
+# the grid corners, and kurtosis 3.125 at skewness 0.875 of its bound, where
+# the node CDFs are denormal and a linear start once rounded past the interval
+@pytest.mark.parametrize(
+    "kurtosis, skew_fraction", [(3.125, 0.875), (3.05, -0.9), (3.05, 0.9), (6.0, 0.9), (30.0, -0.9)]
+)
+def test_quantile_stays_in_its_interval(kurtosis, skew_fraction):
+    table = rs._table(_grid_margin(kurtosis, skew_fraction))
+    nodes = table.cdf_values
+    tails = np.geomspace(5e-324, 1e-1, 4000)
+    u = np.concatenate([nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, 2.0), tails, 1.0 - tails, [2.17e-322]])
+    q = table.quantile_clipped(u)
+    idx = rs._table_interval(nodes, table._guide, np.clip(u, nodes[0], nodes[-1]))
+    outside = np.flatnonzero((q < table.x[idx]) | (q > table.x[idx + 1]))
+    assert outside.size == 0, (u[outside], q[outside])
 
 
 @pytest.mark.parametrize("kurtosis, skew_fraction", [(6.0, 0.9), (3.2, 0.0)])
