@@ -25,26 +25,32 @@ All bounds are assembled in the cone coordinates b with y = sum b_i v^i,
 u = sum b_i and w = y/u, which turns the ratio bound into a packing LP:
 max f'b s.t. A b <= 1, b >= 0, whose origin is feasible.
 
-The solver works in rounds over a frontier of cells.  Each round pops up to
-``_FRONTIER_CELLS`` of the best live cells, bisects them all at once, and
+The solver works in rounds over a frontier of cells.  The live cells are
+held in arrays (vertices, bound, depth, id) sorted best first by
+(-bound, id), so each round's parents are the first rows, up to
+``_FRONTIER_CELLS`` of them.  The round bisects them all at once and
 bounds the children together: one moment-kernel call for the gradients at
 all their cut anchors, one lockstep simplex over the stack of their
 packing LPs, and one moment-kernel call for h at all their LP candidates
 and barycenters.  These kernel calls are per round, not per cell.  The
-children are then applied parent by parent in pop order (lower bound,
-push, fathom, one history row), so with a frontier of one cell this is the
-plain best-first loop.  A wider frontier can only bisect a cell early that
-best-first would bisect later, or one that the lower bound reaches during
-the round; the certificate rule is the same.
+children are then applied with array operations, with the outcome of
+applying them parent by parent in order: one history row per parent, the
+lower bound a running max of the parents' scores, the step that fathoms
+each cell a binary search of its bound in those lower bounds, and one
+stable merge of the survivors with the children.
+So with a frontier of one cell this is the plain best-first loop.  A
+wider frontier can only bisect a cell early that best-first would bisect
+later, or one that the lower bound reaches during the round; the
+certificate rule is the same.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 import time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,7 +148,9 @@ class BbResult:
     ``live_cells`` the surviving cells, both only when configured.
     ``iterations`` counts bisected cells, ``rounds`` the frontier rounds
     that bisected them, and ``lp_pivots`` the simplex pivots of every cell
-    LP (of every subcell LP in ``milp`` mode).
+    LP (of every subcell LP in ``milp`` mode).  ``max_depth`` is the
+    deepest bisection reached and ``live_cells_per_round`` the live count
+    at the start of each round.
     """
 
     incumbent: Weights
@@ -157,6 +165,8 @@ class BbResult:
     rounds: int
     status: str
     alpha: float
+    max_depth: int
+    live_cells_per_round: np.ndarray
     fathomed_cells: tuple[tuple[SimplexCell, float], ...] = ()
     live_cells: tuple[SimplexCell, ...] = ()
 
@@ -251,6 +261,17 @@ def alpha_floor(c: CoMomentSet) -> float:
     )
     grad = moment_derivatives(w, c).grad_mu4
     return mu4 - max(0.0, float(grad @ w - grad.min()))
+
+
+#: alpha_floor of each co-moment set that ``solve`` has seen, so that solves
+#: of one set under several modes run the descent once
+_ALPHAS: weakref.WeakKeyDictionary[CoMomentSet, float] = weakref.WeakKeyDictionary()
+
+
+def _alpha(c: CoMomentSet) -> float:
+    if c not in _ALPHAS:
+        _ALPHAS[c] = alpha_floor(c)
+    return _ALPHAS[c]
 
 
 def _cut_points(vertices: np.ndarray, n_c: int) -> np.ndarray:
@@ -401,15 +422,28 @@ def bound_milp(cell: SimplexCell, c: CoMomentSet, alpha: float) -> tuple[float, 
 # main loop
 
 
+def _merge(rows: np.ndarray, new: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """``rows`` with the rows of ``new`` placed at the increasing positions
+    ``slots`` of the result, in one copy."""
+    out = np.empty((rows.shape[0] + new.shape[0],) + rows.shape[1:], dtype=rows.dtype)
+    from_rows = np.ones(out.shape[0], dtype=bool)
+    from_rows[slots] = False
+    out[from_rows] = rows
+    out[slots] = new
+    return out
+
+
 def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
     """Best-first branch-and-bound for the maximum of h over the simplex.
 
     Returns a certificate-quality result: on status ``'optimal'`` the
-    incumbent satisfies h(incumbent) >= (1 - rho_tol) * max h.  Each round
-    bisects the live cells with the largest upper bounds, up to
-    ``_FRONTIER_CELLS`` of them and only those the lower bound does not
-    fathom yet; a cell is fathomed once (1 - rho_tol) * UB(cell) <= LB.
-    Iteration and wall-clock limits return the best incumbent with status
+    incumbent satisfies h(incumbent) >= (1 - rho_tol) * max h.  A cell is
+    fathomed once (1 - rho_tol) * UB(cell) <= LB.  Each round bisects the
+    first ``_FRONTIER_CELLS`` live cells in (-UB, id) order (fewer if the
+    iteration limit is near) and records one history row per parent, as if
+    its children were applied parent by parent; a row's top bound is the
+    largest bound of any cell live, pending or fathomed.  Iteration and
+    wall-clock limits return the best incumbent with status
     ``'iteration_limit'`` or ``'time_limit'``.
     """
     n = c.n_assets
@@ -428,36 +462,23 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
             lp_pivots=0,
             rounds=0,
             status="optimal",
-            alpha=alpha_floor(c),
+            alpha=_alpha(c),
+            max_depth=0,
+            live_cells_per_round=np.zeros(0, dtype=int),
         )
 
     start_time = time.perf_counter()
-    alpha = alpha_floor(c)
+    alpha = _alpha(c)
     shrink = 1.0 - cfg.rho_tol
-
-    lb = -math.inf
-    incumbent: np.ndarray | None = None
-    created = 0
-    fathomed = 0
     lp_pivots = 0
-    # main heap: best-first by (-ub, id); deletion heap: ascending (ub, id),
-    # popped as soon as the growing lower bound certifies a cell can be
-    # discarded.  ``live`` maps each live cell's id to (vertices, ub, depth).
-    heap: list[tuple[float, int]] = []
-    deletions: list[tuple[float, int]] = []
-    live: dict[int, tuple[np.ndarray, float, int]] = {}
-    fathomed_cells: list[tuple[SimplexCell, float]] = []
-    lb_hist: list[float] = []
-    ub_hist: list[float] = []
-    frac_hist: list[float] = []
 
-    def bound_and_score(cells: np.ndarray, per_group: int) -> tuple[list[float], list[float], np.ndarray]:
+    def bound_and_score(cells: np.ndarray, per_group: int, first_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Bound a stack of new cells and score their LP candidates and
         barycenters; per group of ``per_group`` consecutive cells, the best
         score and its point (the first best, in the order candidate then
         barycenter of each cell)."""
         nonlocal lp_pivots
-        ub, w, ok, pivots = _bound_cells(cells, c, alpha, cfg.bound_mode, cfg.n_c, created)
+        ub, w, ok, pivots = _bound_cells(cells, c, alpha, cfg.bound_mode, cfg.n_c, first_id)
         lp_pivots += pivots
         center = cells.mean(axis=1)
         points = np.stack([np.where(ok[:, None], w, center), center], axis=1).reshape(-1, per_group * 2, n)
@@ -466,43 +487,40 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
         scores[:, ::2][~ok.reshape(-1, per_group)] = -math.inf
         best = scores.argmax(axis=1)
         rows = np.arange(points.shape[0])
-        return ub.tolist(), scores[rows, best].tolist(), points[rows, best]
+        return ub, scores[rows, best], points[rows, best]
 
-    def push(vertices: np.ndarray, ub: float, depth: int) -> None:
-        nonlocal created
-        heapq.heappush(heap, (-ub, created))
-        heapq.heappush(deletions, (ub, created))
-        live[created] = (vertices, ub, depth)
-        created += 1
+    fathomed_cells: list[tuple[SimplexCell, float]] = []
 
-    def fathom_and_record(pending: int = 0, pending_ub: float = -math.inf) -> None:
-        """Fathom every cell the lower bound now certifies, then append one
-        row to each history.  The ``pending`` popped cells whose children
-        are not applied yet count as live; the best of them has bound
-        ``pending_ub``."""
-        nonlocal fathomed
-        while deletions and shrink * deletions[0][0] <= lb:
-            ub, cell_id = heapq.heappop(deletions)
-            entry = live.pop(cell_id, None)
-            if entry is None:
-                continue  # stale entry: the cell was subdivided, not fathomed
-            fathomed += 1
-            if cfg.collect_cells:
-                fathomed_cells.append((SimplexCell(entry[0], ub, entry[2], cell_id), lb))
-        # children are capped at their parent's bound, so the top bound never rises
-        lb_hist.append(lb)
-        ub_hist.append(max(-heap[0][0], pending_ub))
-        frac_hist.append(fathomed / (fathomed + len(live) + pending))
+    def collect(lbs, *groups) -> None:
+        """Record fathomed cells, given as groups of (vertices, ub, depth, id,
+        fathoming step) arrays, by fathoming step, then ascending (ub, id)."""
+        vertices, ub, depth, ids, steps = (np.concatenate(part) for part in zip(*groups))
+        for k in np.lexsort((ids, ub, steps)):
+            cell = SimplexCell(vertices[k], float(ub[k]), int(depth[k]), int(ids[k]))
+            fathomed_cells.append((cell, float(lbs[steps[k]])))
 
     root = np.eye(n)[None]
-    (root_ub,), (lb,), (incumbent,) = bound_and_score(root, 1)
-    push(root[0], root_ub, 0)
-    fathom_and_record()
+    ub, (lb,), (incumbent,) = bound_and_score(root, 1, 0)
+    lb = float(lb)
+    # the live cells, best first by (-ub, id)
+    vertices, depth, ids = root, np.zeros(1, dtype=int), np.zeros(1, dtype=int)
+    lb_hist, ub_hist = [np.array([lb])], [ub]
+    fathomed = 0
+    fathomed_top = -math.inf  # the largest bound of any fathomed cell
+    if shrink * ub[0] <= lb:
+        if cfg.collect_cells:
+            collect([lb], (vertices, ub, depth, ids, [0]))
+        fathomed, fathomed_top = 1, float(ub[0])
+        vertices, ub, depth, ids = vertices[:0], ub[:0], depth[:0], ids[:0]
+    frac_hist = [np.array([float(fathomed)])]
+    live_per_round: list[int] = []
+    created = 1
     iteration = 0
-    rounds = 0
+    max_depth = 0
     while True:
-        if shrink * -heap[0][0] <= lb:
-            # every live cell is below the top bound, so all are fathomed already
+        live = ub.size
+        if not live:
+            # every cell is fathomed: the top bound is within rho_tol of lb
             status = "optimal"
             break
         if iteration >= cfg.max_iterations:
@@ -512,39 +530,88 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
             status = "time_limit"
             break
 
-        parents = []
-        take = min(_FRONTIER_CELLS, cfg.max_iterations - iteration)
-        while len(parents) < take and heap and shrink * -heap[0][0] > lb:
-            parents.append(live.pop(heapq.heappop(heap)[1]))
-        rounds += 1
-        children = _bisect_cells(np.stack([vertices for vertices, _, _ in parents]))
-        bounds, scores, points = bound_and_score(children, 2)
-        for p, (_, parent_ub, depth) in enumerate(parents):
-            if scores[p] > lb:
-                lb, incumbent = scores[p], points[p]
-            push(children[2 * p], min(bounds[2 * p], parent_ub), depth + 1)
-            push(children[2 * p + 1], min(bounds[2 * p + 1], parent_ub), depth + 1)
-            iteration += 1
-            pending = len(parents) - p - 1
-            fathom_and_record(pending, parents[p + 1][1] if pending else -math.inf)
-    fathom_and_record()  # the bounds at the stopping test; lb has not moved, so nothing is fathomed
+        live_per_round.append(live)
+        k = min(_FRONTIER_CELLS, cfg.max_iterations - iteration, live)
+        steps = np.arange(k)
+        children = _bisect_cells(vertices[:k])
+        bounds, scores, points = bound_and_score(children, 2, created)
+        # children are capped at their parent's bound, so the top bound never rises
+        child_ub = np.minimum(bounds.reshape(k, 2), ub[:k, None]).ravel()
+        child_depth = np.repeat(depth[:k] + 1, 2)
+        child_ids = np.arange(created, created + 2 * k)
+        # the round as if applied parent by parent: lbs[p] is the lower bound
+        # after parent p, and the incumbent is the point of its last rise
+        lbs = np.fmax.accumulate(np.concatenate(([lb], scores)))[1:]
+        if lbs[-1] > lb:
+            incumbent = points[np.argmax(scores == lbs[-1])]
+            lb = float(lbs[-1])
+        # after parent p the rest stay live while shrink * ub > lbs[p], a prefix
+        # of their sorted bounds; child j lives from its parent's step j // 2
+        # to the step that fathoms it, the first p with shrink * ub <= lbs[p]
+        # (k if none does)
+        rest = live - k
+        rest_scaled = shrink * ub[k:]
+        rest_live = np.searchsorted(-rest_scaled, -lbs)
+        child_steps = np.maximum(np.repeat(steps, 2), np.searchsorted(lbs, shrink * child_ub))
+        # each parent turns into two children, one cell net; pending parents count as live
+        gone = fathomed + rest - rest_live + np.bincount(child_steps, minlength=k + 1)[:k].cumsum()
+        lb_hist.append(lbs)
+        frac_hist.append(gone / (fathomed + live + steps + 1))
+        # the top bound after parent p, over the cells kept, pending or fathomed:
+        # the best of the rest (fathomed cells rank below every live one), the
+        # children so far, and the next pending parent
+        top = ub[k] if rest else fathomed_top
+        child_top = np.maximum.accumulate(child_ub.reshape(k, 2).max(axis=1))
+        ub_hist.append(np.maximum(np.maximum(child_top, np.append(ub[1:k], -math.inf)), top))
+
+        kept = rest_live[-1]
+        keep_child = child_steps == k
+        gone_child = ~keep_child
+        if cfg.collect_cells:
+            rest_gone = (a[k + kept :] for a in (vertices, ub, depth, ids))
+            child_gone = (a[gone_child] for a in (children, child_ub, child_depth, child_ids, child_steps))
+            collect(lbs, (*rest_gone, np.searchsorted(lbs, rest_scaled[kept:])), tuple(child_gone))
+        fathomed = int(gone[-1])
+        fathomed_top = max(
+            fathomed_top, ub[k + kept :].max(initial=-math.inf), child_ub[gone_child].max(initial=-math.inf)
+        )
+        # merge the kept children into the kept rest, best first: a child goes
+        # after the rest of equal bound, whose ids are smaller
+        new = np.flatnonzero(keep_child)
+        new = new[np.argsort(-child_ub[new], kind="stable")]
+        slots = np.searchsorted(-ub[k : k + kept], -child_ub[new], side="right") + np.arange(new.size)
+        vertices = _merge(vertices[k : k + kept], children[new], slots)
+        ub = _merge(ub[k : k + kept], child_ub[new], slots)
+        depth = _merge(depth[k : k + kept], child_depth[new], slots)
+        ids = _merge(ids[k : k + kept], child_ids[new], slots)
+        max_depth = max(max_depth, int(child_depth.max()))
+        created += 2 * k
+        iteration += k
+    # the bounds at the stopping test; lb has not moved, so nothing is fathomed
+    lb_hist.append(np.array([lb]))
+    ub_hist.append(np.array([ub[0] if ub.size else fathomed_top]))
+    frac_hist.append(np.array([fathomed / (fathomed + ub.size)]))
 
     weights = Weights(np.clip(incumbent, 0.0, None) / np.clip(incumbent, 0.0, None).sum())
     return BbResult(
         incumbent=weights,
         incumbent_value=lb,
-        lower_bounds=np.asarray(lb_hist),
-        upper_bounds=np.asarray(ub_hist),
-        fraction_deleted=np.asarray(frac_hist),
+        lower_bounds=np.concatenate(lb_hist),
+        upper_bounds=np.concatenate(ub_hist),
+        fraction_deleted=np.concatenate(frac_hist),
         iterations=iteration,
         cells_created=created,
         cells_fathomed=fathomed,
         lp_pivots=lp_pivots,
-        rounds=rounds,
+        rounds=len(live_per_round),
         status=status,
         alpha=alpha,
+        max_depth=max_depth,
+        live_cells_per_round=np.asarray(live_per_round, dtype=int),
         fathomed_cells=tuple(fathomed_cells),
-        live_cells=tuple(SimplexCell(v, ub, depth, cell_id) for cell_id, (v, ub, depth) in live.items())
+        live_cells=tuple(
+            SimplexCell(vertices[k], float(ub[k]), int(depth[k]), int(ids[k])) for k in np.argsort(ids)
+        )
         if cfg.collect_cells
         else (),
     )

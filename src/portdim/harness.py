@@ -20,6 +20,7 @@ deterministic outputs:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -68,6 +69,19 @@ __all__ = [
 _SUPPORT_TOL = 1e-6
 
 
+class InputError(ValueError):
+    """An input file that cannot be read or holds malformed data."""
+
+
+@contextlib.contextmanager
+def _reading(path):
+    """Raise what goes wrong while reading ``path`` as an InputError that names it."""
+    try:
+        yield
+    except (OSError, ValueError) as err:
+        raise InputError(f"{path}: {err}") from err
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Merged settings for one run: universe, sample, solvers, output."""
@@ -112,12 +126,13 @@ class ExperimentConfig:
 
     def correlation(self) -> np.ndarray:
         if self.correlation_file is not None:
-            corr = np.loadtxt(self.correlation_file, delimiter=",", comments="#", ndmin=2)
-            if corr.shape != (self.n_assets, self.n_assets):
-                raise ValueError(
-                    f"correlation file has shape {corr.shape}, expected "
-                    f"({self.n_assets}, {self.n_assets})"
-                )
+            with _reading(self.correlation_file):
+                corr = np.loadtxt(self.correlation_file, delimiter=",", comments="#", ndmin=2)
+                if corr.shape != (self.n_assets, self.n_assets):
+                    raise ValueError(
+                        f"correlation file has shape {corr.shape}, expected "
+                        f"({self.n_assets}, {self.n_assets})"
+                    )
             return corr
         corr = np.full((self.n_assets, self.n_assets), self.rho)
         np.fill_diagonal(corr, 1.0)
@@ -221,14 +236,14 @@ def read_returns_csv(path: str | Path) -> ReturnSample:
     same shape): '#' comment lines, one header row of asset names, then one
     observation per row."""
     names: tuple[str, ...] = ()
-    with open(path, "r", encoding="utf-8") as fh:
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             if line.startswith("#"):
                 continue
             names = tuple(part.strip() for part in line.rstrip("\n").split(","))
             break
         values = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return ReturnSample(values, asset_names=names)
+        return ReturnSample(values, asset_names=names)
 
 
 def write_moments(path: str | Path, c: CoMomentSet, names, metadata: dict) -> Path:
@@ -248,21 +263,22 @@ def write_moments(path: str | Path, c: CoMomentSet, names, metadata: dict) -> Pa
 
 
 def read_moments(path: str | Path) -> CoMomentSet:
-    data = json.loads(Path(path).read_text())
-    missing = [k for k in ("mean", "m2", "m3_unique", "m4_unique", "n_assets", "n_obs") if k not in data]
-    if missing:
-        raise ValueError(f"{path}: missing field(s) {', '.join(missing)}")
-    for key in ("n_assets", "n_obs"):
-        if isinstance(data[key], bool) or not isinstance(data[key], int):
-            raise ValueError(f"{path}: {key} must be an integer, got {data[key]!r}")
-    return CoMomentSet(
-        mean=np.asarray(data["mean"], dtype=float),
-        m2=np.asarray(data["m2"], dtype=float),
-        m3_unique=np.asarray(data["m3_unique"], dtype=float),
-        m4_unique=np.asarray(data["m4_unique"], dtype=float),
-        n_assets=data["n_assets"],
-        n_obs=data["n_obs"],
-    )
+    with _reading(path):
+        data = json.loads(Path(path).read_text())
+        missing = [k for k in ("mean", "m2", "m3_unique", "m4_unique", "n_assets", "n_obs") if k not in data]
+        if missing:
+            raise ValueError(f"missing field(s) {', '.join(missing)}")
+        for key in ("n_assets", "n_obs"):
+            if isinstance(data[key], bool) or not isinstance(data[key], int):
+                raise ValueError(f"{key} must be an integer, got {data[key]!r}")
+        return CoMomentSet(
+            mean=np.asarray(data["mean"], dtype=float),
+            m2=np.asarray(data["m2"], dtype=float),
+            m3_unique=np.asarray(data["m3_unique"], dtype=float),
+            m4_unique=np.asarray(data["m4_unique"], dtype=float),
+            n_assets=data["n_assets"],
+            n_obs=data["n_obs"],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +423,12 @@ def cmd_optimize_bb(cfg: ExperimentConfig) -> tuple[Path, Path]:
         ),
         meta,
     )
-    counters = {"lp_pivots": result.lp_pivots, "rounds": result.rounds}
+    counters = {
+        "lp_pivots": result.lp_pivots,
+        "rounds": result.rounds,
+        "max_depth": result.max_depth,
+        "live_cells_per_round": result.live_cells_per_round.tolist(),
+    }
     RunRecord.capture("optimize-bb", cfg, time.perf_counter() - start, counters).write(directory)
     return results_path, trace_path
 
@@ -707,43 +728,63 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_weights(path: str) -> np.ndarray:
+    with _reading(path):
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict) or "weights" not in doc:
+            raise ValueError('needs an object with a "weights" array')
+        return np.asarray(Weights(doc["weights"]))
+
+
+@contextlib.contextmanager
+def _usage_errors(parser: argparse.ArgumentParser, *errors: type[Exception]):
+    """Report the given errors as argparse does: ``portdim: error: ...`` and exit 2."""
+    try:
+        yield
+    except errors as err:
+        parser.error(str(err))
+
+
 def main(argv=None) -> int:
+    """Run one command.  Bad flags, a bad config and unreadable or malformed
+    input files exit 2 with a one-line message; other errors raise."""
     parser = _parser()
     args = parser.parse_args(argv)
-    cfg = _build_config(args)
-
-    if args.command == "simulate":
-        path = cmd_simulate(cfg)
-        print(path)
-    elif args.command == "build-moments":
-        path = cmd_build_moments(cfg)
-        print(path)
-    elif args.command == "toy-example":
-        path = cmd_toy_example(cfg, args.rho_grid)
-        print(path)
-    elif args.command == "optimize-bb":
-        results_path, trace_path = cmd_optimize_bb(cfg)
-        print(results_path)
-        print(trace_path)
-    elif args.command == "optimize-gld":
-        results_path, hist_path = cmd_optimize_gld(cfg, record_paths=args.record_paths)
-        print(results_path)
-        print(hist_path)
-    elif args.command == "dimensionality":
-        measure = NuMeasure(args.measure)
-        ref_kurt = args.ref_kurtosis if args.ref_kurtosis is not None else cfg.kurtosis
-        ref_skew = args.ref_skewness if args.ref_skewness is not None else cfg.skewness
-        if measure is NuMeasure.SQUARED_SKEWNESS and ref_skew == 0.0:
-            parser.error("--measure squared_skewness needs a nonzero reference skewness: set --ref-skewness")
-        weights = np.asarray(json.loads(Path(args.weights_file).read_text())["weights"], dtype=float)
-        reference = ReferenceAsset.from_target(
-            MarginTarget(mean=cfg.mean, variance=cfg.variance, skewness=ref_skew, kurtosis=ref_kurt),
-            measure,
-        )
-        path = cmd_dimensionality(cfg, weights, reference, measure, moments_file=args.moments_file)
-        print(path)
-    elif args.command == "bench":
-        print(json.dumps(_jsonable(cmd_bench(cfg)), sort_keys=True, indent=2))
+    with _usage_errors(parser, OSError, ValueError):
+        cfg = _build_config(args)
+    with _usage_errors(parser, InputError):
+        if args.command == "simulate":
+            path = cmd_simulate(cfg)
+            print(path)
+        elif args.command == "build-moments":
+            path = cmd_build_moments(cfg)
+            print(path)
+        elif args.command == "toy-example":
+            path = cmd_toy_example(cfg, args.rho_grid)
+            print(path)
+        elif args.command == "optimize-bb":
+            results_path, trace_path = cmd_optimize_bb(cfg)
+            print(results_path)
+            print(trace_path)
+        elif args.command == "optimize-gld":
+            results_path, hist_path = cmd_optimize_gld(cfg, record_paths=args.record_paths)
+            print(results_path)
+            print(hist_path)
+        elif args.command == "dimensionality":
+            measure = NuMeasure(args.measure)
+            ref_kurt = args.ref_kurtosis if args.ref_kurtosis is not None else cfg.kurtosis
+            ref_skew = args.ref_skewness if args.ref_skewness is not None else cfg.skewness
+            if measure is NuMeasure.SQUARED_SKEWNESS and ref_skew == 0.0:
+                parser.error("--measure squared_skewness needs a nonzero reference skewness: set --ref-skewness")
+            weights = _read_weights(args.weights_file)
+            reference = ReferenceAsset.from_target(
+                MarginTarget(mean=cfg.mean, variance=cfg.variance, skewness=ref_skew, kurtosis=ref_kurt),
+                measure,
+            )
+            path = cmd_dimensionality(cfg, weights, reference, measure, moments_file=args.moments_file)
+            print(path)
+        elif args.command == "bench":
+            print(json.dumps(_jsonable(cmd_bench(cfg)), sort_keys=True, indent=2))
     return 0
 
 

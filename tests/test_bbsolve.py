@@ -1,5 +1,6 @@
 """Simplex partition geometry, cell bounds, and the branch-and-bound loop."""
 
+import dataclasses
 import heapq
 import itertools
 import math
@@ -14,6 +15,7 @@ from portdim import comoments as cm
 from portdim import retsim as rs
 from portdim import subsolver as ss
 
+from bb_heap_reference import heap_solve
 from conftest import cell_volume, homogeneous_spec, iid_comoments, m4_tensor
 
 EW_GRID_STEP = 0.01
@@ -556,3 +558,88 @@ def test_milp_mode_solves_small_instance(c2_iid):
     result = bb.solve(c2_iid, bb.BbConfig(rho_tol=1e-3, bound_mode="milp"))
     assert result.status == "optimal"
     assert result.kurtosis == pytest.approx(4.5, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the array-backed frontier against the heap loop it replaced
+
+
+def assert_same_result(got, want):
+    """Every field of two results equal bit for bit, cell lists in order."""
+    for name in ("status", "iterations", "cells_created", "cells_fathomed", "lp_pivots", "rounds", "max_depth"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("incumbent_value", "alpha"):
+        assert np.float64(getattr(got, name)).tobytes() == np.float64(getattr(want, name)).tobytes(), name
+    for name in ("lower_bounds", "upper_bounds", "fraction_deleted", "live_cells_per_round"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert np.asarray(got.incumbent).tobytes() == np.asarray(want.incumbent).tobytes()
+    assert len(got.fathomed_cells) == len(want.fathomed_cells)
+    pairs = [(a, b, la, lb) for (a, la), (b, lb) in zip(got.fathomed_cells, want.fathomed_cells)]
+    pairs += [(a, b, 0.0, 0.0) for a, b in zip(got.live_cells, want.live_cells)]
+    assert len(got.live_cells) == len(want.live_cells)
+    for a, b, la, lb in pairs:
+        assert (a.id, a.depth, a.upper_bound, la) == (b.id, b.depth, b.upper_bound, lb)
+        assert a.vertices.tobytes() == b.vertices.tobytes()
+
+
+def array_and_heap_loops(c, cfg, frontier):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bb, "_FRONTIER_CELLS", frontier)
+        got = bb.solve(c, cfg)
+    return got, heap_solve(c, cfg, frontier)
+
+
+@pytest.mark.parametrize("frontier", [1, 3, 128])
+@pytest.mark.parametrize("mode,n_c", [("lp1", 1), ("lp2", 1), ("lp2", 2), ("milp", 1)])
+def test_array_frontier_matches_the_heap_loop(c_n3, mode, n_c, frontier):
+    # 77 iterations stop the round in progress at every width: 77 is no
+    # multiple of 3, and at 128 the sixth round would take 128 > 77 - 63
+    for max_iterations in (1_000_000, 77):
+        for collect_cells in (False, True):
+            cfg = bb.BbConfig(
+                rho_tol=1e-3, bound_mode=mode, n_c=n_c, max_iterations=max_iterations, collect_cells=collect_cells
+            )
+            got, want = array_and_heap_loops(c_n3, cfg, frontier)
+            assert want.status == ("optimal" if max_iterations > 77 else "iteration_limit")
+            assert_same_result(got, want)
+            if collect_cells:
+                assert got.fathomed_cells or got.live_cells
+
+
+@pytest.mark.parametrize("frontier", [5, 128])
+@pytest.mark.parametrize("n, rho_tol, iterations", [(4, 1e-3, range(1000, 10**6)), (3, 0.9, [0])])
+def test_array_frontier_matches_the_heap_loop_on_more_instances(bound_instances, n, rho_tol, iterations, frontier):
+    # N=4 takes thousands of bisections; on the iid N=3 set at rho_tol 0.9
+    # the root's own candidates fathom the root
+    c = bound_instances[4][0] if n == 4 else iid_comoments(3)
+    cfg = bb.BbConfig(rho_tol=rho_tol, bound_mode="lp2", n_c=1, collect_cells=True)
+    got, want = array_and_heap_loops(c, cfg, frontier)
+    assert want.status == "optimal" and want.iterations in iterations
+    assert_same_result(got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rho_tol=st.floats(min_value=1e-3, max_value=1e-1),
+    frontier=st.integers(min_value=1, max_value=8),
+    mode=st.sampled_from([("lp1", 1), ("lp2", 1), ("lp2", 3), ("milp", 1)]),
+    max_iterations=st.integers(min_value=1, max_value=400),
+)
+def test_array_frontier_matches_the_heap_loop_property(c_n3, rho_tol, frontier, mode, max_iterations):
+    cfg = bb.BbConfig(
+        rho_tol=rho_tol, bound_mode=mode[0], n_c=mode[1], max_iterations=max_iterations, collect_cells=True
+    )
+    assert_same_result(*array_and_heap_loops(c_n3, cfg, frontier))
+
+
+def test_alpha_is_computed_once_per_set(c_n3, monkeypatch):
+    calls = []
+    floor = bb.alpha_floor
+    monkeypatch.setattr(bb, "alpha_floor", lambda c: calls.append(c) or floor(c))
+    fresh = dataclasses.replace(c_n3)
+    alphas = {bb.solve(fresh, bb.BbConfig(rho_tol=1e-2, bound_mode=mode)).alpha for mode in ("lp1", "lp2", "milp")}
+    assert alphas == {floor(c_n3)} and calls == [fresh]
+    copy = dataclasses.replace(fresh)
+    bb.solve(copy, bb.BbConfig(rho_tol=1e-2))
+    assert calls == [fresh, copy]

@@ -18,6 +18,16 @@ from portdim import harness as hn
 from portdim import retsim as rs
 
 
+def usage_error(argv, capsys) -> str:
+    """The one-line message of a ``main`` run that must exit 2 as argparse does."""
+    with pytest.raises(SystemExit) as exc:
+        hn.main(argv)
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("portdim: error: ")
+    return last.removeprefix("portdim: error: ")
+
+
 def tiny_cfg(tmp_path, **kw):
     base = dict(
         experiment="t",
@@ -199,9 +209,18 @@ def test_optimize_bb_reports_solver_counters(tmp_path):
     results_path, _ = hn.cmd_optimize_bb(cfg)
     results = json.loads(results_path.read_text())
     record = json.loads((tmp_path / "t" / "run_record.json").read_text())
-    assert record["counters"] == {"lp_pivots": results["lp_pivots"], "rounds": results["rounds"]}
+    counters = record["counters"]
+    assert set(counters) == {"lp_pivots", "rounds", "max_depth", "live_cells_per_round"}
+    assert (counters["lp_pivots"], counters["rounds"]) == (results["lp_pivots"], results["rounds"])
     assert results["lp_pivots"] > 0
     assert 1 <= results["rounds"] <= results["iterations"]
+    # the telemetry stays out of the results JSON, which reruns must reproduce byte for byte
+    assert not {"max_depth", "live_cells_per_round"} & set(results)
+    live = counters["live_cells_per_round"]
+    assert len(live) == results["rounds"] and live[0] == 1 and min(live) >= 1
+    # each round bisects the best live cells, up to a frontier's worth
+    assert sum(min(n, bb._FRONTIER_CELLS) for n in live) == results["iterations"]
+    assert 1 <= counters["max_depth"] <= results["iterations"]
 
 
 def test_optimize_gld_rejects_record_paths_before_sampling(tmp_path, monkeypatch):
@@ -306,11 +325,11 @@ def test_cli_merging_flags_beat_config(tmp_path):
     assert (record["config"]["seed"], record["config"]["gld"]["seed"]) == (9, 9)
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n_asset": 5, "t_ob": 3000, "seed": 1}))
-    with pytest.raises(ValueError, match="unknown keys.*n_asset, t_ob$"):
-        hn.main(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path)])
+    message = usage_error(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path)], capsys)
+    assert re.fullmatch("unknown keys.*n_asset, t_ob", message)
     # the solver sub-dicts are checked by their dataclasses
     cfg_path.write_text(json.dumps({"bb": {"rho_tolerance": 0.01}}))
     with pytest.raises(TypeError, match="rho_tolerance"):
@@ -328,15 +347,15 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         ({"n_assets": 2, "margins": [{"kurtosis": 5.0}, 3]}, "margins[1] must be an object, got 3"),
     ],
 )
-def test_config_file_shape_errors_name_the_file_and_part(doc, part, tmp_path):
+def test_config_file_shape_errors_name_the_file_and_part(doc, part, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=f"^{re.escape(f'config file {cfg_path}: {part}')}$"):
-        hn.main(["optimize-bb", "--config", str(cfg_path), "--output-dir", str(tmp_path)])
+    argv = ["optimize-bb", "--config", str(cfg_path), "--output-dir", str(tmp_path)]
+    assert usage_error(argv, capsys) == f"config file {cfg_path}: {part}"
 
 
 @pytest.mark.parametrize("name", ["n_c", "max_iterations", "n_assets", "t_obs"])
-def test_counts_must_be_integers(name, tmp_path):
+def test_counts_must_be_integers(name, tmp_path, capsys):
     solver = name in ("n_c", "max_iterations")
     make = bb.BbConfig if solver else hn.ExperimentConfig
     for bad in (2.0, 10.5, True):
@@ -346,8 +365,32 @@ def test_counts_must_be_integers(name, tmp_path):
     # the same message from a config file, before any work starts
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"bb": {name: 2.5}} if solver else {name: 2.5}))
-    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d, got 2.5$"):
-        hn.main(["optimize-bb", "--config", str(cfg_path), "--output-dir", str(tmp_path)])
+    message = usage_error(["optimize-bb", "--config", str(cfg_path), "--output-dir", str(tmp_path)], capsys)
+    assert re.fullmatch(rf"{name} must be an integer >= \d, got 2.5", message)
+
+
+def test_bad_input_files_exit_2_and_other_errors_raise(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing.json"
+    assert usage_error(["optimize-bb", "--config", str(missing)], capsys).startswith("[Errno 2] No such file")
+    assert "returns_file does not exist" in usage_error(["optimize-bb", "--returns", str(missing)], capsys)
+    bad_csv = tmp_path / "corr.csv"
+    bad_csv.write_text("1.0,0.5\n0.5,1.0\n")
+    argv = ["simulate", "--n-assets", "3", "--correlation-file", str(bad_csv), "--output-dir", str(tmp_path)]
+    assert usage_error(argv, capsys) == f"{bad_csv}: correlation file has shape (2, 2), expected (3, 3)"
+    moments = write_malformed_moments(tmp_path, lambda d: d.pop("m2"))
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"weights": [0.5, 0.3, 0.2]}))
+    argv = ["dimensionality", "--weights-file", str(weights), "--moments", str(moments), "--output-dir", str(tmp_path)]
+    assert usage_error(argv, capsys) == f"{moments}: missing field(s) m2"
+    weights.write_text(json.dumps({"weights": [0.5, float("nan"), 0.5]}))
+    assert usage_error(argv, capsys) == f"{weights}: weights contain non-finite entries"
+    # an error that no input explains is a bug, and keeps its traceback
+    def broken(cfg):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr(hn, "cmd_optimize_bb", broken)
+    with pytest.raises(ValueError, match="not an input error"):
+        hn.main(["optimize-bb", "--output-dir", str(tmp_path)])
 
 
 # the config flags of each command, by group
