@@ -447,26 +447,6 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
     ``'iteration_limit'`` or ``'time_limit'``.
     """
     n = c.n_assets
-    if n == 1:
-        even = _even_moments(np.ones((1, 1)), c)
-        one = even.variance**2 / even.mu4
-        return BbResult(
-            incumbent=Weights(np.array([1.0])),
-            incumbent_value=float(one[0]),
-            lower_bounds=one,
-            upper_bounds=one.copy(),
-            fraction_deleted=np.array([1.0]),
-            iterations=0,
-            cells_created=1,
-            cells_fathomed=1,
-            lp_pivots=0,
-            rounds=0,
-            status="optimal",
-            alpha=_alpha(c),
-            max_depth=0,
-            live_cells_per_round=np.zeros(0, dtype=int),
-        )
-
     start_time = time.perf_counter()
     alpha = _alpha(c)
     shrink = 1.0 - cfg.rho_tol
@@ -502,6 +482,8 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
     root = np.eye(n)[None]
     ub, (lb,), (incumbent,) = bound_and_score(root, 1, 0)
     lb = float(lb)
+    if n == 1:
+        ub[0] = lb  # the root is a point, so its bound is its value
     # the live cells, best first by (-ub, id)
     vertices, depth, ids = root, np.zeros(1, dtype=int), np.zeros(1, dtype=int)
     lb_hist, ub_hist = [np.array([lb])], [ub]

@@ -70,16 +70,16 @@ _SUPPORT_TOL = 1e-6
 
 
 class InputError(ValueError):
-    """An input file that cannot be read or holds malformed data."""
+    """Input that cannot be read, holds malformed data or that the solvers reject."""
 
 
 @contextlib.contextmanager
-def _reading(path):
-    """Raise what goes wrong while reading ``path`` as an InputError that names it."""
+def _input(source):
+    """Raise what goes wrong with ``source`` as an InputError that names it."""
     try:
         yield
     except (OSError, ValueError) as err:
-        raise InputError(f"{path}: {err}") from err
+        raise InputError(f"{source}: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class ExperimentConfig:
     gld: GldConfig = field(default_factory=GldConfig)
 
     def __post_init__(self) -> None:
-        _check_counts(("n_assets", self.n_assets, 1), ("t_obs", self.t_obs, 2))
+        _check_counts(("n_assets", self.n_assets, 1), ("t_obs", self.t_obs, 2), ("seed", self.seed, 0))
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"homogeneous rho must lie in (-1, 1), got {self.rho}")
         if self.margins is not None and len(self.margins) != self.n_assets:
@@ -113,20 +113,17 @@ class ExperimentConfig:
             if value is not None and not Path(value).is_file():
                 raise FileNotFoundError(f"{name} does not exist: {value}")
 
+    def margin(self, **changes) -> MarginTarget:
+        """The margin of the config's moments, with ``changes`` applied."""
+        moments = {"mean": self.mean, "variance": self.variance, "skewness": self.skewness, "kurtosis": self.kurtosis}
+        return MarginTarget(**(moments | changes))
+
     def margin_targets(self) -> tuple[MarginTarget, ...]:
-        if self.margins is not None:
-            return self.margins
-        target = MarginTarget(
-            mean=self.mean,
-            variance=self.variance,
-            skewness=self.skewness,
-            kurtosis=self.kurtosis,
-        )
-        return (target,) * self.n_assets
+        return self.margins if self.margins is not None else (self.margin(),) * self.n_assets
 
     def correlation(self) -> np.ndarray:
         if self.correlation_file is not None:
-            with _reading(self.correlation_file):
+            with _input(self.correlation_file):
                 corr = np.loadtxt(self.correlation_file, delimiter=",", comments="#", ndmin=2)
                 if corr.shape != (self.n_assets, self.n_assets):
                     raise ValueError(
@@ -134,7 +131,10 @@ class ExperimentConfig:
                         f"({self.n_assets}, {self.n_assets})"
                     )
             return corr
-        corr = np.full((self.n_assets, self.n_assets), self.rho)
+        n = self.n_assets
+        if n > 1 and not self.rho > -1.0 / (n - 1):
+            raise InputError(f"homogeneous rho {self.rho} must exceed -1/(N-1) = {-1.0 / (n - 1):.6g} for N = {n}")
+        corr = np.full((n, n), self.rho)
         np.fill_diagonal(corr, 1.0)
         return corr
 
@@ -175,9 +175,7 @@ class RunRecord:
         )
 
     def write(self, directory: Path) -> Path:
-        path = directory / "run_record.json"
-        path.write_text(json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n")
-        return path
+        return _write_results(directory / "run_record.json", dataclasses.asdict(self))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +234,7 @@ def read_returns_csv(path: str | Path) -> ReturnSample:
     same shape): '#' comment lines, one header row of asset names, then one
     observation per row."""
     names: tuple[str, ...] = ()
-    with _reading(path), open(path, "r", encoding="utf-8") as fh:
+    with _input(path), open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             if line.startswith("#"):
                 continue
@@ -247,9 +245,10 @@ def read_returns_csv(path: str | Path) -> ReturnSample:
 
 
 def write_moments(path: str | Path, c: CoMomentSet, names, metadata: dict) -> Path:
-    payload = dict(metadata)
-    payload.update(
+    return _write_results(
+        path,
         {
+            **metadata,
             "asset_names": list(names),
             "n_assets": c.n_assets,
             "n_obs": c.n_obs,
@@ -257,13 +256,12 @@ def write_moments(path: str | Path, c: CoMomentSet, names, metadata: dict) -> Pa
             "m2": c.m2,
             "m3_unique": c.m3_unique,
             "m4_unique": c.m4_unique,
-        }
+        },
     )
-    return _write_results(path, payload)
 
 
 def read_moments(path: str | Path) -> CoMomentSet:
-    with _reading(path):
+    with _input(path):
         data = json.loads(Path(path).read_text())
         missing = [k for k in ("mean", "m2", "m3_unique", "m4_unique", "n_assets", "n_obs") if k not in data]
         if missing:
@@ -286,7 +284,10 @@ def read_moments(path: str | Path) -> CoMomentSet:
 
 
 def build_universe(cfg: ExperimentConfig) -> MetaGaussianSpec:
-    return MetaGaussianSpec.from_targets(cfg.margin_targets(), cfg.correlation())
+    """The simulated universe; one the simulator rejects is an InputError."""
+    corr = cfg.correlation()
+    with _input("universe"):
+        return MetaGaussianSpec.from_targets(cfg.margin_targets(), corr)
 
 
 def load_or_simulate(cfg: ExperimentConfig) -> ReturnSample:
@@ -297,9 +298,7 @@ def load_or_simulate(cfg: ExperimentConfig) -> ReturnSample:
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
-    directory = Path(cfg.output_dir) / cfg.experiment
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
+    return Path(cfg.output_dir) / cfg.experiment  # each writer makes its file's directory
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
@@ -339,8 +338,7 @@ def cmd_build_moments(cfg: ExperimentConfig) -> Path:
     sample = load_or_simulate(cfg)
     c = build_comoments(sample)
     directory = _out_dir(cfg)
-    meta = _metadata(cfg)
-    meta["command"] = "build-moments"
+    meta = {**_metadata(cfg), "command": "build-moments"}
     path = write_moments(directory / "moments.json", c, sample.asset_names, meta)
     RunRecord.capture("build-moments", cfg, time.perf_counter() - start).write(directory)
     return path
@@ -350,10 +348,8 @@ def toy_universe(cfg: ExperimentConfig, rho: float) -> MetaGaussianSpec:
     """Three assets, unit variances; assets one and two correlated at rho,
     asset three independent."""
     corr = np.array([[1.0, rho, 0.0], [rho, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    target = MarginTarget(
-        mean=cfg.mean, variance=cfg.variance, skewness=cfg.skewness, kurtosis=cfg.kurtosis
-    )
-    return MetaGaussianSpec.from_targets((target,) * 3, corr)
+    with _input(f"toy universe at rho {rho}"):
+        return MetaGaussianSpec.from_targets((cfg.margin(),) * 3, corr)
 
 
 def cmd_toy_example(cfg: ExperimentConfig, rho_grid) -> Path:
@@ -361,8 +357,8 @@ def cmd_toy_example(cfg: ExperimentConfig, rho_grid) -> Path:
     bound), closed-form risk parity, closed-form diversification ratio."""
     start = time.perf_counter()
     rows = []
-    for rho in rho_grid:
-        spec = toy_universe(cfg, rho)
+    specs = [toy_universe(cfg, rho) for rho in rho_grid]  # reject a bad universe before any sampling
+    for rho, spec in zip(rho_grid, specs):
         sample = sample_meta_gaussian(spec, cfg.t_obs, seed=cfg.seed)
         c = build_comoments(sample)
         result = solve(c, cfg.bb)
@@ -435,7 +431,8 @@ def cmd_optimize_bb(cfg: ExperimentConfig) -> tuple[Path, Path]:
 
 def cmd_optimize_gld(cfg: ExperimentConfig, record_paths: tuple[int, ...] = ()) -> tuple[Path, Path]:
     """Langevin multistart run: results JSON plus final-iterate histograms."""
-    check_record_paths(record_paths, cfg.gld.n_sim)  # fail before seconds of sampling
+    with _input("--record-paths"):
+        check_record_paths(record_paths, cfg.gld.n_sim)  # fail before seconds of sampling
     start = time.perf_counter()
     sample = load_or_simulate(cfg)
     c = build_comoments(sample)
@@ -501,6 +498,8 @@ def cmd_dimensionality(
         c = read_moments(moments_file)
     else:
         c = build_comoments(load_or_simulate(cfg))
+    if len(weights) != c.n_assets:
+        raise InputError(f"--weights-file holds {len(weights)} weights for {c.n_assets} assets")
     w = Weights(weights)
     # d = D under both measures, so one evaluation fills both fields
     dim = dimensionality(w, c, reference, measure)
@@ -578,25 +577,44 @@ def cmd_bench(cfg: ExperimentConfig) -> dict:
 
 _FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
+#: (what it must be, test) for a config-file value, by its field's annotation; the dataclasses check counts
+_JSON_KINDS = {
+    "float": ("a number", lambda v: isinstance(v, float) or type(v) is int and abs(v) <= sys.float_info.max),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+}
+
 
 def _read_config_file(path: str) -> dict:
-    """The ``--config`` file, with each part `_build_config` unpacks checked for shape."""
+    """The ``--config`` file, with each part `_build_config` unpacks checked for shape and type."""
     doc = json.loads(Path(path).read_text())
 
     def expect(ok: bool, part: str, shape: str, value) -> None:
         if not ok:
             raise ValueError(f"config file {path}: {part} must be {shape}, got {value!r}")
 
+    def check(cls, values: dict, prefix: str = "") -> None:
+        """Keys name fields of ``cls``, values have their field's JSON kind (or are unset where it has a default)."""
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        unknown = sorted(set(values) - set(fields))
+        if unknown:
+            raise ValueError(f"unknown keys in config file {path}: {', '.join(prefix + k for k in unknown)}")
+        for key, f in fields.items():
+            shape, ok = _JSON_KINDS.get(f.type.removesuffix(" | None"), ("", lambda v: True))
+            value = values.get(key)
+            expect(ok(value) or value is None and f.default is not dataclasses.MISSING, prefix + key, shape, value)
+
     expect(isinstance(doc, dict), "the top level", "an object", doc)
-    unknown = sorted(set(doc) - _FIELDS)
-    if unknown:
-        raise ValueError(f"unknown keys in config file {path}: {', '.join(unknown)}")
-    for name in ("bb", "gld"):
+    check(ExperimentConfig, doc)
+    for name, cls in (("bb", BbConfig), ("gld", GldConfig)):
         expect(doc.get(name) is None or isinstance(doc[name], dict), name, "an object", doc.get(name))
+        check(cls, doc.get(name) or {}, f"{name}.")
     margins = doc.get("margins")
     expect(margins is None or isinstance(margins, list), "margins", "a list", margins)
     for i, margin in enumerate(margins or ()):
         expect(isinstance(margin, dict), f"margins[{i}]", "an object", margin)
+    for i, margin in enumerate(margins or ()):
+        check(MarginTarget, margin, f"margins[{i}].")
     return doc
 
 
@@ -729,7 +747,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _read_weights(path: str) -> np.ndarray:
-    with _reading(path):
+    with _input(path):
         doc = json.loads(Path(path).read_text())
         if not isinstance(doc, dict) or "weights" not in doc:
             raise ValueError('needs an object with a "weights" array')
@@ -777,10 +795,8 @@ def main(argv=None) -> int:
             if measure is NuMeasure.SQUARED_SKEWNESS and ref_skew == 0.0:
                 parser.error("--measure squared_skewness needs a nonzero reference skewness: set --ref-skewness")
             weights = _read_weights(args.weights_file)
-            reference = ReferenceAsset.from_target(
-                MarginTarget(mean=cfg.mean, variance=cfg.variance, skewness=ref_skew, kurtosis=ref_kurt),
-                measure,
-            )
+            with _input("reference asset"):
+                reference = ReferenceAsset.from_target(cfg.margin(skewness=ref_skew, kurtosis=ref_kurt), measure)
             path = cmd_dimensionality(cfg, weights, reference, measure, moments_file=args.moments_file)
             print(path)
         elif args.command == "bench":

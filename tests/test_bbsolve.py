@@ -376,6 +376,20 @@ def test_single_asset_is_trivial():
     assert np.array_equal(np.asarray(result.incumbent), np.array([1.0]))
     assert result.kurtosis == pytest.approx(6.0, rel=1e-12)
     assert result.fraction_deleted[-1] == 1.0
+    # the root of a one-asset universe is a point, bounded and fathomed like any
+    # root; on the sampled set its LP bound rounds above h at rho_tol 0
+    sample = np.random.default_rng(0).standard_t(5, size=(1000, 1))
+    for c in (c, cm.build_comoments(cm.ReturnSample(sample))):
+        even = cm._even_moments(np.ones((1, 1)), c)
+        h = float(even.variance[0] ** 2 / even.mu4[0])
+        for mode, rho_tol in itertools.product(("lp1", "lp2", "milp"), (0.0, 1e-3)):
+            result = bb.solve(c, bb.BbConfig(rho_tol=rho_tol, bound_mode=mode))
+            assert (result.status, result.iterations, result.rounds, result.lp_pivots) == ("optimal", 0, 0, 1)
+            # a root entry and a terminal entry, both at the point's value
+            assert result.lower_bounds.tolist() == result.upper_bounds.tolist() == [h, h]
+            assert result.fraction_deleted.tolist() == [1.0, 1.0]
+            assert np.float64(result.incumbent_value).tobytes() == np.float64(h).tobytes()
+            assert np.asarray(result.incumbent).tolist() == [1.0]
 
 
 @pytest.mark.parametrize("mode,n_c", [("lp1", 1), ("lp2", 1), ("lp2", 3), ("milp", 1)])

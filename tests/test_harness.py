@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from portdim import bbsolve as bb
 from portdim import comoments as cm
@@ -157,6 +158,19 @@ def test_simulate_matches_direct_sampler(tmp_path):
     path = hn.cmd_simulate(cfg)
     direct = rs.sample_meta_gaussian(hn.build_universe(cfg), cfg.t_obs, seed=cfg.seed)
     assert np.array_equal(hn.read_returns_csv(path).values, direct.values)
+
+
+def test_config_file_margins_reach_the_sampler(tmp_path, capsys):
+    margins = [
+        {"mean": 0.0, "variance": 1.0, "skewness": 0.2, "kurtosis": 5.0},
+        {"mean": 0.1, "variance": 2.0, "skewness": -0.1, "kurtosis": 7.0},
+    ]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_assets": 2, "rho": 0.3, "t_obs": 3000, "seed": 5, "margins": margins}))
+    assert hn.main(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path)]) == 0
+    path = Path(capsys.readouterr().out.strip())
+    spec = rs.MetaGaussianSpec.from_targets([rs.MarginTarget(**m) for m in margins], [[1.0, 0.3], [0.3, 1.0]])
+    assert np.array_equal(hn.read_returns_csv(path).values, rs.sample_meta_gaussian(spec, 3000, seed=5).values)
 
 
 def test_build_moments_uses_returns_file(tmp_path):
@@ -330,10 +344,10 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"n_asset": 5, "t_ob": 3000, "seed": 1}))
     message = usage_error(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path)], capsys)
     assert re.fullmatch("unknown keys.*n_asset, t_ob", message)
-    # the solver sub-dicts are checked by their dataclasses
+    # the solver blocks' keys are checked against their dataclasses' fields
     cfg_path.write_text(json.dumps({"bb": {"rho_tolerance": 0.01}}))
-    with pytest.raises(TypeError, match="rho_tolerance"):
-        hn.main(["optimize-bb", "--config", str(cfg_path), "--output-dir", str(tmp_path)])
+    message = usage_error(["optimize-bb", "--config", str(cfg_path), "--output-dir", str(tmp_path)], capsys)
+    assert message == f"unknown keys in config file {cfg_path}: bb.rho_tolerance"
 
 
 @pytest.mark.parametrize(
@@ -345,6 +359,19 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ({"gld": [5]}, "gld must be an object, got [5]"),
         ({"margins": 3}, "margins must be a list, got 3"),
         ({"n_assets": 2, "margins": [{"kurtosis": 5.0}, 3]}, "margins[1] must be an object, got 3"),
+        # wrong-typed values, named by their key
+        ({"experiment": 5}, "experiment must be a string, got 5"),
+        ({"rho": "x"}, "rho must be a number, got 'x'"),
+        ({"kurtosis": True}, "kurtosis must be a number, got True"),
+        ({"gld": {"lam": "x"}}, "gld.lam must be a number, got 'x'"),
+        ({"gld": {"polish": "no"}}, "gld.polish must be true or false, got 'no'"),
+        ({"bb": {"rho_tol": [0.1]}}, "bb.rho_tol must be a number, got [0.1]"),
+        ({"margins": [{"kurtosis": "x"}, {}]}, "margins[0].mean must be a number, got None"),
+        ({"margins": [{"mean": 0, "variance": 1, "skewness": 0, "kurtosis": "x"}]},
+         "margins[0].kurtosis must be a number, got 'x'"),
+        ({"margins": [{"mean": 0, "variance": 1, "skewness": None}]}, "margins[0].skewness must be a number, got None"),
+        # an integer beyond the float range would overflow in the margin checks
+        pytest.param({"mean": 10**400}, f"mean must be a number, got {10**400}", id="integer-beyond-float-range"),
     ],
 )
 def test_config_file_shape_errors_name_the_file_and_part(doc, part, tmp_path, capsys):
@@ -391,6 +418,80 @@ def test_bad_input_files_exit_2_and_other_errors_raise(tmp_path, capsys, monkeyp
     monkeypatch.setattr(hn, "cmd_optimize_bb", broken)
     with pytest.raises(ValueError, match="not an input error"):
         hn.main(["optimize-bb", "--output-dir", str(tmp_path)])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--n-assets", "5", "--rho", "-0.5"],
+         "homogeneous rho -0.5 must exceed -1/(N-1) = -0.25 for N = 5"),
+        (["simulate", "--kurtosis", "2"], "universe: NIG kurtosis strictly exceeds 3, got 2.0"),
+        (["simulate", "--skewness", "3"], "universe: skewness-kurtosis bound violated: skewness^2 = 9.0"),
+        (["simulate", "--variance", "-1"], "universe: variance must be positive, got -1.0"),
+        (["toy-example", "--kurtosis", "2"], "toy universe at rho -0.7: NIG kurtosis strictly exceeds 3"),
+        (["toy-example", "--rho-grid=0.5,1.5"], "toy universe at rho 1.5: target correlation matrix is not positive"),
+        (["dimensionality", "--ref-kurtosis", "2"], "reference asset: NIG kurtosis strictly exceeds 3, got 2.0"),
+        (["optimize-gld", "--n-sim", "4", "--record-paths", "7"], "--record-paths: record_paths [7] outside"),
+    ],
+)
+def test_rejected_universes_and_flags_exit_2_before_sampling(argv, message, tmp_path, capsys, monkeypatch):
+    def no_sampling(spec, t_obs, seed):
+        raise AssertionError("sampled before the universe and flags were checked")
+
+    monkeypatch.setattr(hn, "sample_meta_gaussian", no_sampling)
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"weights": [0.5, 0.3, 0.2]}))
+    if argv[0] == "dimensionality":
+        argv = [*argv, "--weights-file", str(weights)]
+    assert usage_error([*argv, "--output-dir", str(tmp_path)], capsys).startswith(message)
+
+
+def test_weights_file_of_the_wrong_length_exits_2(tmp_path, capsys):
+    moments = hn.cmd_build_moments(tiny_cfg(tmp_path))
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"weights": [0.5, 0.5]}))
+    argv = ["dimensionality", "--weights-file", str(weights), "--moments", str(moments), "--output-dir", str(tmp_path)]
+    assert usage_error(argv, capsys) == "--weights-file holds 2 weights for 3 assets"
+
+
+#: any JSON value: null, a bool, a number, a string, or a list or object of them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def config_block(cls):
+    """An object with some of the fields of ``cls``, or an unknown key, set to any JSON value."""
+    names = [f.name for f in dataclasses.fields(cls)] + ["unknown"]
+    return st.dictionaries(st.sampled_from(names), JSON_VALUES, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    doc=st.dictionaries(st.sampled_from([*sorted(hn._FIELDS), "unknown"]), JSON_VALUES, max_size=5) | JSON_VALUES,
+    blocks=st.fixed_dictionaries(
+        {},
+        optional={
+            "bb": config_block(bb.BbConfig) | JSON_VALUES,
+            "gld": config_block(gld.GldConfig) | JSON_VALUES,
+            "margins": st.lists(config_block(rs.MarginTarget) | JSON_VALUES, max_size=3) | JSON_VALUES,
+        },
+    ),
+)
+def test_malformed_config_documents_build_or_exit_2(doc, blocks, tmp_path_factory):
+    if isinstance(doc, dict):
+        doc = {**doc, **blocks}
+    path = tmp_path_factory.getbasetemp() / "cfg.json"
+    path.write_text(json.dumps(doc))
+    args = hn._parser().parse_args(["optimize-gld", "--config", str(path)])
+    try:
+        cfg = hn._build_config(args)
+    except (OSError, ValueError):  # main reports these as a usage error, exit 2
+        return
+    assert isinstance(cfg.bb, bb.BbConfig) and isinstance(cfg.gld, gld.GldConfig)
+    json.dumps(cfg.snapshot())  # every command hashes its config first
 
 
 # the config flags of each command, by group
