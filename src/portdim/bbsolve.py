@@ -69,6 +69,7 @@ from .subsolver import _best_blocks, _Breakdown, solve_lp, solve_milp  # noqa: F
 
 __all__ = [
     "SimplexCell",
+    "BOUND_MODES",
     "BbConfig",
     "BbResult",
     "bisect",
@@ -81,6 +82,7 @@ __all__ = [
 
 _DEGENERATE_EDGE = 1e-12
 _MAX_ENVELOPE_VERTICES = 6  # m! subcells: the milp bound solves one LP per subcell
+BOUND_MODES = ("lp1", "lp2", "milp")  # the cell bounds of the module docstring, for BbConfig.bound_mode
 _FRONTIER_CELLS = 128  # cells bisected per round; their children are bounded as one stack
 _ALPHA_GRAD_TOL = 1e-10
 _ALPHA_MAX_ITER = 100_000
@@ -115,7 +117,7 @@ class BbConfig:
 
     ``rho_tol`` is the relative optimality gap: the solver stops once
     ``(1 - rho_tol) * UB <= LB`` in h-space.  ``bound_mode`` picks the cell
-    bound ('lp1', 'lp2', 'milp'); ``n_c`` is the tangent-plane count per
+    bound, one of ``BOUND_MODES``; ``n_c`` is the tangent-plane count per
     asset used by 'lp2'.
     """
 
@@ -129,7 +131,7 @@ class BbConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.rho_tol < 1.0:
             raise ValueError(f"rho_tol must lie in [0, 1), got {self.rho_tol}")
-        if self.bound_mode not in ("lp1", "lp2", "milp"):
+        if self.bound_mode not in BOUND_MODES:
             raise ValueError(f"unknown bound_mode {self.bound_mode!r}")
         _check_counts(("n_c", self.n_c, 1), ("max_iterations", self.max_iterations, 0))
         if not self.max_seconds > 0:

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bbsolve import _MAX_ENVELOPE_VERTICES, BbConfig, solve
+from .bbsolve import _MAX_ENVELOPE_VERTICES, BOUND_MODES, BbConfig, solve
 from .comoments import CoMomentSet, ReturnSample, Weights, _check_counts, build_comoments
 from .divmeasure import (
     NuMeasure,
@@ -48,7 +48,6 @@ from .retsim import MarginTarget, MetaGaussianSpec, sample_meta_gaussian
 
 __all__ = [
     "ExperimentConfig",
-    "RunRecord",
     "config_hash",
     "write_csv",
     "read_returns_csv",
@@ -143,41 +142,6 @@ class ExperimentConfig:
         return _jsonable(dataclasses.asdict(self))
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """What happened: config snapshot, version, timing, work counters, environment."""
-
-    command: str
-    config: dict
-    config_hash: str
-    version: str
-    wall_clock_seconds: float
-    environment: dict
-    counters: dict = field(default_factory=dict)
-
-    @staticmethod
-    def capture(
-        command: str, cfg: ExperimentConfig, wall_clock_seconds: float, counters: dict | None = None
-    ) -> "RunRecord":
-        snap = cfg.snapshot()
-        return RunRecord(
-            command=command,
-            config=snap,
-            config_hash=config_hash(snap),
-            version=__version__,
-            wall_clock_seconds=wall_clock_seconds,
-            counters=dict(counters or {}),
-            environment={
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "platform": platform.platform(),
-            },
-        )
-
-    def write(self, directory: Path) -> Path:
-        return _write_results(directory / "run_record.json", dataclasses.asdict(self))
-
-
 # ---------------------------------------------------------------------------
 # serialization helpers
 
@@ -229,6 +193,41 @@ def _write_results(path: str | Path, payload: dict) -> Path:
     return path
 
 
+def _write_run_record(command: str, cfg: ExperimentConfig, start: float, counters: dict | None = None) -> Path:
+    """``run_record.json``: config snapshot, version, seconds since ``start``, work counters, environment."""
+    seconds = time.perf_counter() - start
+    snap = cfg.snapshot()
+    environment = {"python": platform.python_version(), "numpy": np.__version__, "platform": platform.platform()}
+    return _write_results(
+        _out_dir(cfg) / "run_record.json",
+        {
+            "command": command,
+            "config": snap,
+            "config_hash": config_hash(snap),
+            "version": __version__,
+            "wall_clock_seconds": seconds,
+            "environment": environment,
+            "counters": counters or {},
+        },
+    )
+
+
+def _is_number(value) -> bool:
+    """A JSON number that converts to a float: not a bool, not an integer beyond the float range."""
+    return isinstance(value, float) or type(value) is int and abs(value) <= sys.float_info.max
+
+
+def _numbers(name: str, value) -> np.ndarray:
+    """A JSON number or nested lists of numbers as a float array; booleans, strings, nulls and objects are not."""
+
+    def numeric(v) -> bool:
+        return _is_number(v) or isinstance(v, list) and all(map(numeric, v))
+
+    if not numeric(value):
+        raise ValueError(f"{name} must be an array of numbers")
+    return np.asarray(value, dtype=float)
+
+
 def read_returns_csv(path: str | Path) -> ReturnSample:
     """Read a returns CSV written by ``cmd_simulate`` (or hand-made in the
     same shape): '#' comment lines, one header row of asset names, then one
@@ -245,38 +244,24 @@ def read_returns_csv(path: str | Path) -> ReturnSample:
 
 
 def write_moments(path: str | Path, c: CoMomentSet, names, metadata: dict) -> Path:
-    return _write_results(
-        path,
-        {
-            **metadata,
-            "asset_names": list(names),
-            "n_assets": c.n_assets,
-            "n_obs": c.n_obs,
-            "mean": c.mean,
-            "m2": c.m2,
-            "m3_unique": c.m3_unique,
-            "m4_unique": c.m4_unique,
-        },
-    )
+    """The fields of ``c`` with the asset names and ``metadata``, as sorted-key JSON."""
+    fields = {f.name: getattr(c, f.name) for f in dataclasses.fields(CoMomentSet)}
+    return _write_results(path, {**metadata, "asset_names": list(names), **fields})
 
 
 def read_moments(path: str | Path) -> CoMomentSet:
+    """The set ``write_moments`` wrote: every field of ``CoMomentSet``, its counts integers, its arrays numbers."""
+    names = [f.name for f in dataclasses.fields(CoMomentSet)]
+    counts = [f.name for f in dataclasses.fields(CoMomentSet) if f.type == "int"]
     with _input(path):
         data = json.loads(Path(path).read_text())
-        missing = [k for k in ("mean", "m2", "m3_unique", "m4_unique", "n_assets", "n_obs") if k not in data]
+        missing = [k for k in names if not isinstance(data, dict) or k not in data]
         if missing:
             raise ValueError(f"missing field(s) {', '.join(missing)}")
-        for key in ("n_assets", "n_obs"):
+        for key in counts:
             if isinstance(data[key], bool) or not isinstance(data[key], int):
                 raise ValueError(f"{key} must be an integer, got {data[key]!r}")
-        return CoMomentSet(
-            mean=np.asarray(data["mean"], dtype=float),
-            m2=np.asarray(data["m2"], dtype=float),
-            m3_unique=np.asarray(data["m3_unique"], dtype=float),
-            m4_unique=np.asarray(data["m4_unique"], dtype=float),
-            n_assets=data["n_assets"],
-            n_obs=data["n_obs"],
-        )
+        return CoMomentSet(**{k: data[k] if k in counts else _numbers(k, data[k]) for k in names})
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +275,25 @@ def build_universe(cfg: ExperimentConfig) -> MetaGaussianSpec:
         return MetaGaussianSpec.from_targets(cfg.margin_targets(), corr)
 
 
+def _simulate(cfg: ExperimentConfig, spec: MetaGaussianSpec) -> ReturnSample:
+    """``cfg.t_obs`` rows of ``spec``; a panel too large for one array is an InputError naming --t-obs."""
+    if cfg.t_obs * spec.n_assets * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        raise InputError(f"--t-obs {cfg.t_obs}: a {cfg.t_obs} x {spec.n_assets} panel is too large for one array")
+    return sample_meta_gaussian(spec, cfg.t_obs, seed=cfg.seed)
+
+
 def load_or_simulate(cfg: ExperimentConfig) -> ReturnSample:
     """The returns file when configured, otherwise a fresh simulation."""
     if cfg.returns_file is not None:
         return read_returns_csv(cfg.returns_file)
-    return sample_meta_gaussian(build_universe(cfg), cfg.t_obs, seed=cfg.seed)
+    return _simulate(cfg, build_universe(cfg))
+
+
+def _comoments(cfg: ExperimentConfig, sample: ReturnSample) -> CoMomentSet:
+    """The panel's co-moments; a set ``CoMomentSet`` rejects, such as the singular
+    covariance of a duplicated column, is an InputError naming the panel."""
+    with _input(cfg.returns_file or "simulated returns"):
+        return build_comoments(sample)
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
@@ -320,15 +319,9 @@ def _support(w: np.ndarray) -> list[int]:
 def cmd_simulate(cfg: ExperimentConfig) -> Path:
     """Simulate a return panel and write it as CSV."""
     start = time.perf_counter()
-    sample = sample_meta_gaussian(build_universe(cfg), cfg.t_obs, seed=cfg.seed)
-    directory = _out_dir(cfg)
-    path = write_csv(
-        directory / "returns.csv",
-        list(sample.asset_names),
-        sample.values,
-        _metadata(cfg),
-    )
-    RunRecord.capture("simulate", cfg, time.perf_counter() - start).write(directory)
+    sample = _simulate(cfg, build_universe(cfg))
+    path = write_csv(_out_dir(cfg) / "returns.csv", list(sample.asset_names), sample.values, _metadata(cfg))
+    _write_run_record("simulate", cfg, start)
     return path
 
 
@@ -336,11 +329,10 @@ def cmd_build_moments(cfg: ExperimentConfig) -> Path:
     """Estimate co-moments from a returns panel and write them as JSON."""
     start = time.perf_counter()
     sample = load_or_simulate(cfg)
-    c = build_comoments(sample)
-    directory = _out_dir(cfg)
+    c = _comoments(cfg, sample)
     meta = {**_metadata(cfg), "command": "build-moments"}
-    path = write_moments(directory / "moments.json", c, sample.asset_names, meta)
-    RunRecord.capture("build-moments", cfg, time.perf_counter() - start).write(directory)
+    path = write_moments(_out_dir(cfg) / "moments.json", c, sample.asset_names, meta)
+    _write_run_record("build-moments", cfg, start)
     return path
 
 
@@ -359,29 +351,28 @@ def cmd_toy_example(cfg: ExperimentConfig, rho_grid) -> Path:
     rows = []
     specs = [toy_universe(cfg, rho) for rho in rho_grid]  # reject a bad universe before any sampling
     for rho, spec in zip(rho_grid, specs):
-        sample = sample_meta_gaussian(spec, cfg.t_obs, seed=cfg.seed)
-        c = build_comoments(sample)
+        sample = _simulate(cfg, spec)
+        with _input(f"toy panel at rho {rho}"):
+            c = build_comoments(sample)
         result = solve(c, cfg.bb)
         w3 = float(np.asarray(result.incumbent)[2])
         rows.append(
             (rho, w3, toy_rp_weight(rho), toy_dr_weight(rho), result.kurtosis, result.status)
         )
-    directory = _out_dir(cfg)
     path = write_csv(
-        directory / "toy_example.csv",
+        _out_dir(cfg) / "toy_example.csv",
         ["rho", "w3_min_kurtosis", "w3_risk_parity", "w3_diversification_ratio", "kurtosis", "status"],
         rows,
         _metadata(cfg),
     )
-    RunRecord.capture("toy-example", cfg, time.perf_counter() - start).write(directory)
+    _write_run_record("toy-example", cfg, start)
     return path
 
 
 def cmd_optimize_bb(cfg: ExperimentConfig) -> tuple[Path, Path]:
     """Branch-and-bound run: results JSON plus a bound-evolution trace CSV."""
     start = time.perf_counter()
-    sample = load_or_simulate(cfg)
-    c = build_comoments(sample)
+    c = _comoments(cfg, load_or_simulate(cfg))
     result = solve(c, cfg.bb)
     directory = _out_dir(cfg)
     meta = _metadata(cfg)
@@ -425,7 +416,7 @@ def cmd_optimize_bb(cfg: ExperimentConfig) -> tuple[Path, Path]:
         "max_depth": result.max_depth,
         "live_cells_per_round": result.live_cells_per_round.tolist(),
     }
-    RunRecord.capture("optimize-bb", cfg, time.perf_counter() - start, counters).write(directory)
+    _write_run_record("optimize-bb", cfg, start, counters)
     return results_path, trace_path
 
 
@@ -434,8 +425,7 @@ def cmd_optimize_gld(cfg: ExperimentConfig, record_paths: tuple[int, ...] = ()) 
     with _input("--record-paths"):
         check_record_paths(record_paths, cfg.gld.n_sim)  # fail before seconds of sampling
     start = time.perf_counter()
-    sample = load_or_simulate(cfg)
-    c = build_comoments(sample)
+    c = _comoments(cfg, load_or_simulate(cfg))
     result = multistart(c, cfg.gld, record_paths=record_paths)
     directory = _out_dir(cfg)
     meta = _metadata(cfg)
@@ -481,7 +471,7 @@ def cmd_optimize_gld(cfg: ExperimentConfig, record_paths: tuple[int, ...] = ()) 
             path_rows,
             meta,
         )
-    RunRecord.capture("optimize-gld", cfg, time.perf_counter() - start).write(directory)
+    _write_run_record("optimize-gld", cfg, start)
     return results_path, hist_path
 
 
@@ -497,16 +487,15 @@ def cmd_dimensionality(
     if moments_file is not None:
         c = read_moments(moments_file)
     else:
-        c = build_comoments(load_or_simulate(cfg))
+        c = _comoments(cfg, load_or_simulate(cfg))
     if len(weights) != c.n_assets:
         raise InputError(f"--weights-file holds {len(weights)} weights for {c.n_assets} assets")
     w = Weights(weights)
     # d = D under both measures, so one evaluation fills both fields
     dim = dimensionality(w, c, reference, measure)
     k_grid = list(range(1, 65))
-    directory = _out_dir(cfg)
     path = _write_results(
-        directory / "dimensionality.json",
+        _out_dir(cfg) / "dimensionality.json",
         {
             **_metadata(cfg),
             "command": "dimensionality",
@@ -523,12 +512,12 @@ def cmd_dimensionality(
             },
         },
     )
-    RunRecord.capture("dimensionality", cfg, time.perf_counter() - start).write(directory)
+    _write_run_record("dimensionality", cfg, start)
     return path
 
 
-#: the bound-mode table's rows, as (bound_mode, n_c)
-_BENCH_ROWS = (("lp1", 1), ("lp2", 1), ("lp2", 2), ("lp2", 3), ("lp2", 4), ("milp", 1))
+#: the bound-mode table's rows, as (bound_mode, n_c): each mode, and lp2 with 1 to 4 cuts per asset
+_BENCH_ROWS = tuple((mode, n_c) for mode in BOUND_MODES for n_c in (range(1, 5) if mode == "lp2" else (1,)))
 
 
 def cmd_bench(cfg: ExperimentConfig) -> dict:
@@ -542,7 +531,7 @@ def cmd_bench(cfg: ExperimentConfig) -> dict:
     sample = load_or_simulate(cfg)
     panel_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    c = build_comoments(sample)
+    c = _comoments(cfg, sample)
     moments_seconds = time.perf_counter() - start
     rows = []
     for bound_mode, n_c in _BENCH_ROWS:
@@ -579,7 +568,7 @@ _FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 #: (what it must be, test) for a config-file value, by its field's annotation; the dataclasses check counts
 _JSON_KINDS = {
-    "float": ("a number", lambda v: isinstance(v, float) or type(v) is int and abs(v) <= sys.float_info.max),
+    "float": ("a number", _is_number),
     "str": ("a string", lambda v: isinstance(v, str)),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
 }
@@ -680,7 +669,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     stop.add_argument("--max-iterations", dest="bb.max_iterations", metavar="MAX_ITERATIONS", type=int)
     stop.add_argument("--max-seconds", dest="bb.max_seconds", metavar="MAX_SECONDS", type=float)
-    bound.add_argument("--bound-mode", dest="bb.bound_mode", choices=["lp1", "lp2", "milp"])
+    bound.add_argument("--bound-mode", dest="bb.bound_mode", choices=BOUND_MODES)
     bound.add_argument("--n-c", dest="bb.n_c", metavar="N_C", type=int, help="tangent cuts per asset (lp2)")
     gld.add_argument("--lam", dest="gld.lam", metavar="LAM", type=float, help="Langevin step size")
     gld.add_argument("--noise-scale", dest="gld.c", metavar="NOISE_SCALE", type=float, help="noise scale c")
@@ -751,7 +740,7 @@ def _read_weights(path: str) -> np.ndarray:
         doc = json.loads(Path(path).read_text())
         if not isinstance(doc, dict) or "weights" not in doc:
             raise ValueError('needs an object with a "weights" array')
-        return np.asarray(Weights(doc["weights"]))
+        return np.asarray(Weights(_numbers("weights", doc["weights"])))
 
 
 @contextlib.contextmanager

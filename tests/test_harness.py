@@ -432,6 +432,9 @@ def test_bad_input_files_exit_2_and_other_errors_raise(tmp_path, capsys, monkeyp
         (["toy-example", "--rho-grid=0.5,1.5"], "toy universe at rho 1.5: target correlation matrix is not positive"),
         (["dimensionality", "--ref-kurtosis", "2"], "reference asset: NIG kurtosis strictly exceeds 3, got 2.0"),
         (["optimize-gld", "--n-sim", "4", "--record-paths", "7"], "--record-paths: record_paths [7] outside"),
+        (["simulate", "--t-obs", str(10**20)], f"--t-obs {10**20}: a {10**20} x 3 panel is too large for one array"),
+        (["optimize-bb", "--n-assets", "5", "--t-obs", str(10**20)], f"--t-obs {10**20}: a {10**20} x 5 panel"),
+        (["toy-example", "--t-obs", str(10**20)], f"--t-obs {10**20}: a {10**20} x 3 panel"),
     ],
 )
 def test_rejected_universes_and_flags_exit_2_before_sampling(argv, message, tmp_path, capsys, monkeypatch):
@@ -444,6 +447,80 @@ def test_rejected_universes_and_flags_exit_2_before_sampling(argv, message, tmp_
     if argv[0] == "dimensionality":
         argv = [*argv, "--weights-file", str(weights)]
     assert usage_error([*argv, "--output-dir", str(tmp_path)], capsys).startswith(message)
+
+
+def test_t_obs_limit_is_the_largest_panel_numpy_can_index(tmp_path, capsys, monkeypatch):
+    largest = np.iinfo(np.intp).max // (8 * 3)
+    with pytest.raises(ValueError):
+        np.empty((largest + 1, 3))  # the limit is numpy's; nothing is allocated
+
+    def sampled(spec, t_obs, seed):
+        raise ValueError(f"sampling {t_obs} rows")
+
+    monkeypatch.setattr(hn, "sample_meta_gaussian", sampled)
+    # the largest panel passes the check, and an error inside sampling keeps its traceback
+    with pytest.raises(ValueError, match=f"sampling {largest} rows"):
+        hn.main(["simulate", "--t-obs", str(largest), "--output-dir", str(tmp_path)])
+    argv = ["simulate", "--t-obs", str(largest + 1), "--output-dir", str(tmp_path)]
+    assert usage_error(argv, capsys).startswith(f"--t-obs {largest + 1}: a ")
+
+
+def copied_column_panel(path, noise: float) -> Path:
+    """500 rows of three assets whose third column is the first plus ``noise`` x a standard normal."""
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((500, 3))
+    x[:, 2] = x[:, 0] + noise * rng.standard_normal(500)
+    return hn.write_csv(path, ["a", "b", "c"], x, {})
+
+
+@pytest.mark.parametrize("command", ["build-moments", "optimize-bb", "optimize-gld", "dimensionality", "bench"])
+def test_duplicated_column_exits_2_naming_the_returns_file(command, tmp_path, capsys):
+    returns = copied_column_panel(tmp_path / "dup.csv", noise=0.0)
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"weights": [0.5, 0.3, 0.2]}))
+    argv = [command, "--returns", str(returns)]
+    argv += ["--weights-file", str(weights)] if command == "dimensionality" else []
+    argv += [] if command == "bench" else ["--output-dir", str(tmp_path)]
+    message = usage_error(argv, capsys)
+    assert re.fullmatch(
+        rf"{re.escape(str(returns))}: covariance is not positive definite: smallest eigenvalue \S+ <= 1e-10 x largest \S+",
+        message,
+    ), message
+
+
+def test_copied_column_with_noise_above_the_limit_is_accepted(tmp_path, capsys):
+    returns = copied_column_panel(tmp_path / "noisy.csv", noise=1e-3)
+    assert hn.main(["build-moments", "--returns", str(returns), "--output-dir", str(tmp_path)]) == 0
+    eigvals = np.linalg.eigvalsh(hn.read_moments(capsys.readouterr().out.strip()).m2)
+    assert 1e-10 < eigvals[0] / eigvals[-1] < 1e-5  # near-duplicate, but above the limit
+
+
+@pytest.mark.parametrize(
+    "argv, source",
+    [(["optimize-bb", "--t-obs", "3"], "simulated returns"), (["toy-example", "--t-obs", "3"], "toy panel at rho -0.7")],
+)
+def test_simulated_panel_with_no_more_rows_than_assets_exits_2(argv, source, tmp_path, capsys):
+    message = usage_error([*argv, "--output-dir", str(tmp_path)], capsys)
+    assert message.startswith(f"{source}: covariance is not positive definite")
+
+
+@pytest.mark.parametrize("weights", [{"a": 1}, [0.5, 0.3, {"x": 1}], [True, False, False], [0.5, None, 0.5], "abc"])
+def test_weights_file_holds_numbers_only(weights, tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"weights": weights}))
+    argv = ["dimensionality", "--weights-file", str(path), "--output-dir", str(tmp_path)]
+    assert usage_error(argv, capsys) == f"{path}: weights must be an array of numbers"
+
+
+@pytest.mark.parametrize(
+    "name, value", [("m2", {"a": 1}), ("mean", [True, False, True]), ("m3_unique", "x"), ("m4_unique", None)]
+)
+def test_moments_file_holds_numbers_only(name, value, tmp_path, capsys):
+    moments = write_malformed_moments(tmp_path, lambda d: d.__setitem__(name, value))
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"weights": [0.5, 0.3, 0.2]}))
+    argv = ["dimensionality", "--weights-file", str(weights), "--moments", str(moments), "--output-dir", str(tmp_path)]
+    assert usage_error(argv, capsys) == f"{moments}: {name} must be an array of numbers"
 
 
 def test_weights_file_of_the_wrong_length_exits_2(tmp_path, capsys):
@@ -492,6 +569,33 @@ def test_malformed_config_documents_build_or_exit_2(doc, blocks, tmp_path_factor
         return
     assert isinstance(cfg.bb, bb.BbConfig) and isinstance(cfg.gld, gld.GldConfig)
     json.dumps(cfg.snapshot())  # every command hashes its config first
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=JSON_VALUES | st.lists(st.sampled_from([0, 0.5, 1]) | JSON_VALUES, min_size=1, max_size=3))
+def test_any_weights_value_reads_or_exits_2(value, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "w.json"
+    path.write_text(json.dumps({"weights": value}))
+    try:
+        weights = hn._read_weights(str(path))
+    except hn.InputError:  # main reports it with exit 2
+        return
+    assert weights.dtype == float and weights.ndim == 1 and np.all(np.isfinite(weights))
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from([f.name for f in dataclasses.fields(cm.CoMomentSet)]), value=JSON_VALUES)
+def test_any_value_of_one_moments_field_reads_or_exits_2(name, value, tmp_path_factory):
+    sample = cm.ReturnSample(np.random.default_rng(2).standard_normal((200, 2)))
+    path = hn.write_moments(tmp_path_factory.getbasetemp() / "m.json", cm.build_comoments(sample), ("a", "b"), {})
+    data = json.loads(path.read_text())
+    data[name] = value
+    path.write_text(json.dumps(data))
+    try:
+        c = hn.read_moments(path)
+    except hn.InputError:  # main reports it with exit 2
+        return
+    assert c.n_assets == 2
 
 
 # the config flags of each command, by group
@@ -676,8 +780,11 @@ def test_jsonable_handles_numpy_and_inf():
 
 def test_run_record_fields(tmp_path):
     cfg = tiny_cfg(tmp_path)
-    record = hn.RunRecord.capture("simulate", cfg, 1.25)
-    as_dict = dataclasses.asdict(record)
-    assert as_dict["wall_clock_seconds"] == 1.25
-    assert as_dict["version"]
-    assert {"python", "numpy", "platform"} <= set(as_dict["environment"])
+    hn.cmd_simulate(cfg)
+    record = json.loads((tmp_path / "t" / "run_record.json").read_text())
+    assert set(record) == {"command", "config", "config_hash", "version", "wall_clock_seconds", "environment", "counters"}
+    assert (record["command"], record["config"], record["counters"]) == ("simulate", cfg.snapshot(), {})
+    assert record["config_hash"] == hn.config_hash(cfg.snapshot())
+    assert isinstance(record["wall_clock_seconds"], float) and record["wall_clock_seconds"] > 0
+    assert record["version"] == hn.__version__
+    assert set(record["environment"]) == {"python", "numpy", "platform"}
