@@ -63,7 +63,8 @@ __all__ = [
     "kurtosis_hessian",
 ]
 
-#: chunk length for the fixed-order sequential reduction over observations
+#: chunk length for the fixed-order sequential reduction over observations,
+#: and for the panel's finiteness check
 _CHUNK_ROWS = 4096
 
 #: rows of ``m4_gram`` built per block, to bound the index temporaries
@@ -93,7 +94,8 @@ class ReturnSample:
             raise ValueError(f"need at least 2 observations, got {t_obs}")
         if n_assets < 1:
             raise ValueError("need at least one asset")
-        if not np.all(np.isfinite(values)):
+        # checked a chunk of rows at a time, so no T x N mask is built
+        if not all(np.isfinite(values[i : i + _CHUNK_ROWS]).all() for i in range(0, t_obs, _CHUNK_ROWS)):
             raise ValueError("return panel contains non-finite entries")
         names = tuple(self.asset_names) or tuple(f"A{i + 1}" for i in range(n_assets))
         if len(names) != n_assets:

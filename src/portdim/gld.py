@@ -54,7 +54,9 @@ GLD_STREAM = 1
 
 _HIST_BINS = 200
 
-_NOISE_CHUNK_ITERS = 512
+#: bytes of the Langevin noise buffer, which holds as many iterations of
+#: every path's noise as fit (at least one)
+_NOISE_BUFFER_BYTES = 4 << 20
 
 #: sufficient-decrease factor of the descents' backtracking line searches
 _ARMIJO = 1e-4
@@ -144,11 +146,6 @@ def temperature(lam: float, n_assets: int, c: float) -> float:
     return 2.0 * lam * n_assets**2 / c**2
 
 
-def _gaussian_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    # inverse-CDF transform keeps streams identical however draws are batched
-    return ndtri(np.clip(rng.random(shape), 1e-300, None))
-
-
 def check_record_paths(record_paths: tuple[int, ...], n_sim: int) -> None:
     """Raise ``ValueError`` naming every path index outside [0, n_sim)."""
     outside = sorted({p for p in record_paths if not 0 <= p < n_sim})
@@ -164,9 +161,10 @@ def multistart(
     """Run n_sim independent Langevin paths and return the overall argmin.
 
     Paths execute in lockstep as one batch; per-path noise is drawn from
-    that path's own substream in iteration chunks, which is bit-identical
-    to stepping the path sequentially.  ``record_paths`` lists path indices
-    in [0, n_sim) whose full (n_iter + 1, N) weight trajectories should be
+    that path's own substream in iteration chunks that keep the noise
+    buffer within 4 MB (one iteration at least), which is bit-identical to
+    stepping the path sequentially.  ``record_paths`` lists path indices in
+    [0, n_sim) whose full (n_iter + 1, N) weight trajectories should be
     returned; any other index raises ``ValueError``.
     """
     check_record_paths(record_paths, cfg.n_sim)
@@ -191,11 +189,15 @@ def multistart(
     best_states = states.copy()
     evaluations = cfg.n_sim
 
-    for start_iter in range(0, cfg.n_iter, _NOISE_CHUNK_ITERS):
-        chunk = min(_NOISE_CHUNK_ITERS, cfg.n_iter - start_iter)
+    chunk_iters = max(1, _NOISE_BUFFER_BYTES // (cfg.n_sim * n * 8))
+    for start_iter in range(0, cfg.n_iter, chunk_iters):
+        chunk = min(chunk_iters, cfg.n_iter - start_iter)
         noise = np.empty((cfg.n_sim, chunk, n))
         for p, gen in enumerate(gens):
-            noise[p] = _gaussian_noise(gen, (chunk, n))
+            gen.random(out=noise[p])
+        # inverse-CDF transform keeps streams identical however draws are batched
+        np.clip(noise, 1e-300, None, out=noise)
+        ndtri(noise, out=noise)
         for k in range(chunk):
             states = project_rows(states - cfg.lam * grad + sigma * noise[:, k, :])
             kurt, grad = batch_kurtosis_and_gradient(states, c)

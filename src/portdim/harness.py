@@ -12,9 +12,9 @@ deterministic outputs:
   byte-identical;
 * ``*_results.json`` files are sorted-key JSON with a mandatory ``version``
   field and no timing information;
-* ``run_record.json`` captures the config snapshot, wall clock, solver
-  work counters, and an environment fingerprint (the one file a rerun is
-  allowed to change).
+* ``run_record.json`` captures the config snapshot, wall clock, peak
+  resident memory, solver work counters, and an environment fingerprint
+  (the one file a rerun is allowed to change).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import dataclasses
 import hashlib
 import json
 import platform
+import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -194,8 +195,11 @@ def _write_results(path: str | Path, payload: dict) -> Path:
 
 
 def _write_run_record(command: str, cfg: ExperimentConfig, start: float, counters: dict | None = None) -> Path:
-    """``run_record.json``: config snapshot, version, seconds since ``start``, work counters, environment."""
+    """``run_record.json``: config snapshot, version, seconds since ``start``,
+    the process's peak resident memory, work counters, environment."""
     seconds = time.perf_counter() - start
+    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, KiB elsewhere
+    peak_rss_mb = peak_rss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
     snap = cfg.snapshot()
     environment = {"python": platform.python_version(), "numpy": np.__version__, "platform": platform.platform()}
     return _write_results(
@@ -206,6 +210,7 @@ def _write_run_record(command: str, cfg: ExperimentConfig, start: float, counter
             "config_hash": config_hash(snap),
             "version": __version__,
             "wall_clock_seconds": seconds,
+            "peak_rss_mb": peak_rss_mb,
             "environment": environment,
             "counters": counters or {},
         },

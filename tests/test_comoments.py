@@ -326,6 +326,17 @@ def test_return_sample_validation():
     assert s.asset_names == ("A1", "A2")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_return_sample_finds_non_finite_entry_in_last_row_chunk(bad):
+    # the check runs a chunk of rows at a time; the last chunk is partial
+    values = np.ones((2 * cm._CHUNK_ROWS + 3, 2))
+    values[-1, 1] = bad
+    with pytest.raises(ValueError, match="return panel contains non-finite entries"):
+        cm.ReturnSample(values)
+    values[-1, 1] = 0.0
+    assert cm.ReturnSample(values).n_obs == 2 * cm._CHUNK_ROWS + 3
+
+
 def test_zero_weight_vector_rejected(c_n3):
     with pytest.raises(ValueError, match="kurtosis undefined at the zero weight vector"):
         cm.portfolio_kurtosis(np.zeros(3), c_n3)

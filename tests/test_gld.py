@@ -1,5 +1,7 @@
 """Simplex projection, Langevin multistart, and the local polish step."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,6 +186,24 @@ def test_recorded_paths_share_prefix_across_budgets(c_n3):
     assert trace_short.shape == (101, 3)
     assert trace_long.shape == (201, 3)
     assert np.array_equal(trace_long[:101], trace_short)
+
+
+@pytest.mark.parametrize("chunk_iters", [1, 7, None, 250])
+def test_results_do_not_depend_on_noise_chunk(monkeypatch, c_n3, chunk_iters):
+    # None keeps the default buffer; 250 holds all 200 iterations at once
+    cfg = small_cfg(n_sim=10, n_iter=200)
+    reference = gld.multistart(c_n3, cfg, record_paths=(0, 6))
+    if chunk_iters is not None:
+        monkeypatch.setattr(gld, "_NOISE_BUFFER_BYTES", chunk_iters * cfg.n_sim * c_n3.n_assets * 8)
+    result = gld.multistart(c_n3, cfg, record_paths=(0, 6))
+    for f in dataclasses.fields(gld.GldResult):
+        a, b = getattr(reference, f.name), getattr(result, f.name)
+        if f.name == "recorded_paths":
+            assert a.keys() == b.keys() and all(a[p].tobytes() == b[p].tobytes() for p in a)
+        elif f.name == "final_summary":
+            assert a.bin_edges.tobytes() == b.bin_edges.tobytes() and a.counts.tobytes() == b.counts.tobytes()
+        else:
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
 
 
 def test_record_paths_outside_range_rejected(c_n3):

@@ -4,7 +4,10 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -782,9 +785,25 @@ def test_run_record_fields(tmp_path):
     cfg = tiny_cfg(tmp_path)
     hn.cmd_simulate(cfg)
     record = json.loads((tmp_path / "t" / "run_record.json").read_text())
-    assert set(record) == {"command", "config", "config_hash", "version", "wall_clock_seconds", "environment", "counters"}
+    assert set(record) == {
+        "command", "config", "config_hash", "version", "wall_clock_seconds", "peak_rss_mb", "environment", "counters"
+    }
+    # the process holds at least numpy and scipy.special, and nowhere near 1 TB
+    assert isinstance(record["peak_rss_mb"], float) and 10.0 < record["peak_rss_mb"] < 1e6
     assert (record["command"], record["config"], record["counters"]) == ("simulate", cfg.snapshot(), {})
     assert record["config_hash"] == hn.config_hash(cfg.snapshot())
     assert isinstance(record["wall_clock_seconds"], float) and record["wall_clock_seconds"] > 0
     assert record["version"] == hn.__version__
     assert set(record["environment"]) == {"python", "numpy", "platform"}
+
+
+def test_package_imports_no_interpolate_or_integrate():
+    # the package needs only scipy.special; scipy.interpolate and
+    # scipy.integrate would load linalg, optimize, sparse and spatial too
+    code = (
+        "import sys, portdim, portdim.harness; "
+        "print(sorted({'scipy.interpolate', 'scipy.integrate'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hn.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -174,7 +174,7 @@ def test_table_builds_without_warnings_for_near_gaussian_skewed_margin():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table = rs._NigTable(p)  # not the cached _table: build it under the filter
-    assert np.all(np.isfinite(table.cdf_values)) and np.all(np.isfinite(table._interp.c))
+    assert np.all(np.isfinite(table.cdf_values)) and np.all(np.isfinite(table._cubic))
 
 
 def test_quantile_inverts_cdf():
@@ -197,7 +197,9 @@ def test_quantile_matches_whole_interpolant_newton_bitwise(t, seed):
     _assert_meets_reference(table, u, table.quantile_clipped(u))
     # the slope coefficients the quantile gathers are derivative()'s
     _, _, c2, _, d0, d1 = table._cubic
-    assert np.stack([d0, d1, c2]).tobytes() == table._interp.derivative().c.tobytes()
+    with np.errstate(over="ignore", divide="ignore"):
+        interp = PchipInterpolator(table.x, table.cdf_values, extrapolate=False)
+    assert np.stack([d0, d1, c2]).tobytes() == interp.derivative().c.tobytes()
 
 
 @given(heavy_skewed_margins, st.integers(min_value=0, max_value=2**32 - 1))
@@ -499,11 +501,68 @@ def test_pinned_panel_matches_whole_interpolant_newton(monkeypatch):
 
     monkeypatch.setattr(rs._NigTable, "quantile_clipped", recording)
     panel = rs.sample_meta_gaussian(spec, 70_000, seed=5).values
-    assert len(calls) == 6  # two blocks of three columns
+    assert len(calls) == 27  # nine 8192-row pieces (eight, then one of 4,464 rows) of three columns
     for k, (table, u, q) in enumerate(calls):
-        rows = slice(0, 65536) if k < 3 else slice(65536, 70_000)
+        start = (k // 3) * rs._PIECE_ROWS
+        rows = slice(start, min(start + rs._PIECE_ROWS, 70_000))
         assert panel[rows, k % 3].tobytes() == q.tobytes()
         _assert_meets_reference(table, u, q)
+
+
+@pytest.mark.parametrize("piece_rows", [1000, 8192, 65536])
+def test_panel_does_not_depend_on_piece_size(monkeypatch, piece_rows):
+    # 70,000 rows span two Philox blocks; 1000 does not divide a block
+    spec = homogeneous_spec(3, -0.2)
+    reference = rs.sample_meta_gaussian(spec, 70_000, seed=5).values
+    monkeypatch.setattr(rs, "_PIECE_ROWS", piece_rows)
+    assert rs.sample_meta_gaussian(spec, 70_000, seed=5).values.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kurtosis, skew_fraction", [(3.05, -0.9), (3.2, 0.9), (6.0, 0.0), (12.0, 0.5), (30.0, 0.0), (30.0, -0.9)]
+)
+def test_pchip_replica_matches_scipy_bitwise(kurtosis, skew_fraction):
+    # coefficients, values between and at the nodes, and the node slopes
+    # the inverse-Hermite start reads are scipy's bit for bit
+    table = rs._table(rs.nig_params_from_moments(_skewed_target(0.0, 1.0, kurtosis, skew_fraction)))
+    with np.errstate(over="ignore", divide="ignore"):
+        interp = PchipInterpolator(table.x, table.cdf_values, extrapolate=False)
+    assert np.stack(table._cubic[:4]).tobytes() == interp.c.tobytes()
+    x = np.concatenate([np.random.default_rng(1).uniform(table.x[0], table.x[-1], 20_000), table.x])
+    assert table.cdf(x).tobytes() == interp(x).tobytes()
+    # the inverse-Hermite start's end slopes come from scipy's node slopes
+    width, mass, slopes = np.diff(table.x), np.diff(table.cdf_values), interp(table.x, nu=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m0, m1 = mass / slopes[:-1], mass / slopes[1:]
+        b2, b3 = 3.0 * width - 2.0 * m0 - m1, m0 + m1 - 2.0 * width
+    tiny = np.finfo(float).tiny
+    hermite = (mass >= tiny) & (np.minimum(slopes[:-1], slopes[1:]) >= tiny) & np.isfinite(b2) & np.isfinite(b3)
+    expected = np.stack([np.where(hermite, m0, width), np.where(hermite, b2, 0.0), np.where(hermite, b3, 0.0)])
+    assert np.stack(table._inverse[2:]).tobytes() == expected.tobytes()
+
+
+# the mass below the table's first node of the symmetric unit-variance
+# margin, to 30 digits (mpmath.quad at mp.dps = 30)
+@pytest.mark.parametrize("kurtosis, reference", [(6.0, 1.7504145641020551e-20), (30.0, 1.5281530819441008e-9)])
+def test_left_tail_mass_matches_high_precision_reference(kurtosis, reference):
+    table = rs._NigTable(rs.nig_params_from_moments(rs.MarginTarget(0.0, 1.0, 0.0, kurtosis)))
+    assert table.cdf_values[0] == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("kurtosis, skew_fraction", [(3.05, 0.9), (6.0, 0.0), (30.0, -0.9), (30.0, 0.9)])
+def test_cdf_below_table_is_the_increasing_left_tail(kurtosis, skew_fraction):
+    p = rs.nig_params_from_moments(_skewed_target(0.0, 1.0, kurtosis, skew_fraction))
+    table = rs._table(p)
+    x = table.x[0] - np.concatenate([np.geomspace(1e3, 1e-3, 300), [0.0]])
+    cdf = rs.nig_cdf(x, p)
+    assert np.all(np.diff(cdf) >= 0.0) and np.all(cdf >= 0.0)
+    assert cdf[-1] == table.cdf_values[0]
+    assert cdf[-2] < table.cdf_values[0] or table.cdf_values[0] == 0.0
+    assert rs.nig_cdf(-1e9, p) < 1e-300
+    # the tail up to a point is the pdf's integral there
+    for point in x[-40::13]:
+        ref, _ = quad(rs.nig_pdf, -np.inf, point, args=(p,), epsabs=0.0, epsrel=1e-12, limit=200)
+        assert rs.nig_cdf(point, p) == pytest.approx(ref, rel=1e-8, abs=0.0)
 
 
 @pytest.mark.parametrize(
