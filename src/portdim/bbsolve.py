@@ -62,6 +62,7 @@ from .comoments import (
     _even_moments,
     moment_derivatives,
     portfolio_moments,
+    unit_scaled,
 )
 from .gld import _projected_descent
 # solve_lp and solve_milp are the one-problem cases of the stack solver, re-exported here
@@ -252,17 +253,31 @@ def alpha_floor(c: CoMomentSet) -> float:
     (Jaggi 2013) bounds the distance to the optimum.  w is the endpoint of
     a projected-gradient descent from the barycenter, where that gap is
     small, but the bound holds whether or not the descent converged.
+
+    The descent's step cap and stall test are absolute, so on a nearly
+    riskless universe (g of order 1e-11 at its minimum) it can stop where
+    the gap exceeds g.  Only where the floor comes out <= 0 is the descent
+    continued from its endpoint on g / 2^e, with 2^e of the size of g there.
     """
-    n = c.n_assets
-    w, mu4, _ = _projected_descent(
-        lambda v: portfolio_moments(v, c).mu4,
-        lambda v: moment_derivatives(v, c).grad_mu4,
-        np.full(n, 1.0 / n),
+    w, mu4, floor = _descent_floor(c, np.full(c.n_assets, 1.0 / c.n_assets), 0)
+    if floor <= 0.0:
+        floor = _descent_floor(c, w, -math.frexp(mu4)[1])[2]
+    return floor
+
+
+def _descent_floor(c: CoMomentSet, w: np.ndarray, exponent: int) -> tuple[np.ndarray, float, float]:
+    """Descend g * 2^exponent from w; return the endpoint, g there and its
+    Frank-Wolfe floor on g."""
+    w, value, _ = _projected_descent(
+        lambda v: math.ldexp(portfolio_moments(v, c).mu4, exponent),
+        lambda v: np.ldexp(moment_derivatives(v, c).grad_mu4, exponent),
+        w,
         grad_tol=_ALPHA_GRAD_TOL,
         max_iter=_ALPHA_MAX_ITER,
     )
+    mu4 = math.ldexp(value, -exponent)
     grad = moment_derivatives(w, c).grad_mu4
-    return mu4 - max(0.0, float(grad @ w - grad.min()))
+    return w, mu4, mu4 - max(0.0, float(grad @ w - grad.min()))
 
 
 #: alpha_floor of each co-moment set that ``solve`` has seen, so that solves
@@ -447,7 +462,12 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
     largest bound of any cell live, pending or fathomed.  Iteration and
     wall-clock limits return the best incumbent with status
     ``'iteration_limit'`` or ``'time_limit'``.
+
+    The search runs on ``unit_scaled(c)``, where the LP tolerances meet
+    coefficients of unit size, so a panel multiplied by any power of two
+    gets the same result bit for bit; ``alpha`` is reported in ``c``'s units.
     """
+    c, scale = unit_scaled(c)
     n = c.n_assets
     start_time = time.perf_counter()
     alpha = _alpha(c)
@@ -589,7 +609,7 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
         lp_pivots=lp_pivots,
         rounds=len(live_per_round),
         status=status,
-        alpha=alpha,
+        alpha=math.ldexp(alpha, 4 * scale),
         max_depth=max_depth,
         live_cells_per_round=np.asarray(live_per_round, dtype=int),
         fathomed_cells=tuple(fathomed_cells),

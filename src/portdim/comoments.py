@@ -35,7 +35,9 @@ over the pair products w_k w_l (weighted 2 off the diagonal), which gives
 mu4 = w'A w, grad mu4 = 4 A w and hess mu4 = 12 A.  The third moment
 and its derivatives come from one helper on the flat ``m3``, called only
 by the functions that return mu3.  The scalar functions are P = 1 views
-of the same kernel.
+of the same kernel, which computes in the dtype of the co-moment arrays it
+reads: float64 for a ``CoMomentSet``, float32 for the Langevin step's
+single-precision copies of ``m2`` and ``m4_gram``.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ __all__ = [
     "PortfolioMoments",
     "MomentDerivatives",
     "build_comoments",
+    "unit_scaled",
     "unique_element_counts",
     "portfolio_moments",
     "portfolio_kurtosis",
@@ -299,6 +302,44 @@ class CoMomentSet:
         return gram
 
 
+def unit_scaled(c: CoMomentSet) -> tuple[CoMomentSet, int]:
+    """``c`` for the returns divided by 2^k, and k, where 2^k is the power of
+    two nearest the square root of the mean variance.
+
+    Each moment of order r is multiplied by 2^(-rk) with ``ldexp``, which is
+    exact while the entries stay in the normal range, so the rescaled
+    variance lies in [0.5, 2) and every kurtosis, h value and optimal weight
+    vector is unchanged bit for bit.  Returns ``c`` itself when k = 0, so its
+    cached forms are kept.
+    """
+    k = int(np.frexp(np.trace(c.m2) / c.n_assets)[1]) // 2
+    if k == 0:
+        return c, 0
+    return (
+        CoMomentSet(
+            mean=np.ldexp(c.mean, -k),
+            m2=np.ldexp(c.m2, -2 * k),
+            m3_unique=np.ldexp(c.m3_unique, -3 * k),
+            m4_unique=np.ldexp(c.m4_unique, -4 * k),
+            n_assets=c.n_assets,
+            n_obs=c.n_obs,
+        ),
+        k,
+    )
+
+
+class _KernelMoments(NamedTuple):
+    """The two arrays the even-moment kernel reads, in the dtype it is to
+    compute in; a stand-in for a ``CoMomentSet`` there."""
+
+    m2: np.ndarray
+    m4_gram: np.ndarray
+
+    @property
+    def n_assets(self) -> int:
+        return self.m2.shape[0]
+
+
 def _check_positive_definite(m2: np.ndarray) -> None:
     eigvals = np.linalg.eigvalsh(m2)
     if eigvals[0] <= _PD_RTOL * max(eigvals[-1], 0.0):
@@ -389,25 +430,26 @@ class _EvenMoments(NamedTuple):
     a: np.ndarray  # (P, N, N): hess mu4 = 12 A
 
 
-def _even_moments(points: np.ndarray, c: CoMomentSet) -> _EvenMoments:
+def _even_moments(points: np.ndarray, c: CoMomentSet | _KernelMoments) -> _EvenMoments:
     """Variance, fourth moment and its derivatives at each row of a (P, N)
-    block of points.
+    block of points, computed in the dtype of ``c.m2`` and ``c.m4_gram``
+    (the points are cast to it).
 
     The one place the product with ``m4_gram`` is formed: with u the pair
     products w_i w_j over sorted pairs and m their weights (2 off the
     diagonal, 1 on it), ``G (m u)`` is A over the sorted pairs.  A carries
     both derivatives of mu4, and mu4 = sum_q m_q u_q A_q.  Points run along
-    the last axis inside, so the pair gathers copy contiguous rows; ``a`` is
-    returned as a (P, N, N) view.
+    the last axis inside, copied once to contiguous columns, so the pair
+    gathers copy contiguous rows; ``a`` is returned as a (P, N, N) view.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = np.asarray(points, dtype=c.m2.dtype)
     if pts.ndim != 2 or pts.shape[1] != c.n_assets:
         raise ValueError(f"expected (P, {c.n_assets}) points, got shape {pts.shape}")
     n_pts, n = pts.shape
     pair_i, pair_j, mult, pair_of = _pair_layout(n)
-    cols = pts.T
+    cols = np.ascontiguousarray(pts.T)
     m2w = pts @ c.m2.T
-    weighted = cols[pair_i] * cols[pair_j] * mult[:, None]  # (n_p, P)
+    weighted = cols[pair_i] * cols[pair_j] * mult.astype(pts.dtype, copy=False)[:, None]  # (n_p, P)
     half = c.m4_gram @ weighted
     a = half[pair_of].reshape(n, n, n_pts)
     return _EvenMoments(
@@ -507,8 +549,11 @@ def batch_moments(points: np.ndarray, c: CoMomentSet) -> tuple[np.ndarray, np.nd
     return even.variance, mu3, even.mu4
 
 
-def batch_kurtosis_and_gradient(points: np.ndarray, c: CoMomentSet) -> tuple[np.ndarray, np.ndarray]:
-    """Kurtosis and its gradient at each row of ``points`` in one pass."""
+def batch_kurtosis_and_gradient(
+    points: np.ndarray, c: CoMomentSet | _KernelMoments
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kurtosis and its gradient at each row of ``points`` in one pass, in
+    the dtype of ``c``'s arrays."""
     even = _even_moments(points, c)
     g = even.variance**2
     kurt = even.mu4 / g

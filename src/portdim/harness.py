@@ -435,6 +435,7 @@ def cmd_optimize_gld(cfg: ExperimentConfig, record_paths: tuple[int, ...] = ()) 
     directory = _out_dir(cfg)
     meta = _metadata(cfg)
     weights = np.asarray(result.best_weights)
+    support = _support(weights)
     results_path = _write_results(
         directory / "gld_results.json",
         {
@@ -447,8 +448,8 @@ def cmd_optimize_gld(cfg: ExperimentConfig, record_paths: tuple[int, ...] = ()) 
             "best_path": result.best_path,
             "evaluations": result.evaluations,
             "weights": weights,
-            "support": _support(weights),
-            "support_size": len(_support(weights)),
+            "support": support,
+            "support_size": len(support),
         },
     )
     hist_rows = []
@@ -476,7 +477,12 @@ def cmd_optimize_gld(cfg: ExperimentConfig, record_paths: tuple[int, ...] = ()) 
             path_rows,
             meta,
         )
-    _write_run_record("optimize-gld", cfg, start)
+    counters = {
+        "best_so_far": result.best_so_far.tolist(),
+        "support_size": len(support),
+        "precision": result.precision,
+    }
+    _write_run_record("optimize-gld", cfg, start, counters)
     return results_path, hist_path
 
 

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from portdim import bbsolve as bb
@@ -128,6 +128,9 @@ def test_alpha_floor_exact_on_iid_pair(c2_iid):
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(min_value=2, max_value=5), seed=st.integers(min_value=0, max_value=2**32 - 1))
+# a nearly riskless universe (cond(m2) 2.5e5, least mu4 4e-11) where the
+# first descent stops with a Frank-Wolfe gap of 1.4e-10 and a floor below 0
+@example(n=5, seed=2214)
 def test_alpha_floor_is_a_true_floor(n, seed):
     # a random heavy-tailed panel with random cross-loadings: the floor lies
     # below mu4 at the vertices, at equal weights and at random simplex points
@@ -140,6 +143,15 @@ def test_alpha_floor_is_a_true_floor(n, seed):
     mu4 = cm.batch_moments(points, c)[2]
     # at a vertex optimum the two agree, up to the rounding of the moment kernel
     assert 0.0 < alpha <= mu4.min() * (1.0 + 1e-12)
+
+
+def test_alpha_floor_continues_the_descent_only_below_zero(c_n3, monkeypatch):
+    # a floor that comes out positive is the first descent's, bit for bit
+    calls = []
+    descent = bb._descent_floor
+    monkeypatch.setattr(bb, "_descent_floor", lambda c, w, e: calls.append(e) or descent(c, w, e))
+    assert bb.alpha_floor(c_n3) == descent(c_n3, np.full(3, 1.0 / 3.0), 0)[2]
+    assert calls == [0]
 
 
 @pytest.mark.parametrize("max_iter", [0, 1, 2])
@@ -434,6 +446,28 @@ def test_solve_is_deterministic(c_n3):
     assert np.array_equal(a.upper_bounds, b.upper_bounds)
     assert np.array_equal(np.asarray(a.incumbent), np.asarray(b.incumbent))
     assert a.iterations == b.iterations and a.cells_fathomed == b.cells_fathomed
+
+
+def test_solve_does_not_depend_on_the_units_of_the_returns():
+    # a 3-asset t(6) panel at rho = -0.2; in units 2^-8 the LP tolerances
+    # once met coefficients of order 2^-32 and certified 3.879 after 0 iterations
+    rng = np.random.default_rng(3)
+    corr = np.full((3, 3), -0.2)
+    np.fill_diagonal(corr, 1.0)
+    panel = rng.standard_t(6, size=(20_000, 3)) @ np.linalg.cholesky(corr).T
+    results = {j: bb.solve(cm.build_comoments(cm.ReturnSample(np.ldexp(panel, j)))) for j in (-12, -4, 0, 6)}
+    unit = results[0]
+    assert unit.status == "optimal" and unit.iterations > 100
+    for j, result in results.items():
+        assert (result.status, result.iterations, result.rounds, result.lp_pivots) == (
+            unit.status, unit.iterations, unit.rounds, unit.lp_pivots
+        )
+        assert result.lower_bounds.tobytes() == unit.lower_bounds.tobytes()
+        assert result.upper_bounds.tobytes() == unit.upper_bounds.tobytes()
+        assert np.asarray(result.incumbent).tobytes() == np.asarray(unit.incumbent).tobytes()
+        assert result.kurtosis == unit.kurtosis
+        # alpha floors mu4, which is in the returns' units to the fourth power
+        assert result.alpha == math.ldexp(unit.alpha, 4 * j)
 
 
 def test_fathomed_cells_never_hide_the_optimum(c_n3):

@@ -124,6 +124,67 @@ def test_kernel_matches_full_pair_product_reference(n):
         np.testing.assert_allclose(value, expected, rtol=0.0, atol=1e-13 * scale, err_msg=name)
 
 
+def strided_even_moments(points, c):
+    """The float64 kernel as it read its point columns before they were
+    copied to contiguous rows: a transposed view of ``points``."""
+    n_pts, n = points.shape
+    pair_i, pair_j, mult, pair_of = cm._pair_layout(n)
+    cols = points.T
+    m2w = points @ c.m2.T
+    weighted = cols[pair_i] * cols[pair_j] * mult[:, None]
+    half = c.m4_gram @ weighted
+    a = half[pair_of].reshape(n, n, n_pts)
+    return {
+        "variance": np.einsum("pi,pi->p", points, m2w),
+        "m2w": m2w,
+        "mu4": np.einsum("qp,qp->p", half, weighted),
+        "grad_mu4": 4.0 * np.einsum("ijp,jp->pi", a, cols),
+        "a": a.transpose(2, 0, 1),
+    }
+
+
+@pytest.mark.parametrize("n_pts", [1, 7, 1000])
+@pytest.mark.parametrize("n", [1, 5, 15, 30])
+def test_float64_kernel_is_bitwise_the_strided_one(n, n_pts):
+    c = cm.build_comoments(random_panel(n, 300, seed=n))
+    points = np.random.default_rng(n_pts).dirichlet(np.ones(n), size=n_pts)
+    got = cm._even_moments(points, c)
+    for name, expected in strided_even_moments(points, c).items():
+        value = getattr(got, name)
+        assert value.dtype == np.float64
+        assert value.shape == expected.shape and value.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("n", [5, 15, 30])
+def test_float32_kernel_agrees_with_float64(n):
+    # at unit scale and cond(m2) of 1.6-3.4, float32 kurtoses are within 1e-6
+    # relative and gradients within 6e-6 of their norm; the bounds leave 10x
+    c = cm.build_comoments(random_panel(n, 300, seed=n))
+    points = np.vstack([np.eye(n), np.random.default_rng(n).dirichlet(np.ones(n), size=64)])
+    single = cm._KernelMoments(c.m2.astype(np.float32), c.m4_gram.astype(np.float32))
+    kurt32, grad32 = cm.batch_kurtosis_and_gradient(points, single)
+    kurt64, grad64 = cm.batch_kurtosis_and_gradient(points, c)
+    assert kurt32.dtype == grad32.dtype == np.float32
+    np.testing.assert_allclose(kurt32, kurt64, rtol=1e-5, atol=0.0)
+    error = np.linalg.norm(grad32 - grad64, axis=1) / np.linalg.norm(grad64, axis=1)
+    assert error.max() < 1e-4
+
+
+@pytest.mark.parametrize("j", [-40, -10, -1, 1, 10, 40])
+def test_unit_scaled_is_exact_and_leverage_invariant(j):
+    c = cm.build_comoments(random_panel(4, 500, seed=3))
+    unit, k = cm.unit_scaled(c)
+    assert unit is c and k == 0  # a set at unit scale is returned as it is
+    scaled = cm.build_comoments(cm.ReturnSample(np.ldexp(random_panel(4, 500, seed=3).values, j)))
+    unit, k = cm.unit_scaled(scaled)
+    assert k == j
+    for name in ("mean", "m2", "m3_unique", "m4_unique"):
+        assert getattr(unit, name).tobytes() == getattr(c, name).tobytes(), name
+    points = np.random.default_rng(j + 50).dirichlet(np.ones(4), size=16)
+    assert cm.batch_kurtosis(points, scaled).tobytes() == cm.batch_kurtosis(points, c).tobytes()
+    assert 0.5 <= np.trace(unit.m2) / 4 < 2.0
+
+
 def test_m2_matches_numpy_biased_covariance():
     sample = random_panel(3, 123, seed=9)
     c = cm.build_comoments(sample)

@@ -188,14 +188,8 @@ def test_recorded_paths_share_prefix_across_budgets(c_n3):
     assert np.array_equal(trace_long[:101], trace_short)
 
 
-@pytest.mark.parametrize("chunk_iters", [1, 7, None, 250])
-def test_results_do_not_depend_on_noise_chunk(monkeypatch, c_n3, chunk_iters):
-    # None keeps the default buffer; 250 holds all 200 iterations at once
-    cfg = small_cfg(n_sim=10, n_iter=200)
-    reference = gld.multistart(c_n3, cfg, record_paths=(0, 6))
-    if chunk_iters is not None:
-        monkeypatch.setattr(gld, "_NOISE_BUFFER_BYTES", chunk_iters * cfg.n_sim * c_n3.n_assets * 8)
-    result = gld.multistart(c_n3, cfg, record_paths=(0, 6))
+def assert_same_result(reference, result):
+    """Every field of two GldResults equal bit for bit."""
     for f in dataclasses.fields(gld.GldResult):
         a, b = getattr(reference, f.name), getattr(result, f.name)
         if f.name == "recorded_paths":
@@ -204,6 +198,52 @@ def test_results_do_not_depend_on_noise_chunk(monkeypatch, c_n3, chunk_iters):
             assert a.bin_edges.tobytes() == b.bin_edges.tobytes() and a.counts.tobytes() == b.counts.tobytes()
         else:
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+
+
+@pytest.mark.parametrize("chunk_iters", [1, 7, None, 250])
+def test_results_do_not_depend_on_noise_chunk(monkeypatch, c_n3, chunk_iters):
+    # None keeps the default buffer; 250 holds all 200 iterations at once
+    cfg = small_cfg(n_sim=10, n_iter=200)
+    reference = gld.multistart(c_n3, cfg, record_paths=(0, 6))
+    if chunk_iters is not None:
+        monkeypatch.setattr(gld, "_NOISE_BUFFER_BYTES", chunk_iters * cfg.n_sim * c_n3.n_assets * 8)
+    result = gld.multistart(c_n3, cfg, record_paths=(0, 6))
+    assert_same_result(reference, result)
+
+
+@pytest.mark.parametrize("j", [-10, 10])
+def test_multistart_does_not_depend_on_the_units_of_the_returns(sample_n3, j):
+    cfg = small_cfg(n_sim=10, n_iter=200)
+    unit = gld.multistart(cm.build_comoments(sample_n3), cfg, record_paths=(0, 6))
+    scaled = cm.build_comoments(cm.ReturnSample(np.ldexp(sample_n3.values, j)))
+    assert unit.precision == "float32"
+    assert_same_result(unit, gld.multistart(scaled, cfg, record_paths=(0, 6)))
+
+
+@pytest.mark.parametrize("polish", [True, False])
+def test_reported_kurtoses_are_float64_values_of_the_weights(c_n3, polish):
+    result = gld.multistart(c_n3, small_cfg(polish=polish))
+    assert result.best_kurtosis == cm.portfolio_kurtosis(result.best_weights, c_n3)
+    if not result.polish_applied:
+        assert result.pre_polish_kurtosis == result.best_kurtosis
+    # the step's own values are single precision, near the float64 ones
+    assert result.precision == "float32"
+    assert result.best_so_far[-1] == result.path_best_values.min()
+    assert result.best_so_far[-1] == pytest.approx(result.pre_polish_kurtosis, rel=1e-5)
+    assert np.all(result.path_best_values == result.path_best_values.astype(np.float32))
+
+
+def test_ill_conditioned_universe_takes_the_float64_step():
+    # homogeneous rho = 0.999 over 5 assets: cond(m2) is about 5e3
+    corr = np.full((5, 5), 0.999)
+    np.fill_diagonal(corr, 1.0)
+    panel = np.random.default_rng(0).standard_t(6, size=(20_000, 5)) @ np.linalg.cholesky(corr).T
+    c = cm.build_comoments(cm.ReturnSample(panel))
+    assert np.linalg.cond(c.m2) > 4e3
+    result = gld.multistart(c, small_cfg(n_sim=10, n_iter=50))
+    assert result.precision == "float64"
+    assert result.best_so_far[-1] == result.path_best_values.min()
+    assert result.best_kurtosis == cm.portfolio_kurtosis(result.best_weights, c)
 
 
 def test_record_paths_outside_range_rejected(c_n3):

@@ -266,6 +266,26 @@ def test_optimize_gld_artifacts(tmp_path):
     assert paths_file.shape[0] == 2 * (cfg.gld.n_iter + 1)
 
 
+def test_optimize_gld_reports_langevin_counters(tmp_path):
+    cfg = tiny_cfg(tmp_path)
+    results_path, _ = hn.cmd_optimize_gld(cfg)
+    results = json.loads(results_path.read_text())
+    counters = json.loads((tmp_path / "t" / "run_record.json").read_text())["counters"]
+    assert set(counters) == {"best_so_far", "support_size", "precision"}
+    # the best-so-far curve: one value per iterate, nonincreasing, ending at
+    # the Langevin winner's single-precision value
+    curve = np.array(counters["best_so_far"])
+    assert curve.shape == (cfg.gld.n_iter + 1,)
+    assert np.all(np.diff(curve) <= 0.0)
+    assert curve[-1] == pytest.approx(results["pre_polish_kurtosis"], rel=1e-5)
+    assert counters["support_size"] == results["support_size"] == len(results["support"])
+    assert counters["precision"] == "float32"
+    # the telemetry stays out of the results JSON, which reruns must reproduce byte for byte
+    assert not {"best_so_far", "precision"} & set(results)
+    again, _ = hn.cmd_optimize_gld(cfg)
+    assert again.read_bytes() == results_path.read_bytes()
+
+
 def test_dimensionality_command(tmp_path, margin_k6):
     cfg = tiny_cfg(tmp_path)
     moments_path = hn.cmd_build_moments(cfg)
