@@ -66,11 +66,12 @@ from .comoments import (
 )
 from .gld import _projected_descent
 # solve_lp and solve_milp are the one-problem cases of the stack solver, re-exported here
-from .subsolver import _best_blocks, _Breakdown, solve_lp, solve_milp  # noqa: F401
+from .subsolver import _PIVOT_TOL, _best_blocks, _Breakdown, solve_lp, solve_milp  # noqa: F401
 
 __all__ = [
     "SimplexCell",
     "BOUND_MODES",
+    "bound_modes",
     "BbConfig",
     "BbResult",
     "bisect",
@@ -88,6 +89,12 @@ _FRONTIER_CELLS = 128  # cells bisected per round; their children are bounded as
 _ALPHA_GRAD_TOL = 1e-10
 _ALPHA_MAX_ITER = 100_000
 _CANDIDATE_U_TOL = 1e-12
+
+
+def bound_modes(n_assets: int) -> tuple[str, ...]:
+    """The modes of ``BOUND_MODES`` that can bound an ``n_assets``-asset universe:
+    ``milp`` solves N! subcell LPs per cell, so it stops at N = 6."""
+    return tuple(mode for mode in BOUND_MODES if mode != "milp" or n_assets <= _MAX_ENVELOPE_VERTICES)
 
 
 @dataclass(frozen=True)
@@ -280,15 +287,20 @@ def _descent_floor(c: CoMomentSet, w: np.ndarray, exponent: int) -> tuple[np.nda
     return w, mu4, mu4 - max(0.0, float(grad @ w - grad.min()))
 
 
-#: alpha_floor of each co-moment set that ``solve`` has seen, so that solves
-#: of one set under several modes run the descent once
-_ALPHAS: weakref.WeakKeyDictionary[CoMomentSet, float] = weakref.WeakKeyDictionary()
+#: ``unit_scaled`` of each co-moment set that ``solve`` has seen, with the
+#: alpha_floor of the scaled set, so that solves of one set under several
+#: modes rescale it and run the descent once.  At k = 0 the scaled set is
+#: the key itself and is not stored: a value holding its key keeps it alive.
+_ALPHAS: weakref.WeakKeyDictionary[CoMomentSet, tuple[CoMomentSet | None, int, float]] = weakref.WeakKeyDictionary()
 
 
-def _alpha(c: CoMomentSet) -> float:
+def _scaled_alpha(c: CoMomentSet) -> tuple[CoMomentSet, int, float]:
+    """``unit_scaled(c)`` and the alpha_floor of the scaled set."""
     if c not in _ALPHAS:
-        _ALPHAS[c] = alpha_floor(c)
-    return _ALPHAS[c]
+        scaled, k = unit_scaled(c)
+        _ALPHAS[c] = (scaled if k else None, k, alpha_floor(scaled))
+    scaled, k, alpha = _ALPHAS[c]
+    return (c if scaled is None else scaled), k, alpha
 
 
 def _cut_points(vertices: np.ndarray, n_c: int) -> np.ndarray:
@@ -377,11 +389,11 @@ def _bound_cells(
     and the pivots of all the LPs.
     """
     m = vertices.shape[1]
+    if mode not in bound_modes(m):
+        raise ValueError(f"piecewise envelope of a {m}-vertex cell exceeds the size guard")
     center = vertices.mean(axis=1)
     anchors = center[:, None]
     if mode == "milp":
-        if m > _MAX_ENVELOPE_VERTICES:
-            raise ValueError(f"piecewise envelope of a {m}-vertex cell exceeds the size guard")
         members, blocks = _subcell_chains(m)
         cone = (members @ vertices) / members.sum(axis=1)[:, None]  # subset barycenters
     else:
@@ -390,8 +402,12 @@ def _bound_cells(
         if mode == "lp2":
             anchors = np.concatenate([anchors, _cut_points(vertices, n_c)], axis=1)
     rows = _cut_rows(cone, anchors, c, alpha)
+    rhs = np.ones(rows.shape[:2])
+    if alpha < _PIVOT_TOL:  # the ratio test would skip the floor row's entries: write it as sum b <= 1/alpha
+        rows[:, -1] = 1.0
+        rhs[:, -1] = 1.0 / alpha
     try:
-        ub, best, b, pivots, unbounded = _best_blocks(_vertex_objective(cone, c), rows, np.ones(rows.shape[:2]), blocks)
+        ub, best, b, pivots, unbounded = _best_blocks(_vertex_objective(cone, c), rows, rhs, blocks)
     except _Breakdown as err:
         k = err.problem // blocks.shape[0]
         raise _Breakdown(
@@ -467,10 +483,9 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
     coefficients of unit size, so a panel multiplied by any power of two
     gets the same result bit for bit; ``alpha`` is reported in ``c``'s units.
     """
-    c, scale = unit_scaled(c)
-    n = c.n_assets
     start_time = time.perf_counter()
-    alpha = _alpha(c)
+    c, scale, alpha = _scaled_alpha(c)
+    n = c.n_assets
     shrink = 1.0 - cfg.rho_tol
     lp_pivots = 0
 

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bbsolve import _MAX_ENVELOPE_VERTICES, BOUND_MODES, BbConfig, solve
+from .bbsolve import BOUND_MODES, BbConfig, bound_modes, solve
 from .comoments import CoMomentSet, ReturnSample, Weights, _check_counts, build_comoments
 from .divmeasure import (
     NuMeasure,
@@ -374,11 +374,19 @@ def cmd_toy_example(cfg: ExperimentConfig, rho_grid) -> Path:
     return path
 
 
+def _check_bound_mode(cfg: ExperimentConfig, n_assets: int) -> None:
+    if cfg.bb.bound_mode not in bound_modes(n_assets):
+        raise InputError(f"--bound-mode {cfg.bb.bound_mode} bounds at most 6 assets, got {n_assets}")
+
+
 def cmd_optimize_bb(cfg: ExperimentConfig) -> tuple[Path, Path]:
     """Branch-and-bound run: results JSON plus a bound-evolution trace CSV."""
     start = time.perf_counter()
-    c = _comoments(cfg, load_or_simulate(cfg))
-    result = solve(c, cfg.bb)
+    if cfg.returns_file is None:
+        _check_bound_mode(cfg, cfg.n_assets)  # fail before seconds of sampling
+    sample = load_or_simulate(cfg)
+    _check_bound_mode(cfg, sample.n_assets)  # a returns file's width is known once it is read
+    result = solve(_comoments(cfg, sample), cfg.bb)
     directory = _out_dir(cfg)
     meta = _metadata(cfg)
     weights = np.asarray(result.incumbent)
@@ -535,8 +543,8 @@ def cmd_bench(cfg: ExperimentConfig) -> dict:
     """The bound-mode table: one panel, certified under each bounding mode.
 
     The panel and its co-moments are built once.  Each row solves them with
-    ``cfg.bb`` under its own ``bound_mode`` and ``n_c``; the ``milp`` row is
-    left out when N exceeds the envelope's vertex cap.
+    ``cfg.bb`` under its own ``bound_mode`` and ``n_c``; a row whose mode
+    cannot bound N assets (``bound_modes``) is left out.
     """
     start = time.perf_counter()
     sample = load_or_simulate(cfg)
@@ -546,7 +554,7 @@ def cmd_bench(cfg: ExperimentConfig) -> dict:
     moments_seconds = time.perf_counter() - start
     rows = []
     for bound_mode, n_c in _BENCH_ROWS:
-        if bound_mode == "milp" and c.n_assets > _MAX_ENVELOPE_VERTICES:
+        if bound_mode not in bound_modes(c.n_assets):
             continue
         start = time.perf_counter()
         result = solve(c, dataclasses.replace(cfg.bb, bound_mode=bound_mode, n_c=n_c))
@@ -656,10 +664,53 @@ def _comma_list(kind: type):
     return parse
 
 
+def _read_weights(path: str) -> np.ndarray:
+    with _input(path):
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict) or "weights" not in doc:
+            raise ValueError('needs an object with a "weights" array')
+        return np.asarray(Weights(_numbers("weights", doc["weights"])))
+
+
+def _dimensionality(cfg: ExperimentConfig, args: argparse.Namespace) -> Path:
+    """``cmd_dimensionality`` of the ``--weights-file`` portfolio under ``--measure``,
+    against the margin with the ``--ref-*`` flags set."""
+    measure = NuMeasure(args.measure)
+    ref_skew = cfg.skewness if args.ref_skewness is None else args.ref_skewness
+    if measure is NuMeasure.SQUARED_SKEWNESS and ref_skew == 0.0:
+        raise InputError("--measure squared_skewness needs a nonzero reference skewness: set --ref-skewness")
+    weights = _read_weights(args.weights_file)
+    ref_kurt = cfg.kurtosis if args.ref_kurtosis is None else args.ref_kurtosis
+    with _input("reference asset"):
+        reference = ReferenceAsset.from_target(cfg.margin(skewness=ref_skew, kurtosis=ref_kurt), measure)
+    return cmd_dimensionality(cfg, weights, reference, measure, moments_file=args.moments_file)
+
+
+#: each command: the flag groups of ``_parser`` it takes, its help, and a call
+#: from the config and the parsed flags to the lines it prints
+_COMMANDS = {
+    "simulate": ("common output universe", "simulate a return panel to CSV", lambda cfg, args: [cmd_simulate(cfg)]),
+    "build-moments": ("common output universe returns", "estimate co-moments from returns",
+                      lambda cfg, args: [cmd_build_moments(cfg)]),
+    "toy-example": ("common output stop bound toy-example", "three-asset weight comparison over a rho grid",
+                    lambda cfg, args: [cmd_toy_example(cfg, args.rho_grid)]),
+    "optimize-bb": ("common output universe returns stop bound", "global kurtosis minimization by branch and bound",
+                    lambda cfg, args: cmd_optimize_bb(cfg)),
+    "optimize-gld": ("common output universe returns gld", "global kurtosis minimization by Langevin multistart",
+                     lambda cfg, args: cmd_optimize_gld(cfg, record_paths=args.record_paths)),
+    "dimensionality": ("common output universe returns dimensionality",
+                       "diversification and dimensionality of a portfolio",
+                       lambda cfg, args: [_dimensionality(cfg, args)]),
+    "bench": ("common universe returns stop", "branch and bound under each bounding mode on one panel",
+              lambda cfg, args: [json.dumps(_jsonable(cmd_bench(cfg)), sort_keys=True, indent=2)]),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
-    """The ``portdim`` parser: each command takes the flag groups it reads."""
-    groups = (argparse.ArgumentParser(add_help=False) for _ in range(7))
-    common, output, universe, returns, stop, bound, gld = groups
+    """The ``portdim`` parser: each command of ``_COMMANDS`` takes the flag groups it names."""
+    names = ("common", "output", "universe", "returns", "stop", "bound", "gld", "toy-example", "dimensionality")
+    groups = {name: argparse.ArgumentParser(add_help=False) for name in names}
+    common, output, universe, returns, stop, bound, gld, toy, dim = groups.values()
     common.add_argument("--config", help="JSON config file; CLI flags override its fields")
     common.add_argument("--seed", type=int, help="top-level seed for all substreams")
     common.add_argument("--mean", type=float, help="margin mean")
@@ -696,6 +747,17 @@ def _parser() -> argparse.ArgumentParser:
         default="",
         help="comma-separated path indices whose full trajectories are written",
     )
+    toy.add_argument("--rho-grid", dest="rho_grid", type=_comma_list(float),
+                     default="-0.7,-0.5,-0.3,0.0,0.5,0.95,0.99",
+                     help="comma-separated correlation grid; write --rho-grid=-0.5,0.99 when "
+                          "the first value is negative")
+    dim.add_argument("--weights-file", dest="weights_file", required=True,
+                     help='JSON file with a "weights" array')
+    dim.add_argument("--moments", dest="moments_file", help="moments JSON from build-moments")
+    dim.add_argument("--measure", choices=[m.value for m in NuMeasure], default=NuMeasure.EXCESS_KURTOSIS.value)
+    dim.add_argument("--ref-kurtosis", dest="ref_kurtosis", type=float,
+                     help="reference-asset kurtosis (> 3); defaults to the universe margin")
+    dim.add_argument("--ref-skewness", dest="ref_skewness", type=float, default=None)
 
     parser = argparse.ArgumentParser(
         prog="portdim",
@@ -703,55 +765,9 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", parents=[common, output, universe], help="simulate a return panel to CSV")
-    sub.add_parser(
-        "build-moments", parents=[common, output, universe, returns], help="estimate co-moments from returns"
-    )
-    p = sub.add_parser(
-        "toy-example",
-        parents=[common, output, stop, bound],
-        help="three-asset weight comparison over a rho grid",
-    )
-    p.add_argument("--rho-grid", dest="rho_grid", type=_comma_list(float),
-                   default="-0.7,-0.5,-0.3,0.0,0.5,0.95,0.99",
-                   help="comma-separated correlation grid; write --rho-grid=-0.5,0.99 when "
-                        "the first value is negative")
-    sub.add_parser(
-        "optimize-bb",
-        parents=[common, output, universe, returns, stop, bound],
-        help="global kurtosis minimization by branch and bound",
-    )
-    sub.add_parser(
-        "optimize-gld",
-        parents=[common, output, universe, returns, gld],
-        help="global kurtosis minimization by Langevin multistart",
-    )
-    p = sub.add_parser(
-        "dimensionality",
-        parents=[common, output, universe, returns],
-        help="diversification and dimensionality of a portfolio",
-    )
-    p.add_argument("--weights-file", dest="weights_file", required=True,
-                   help='JSON file with a "weights" array')
-    p.add_argument("--moments", dest="moments_file", help="moments JSON from build-moments")
-    p.add_argument("--measure", choices=[m.value for m in NuMeasure], default=NuMeasure.EXCESS_KURTOSIS.value)
-    p.add_argument("--ref-kurtosis", dest="ref_kurtosis", type=float,
-                   help="reference-asset kurtosis (> 3); defaults to the universe margin")
-    p.add_argument("--ref-skewness", dest="ref_skewness", type=float, default=None)
-    sub.add_parser(
-        "bench",
-        parents=[common, universe, returns, stop],
-        help="branch and bound under each bounding mode on one panel",
-    )
+    for name, (flag_groups, help_text, _) in _COMMANDS.items():
+        sub.add_parser(name, parents=[groups[g] for g in flag_groups.split()], help=help_text)
     return parser
-
-
-def _read_weights(path: str) -> np.ndarray:
-    with _input(path):
-        doc = json.loads(Path(path).read_text())
-        if not isinstance(doc, dict) or "weights" not in doc:
-            raise ValueError('needs an object with a "weights" array')
-        return np.asarray(Weights(_numbers("weights", doc["weights"])))
 
 
 @contextlib.contextmanager
@@ -764,43 +780,17 @@ def _usage_errors(parser: argparse.ArgumentParser, *errors: type[Exception]):
 
 
 def main(argv=None) -> int:
-    """Run one command.  Bad flags, a bad config and unreadable or malformed
-    input files exit 2 with a one-line message; other errors raise."""
+    """Run one command and print the lines it returns.  Bad flags, a bad
+    config and unreadable or malformed input files exit 2 with a one-line
+    message; other errors raise."""
     parser = _parser()
     args = parser.parse_args(argv)
     with _usage_errors(parser, OSError, ValueError):
         cfg = _build_config(args)
     with _usage_errors(parser, InputError):
-        if args.command == "simulate":
-            path = cmd_simulate(cfg)
-            print(path)
-        elif args.command == "build-moments":
-            path = cmd_build_moments(cfg)
-            print(path)
-        elif args.command == "toy-example":
-            path = cmd_toy_example(cfg, args.rho_grid)
-            print(path)
-        elif args.command == "optimize-bb":
-            results_path, trace_path = cmd_optimize_bb(cfg)
-            print(results_path)
-            print(trace_path)
-        elif args.command == "optimize-gld":
-            results_path, hist_path = cmd_optimize_gld(cfg, record_paths=args.record_paths)
-            print(results_path)
-            print(hist_path)
-        elif args.command == "dimensionality":
-            measure = NuMeasure(args.measure)
-            ref_kurt = args.ref_kurtosis if args.ref_kurtosis is not None else cfg.kurtosis
-            ref_skew = args.ref_skewness if args.ref_skewness is not None else cfg.skewness
-            if measure is NuMeasure.SQUARED_SKEWNESS and ref_skew == 0.0:
-                parser.error("--measure squared_skewness needs a nonzero reference skewness: set --ref-skewness")
-            weights = _read_weights(args.weights_file)
-            with _input("reference asset"):
-                reference = ReferenceAsset.from_target(cfg.margin(skewness=ref_skew, kurtosis=ref_kurt), measure)
-            path = cmd_dimensionality(cfg, weights, reference, measure, moments_file=args.moments_file)
-            print(path)
-        elif args.command == "bench":
-            print(json.dumps(_jsonable(cmd_bench(cfg)), sort_keys=True, indent=2))
+        _, _, run = _COMMANDS[args.command]
+        lines = run(cfg, args)
+    print(*lines, sep="\n")
     return 0
 
 

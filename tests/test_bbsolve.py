@@ -126,18 +126,22 @@ def test_alpha_floor_exact_on_iid_pair(c2_iid):
     assert bb.alpha_floor(c2_iid) == pytest.approx(1.125, abs=1e-9)
 
 
+def mixed_t_comoments(rng: np.random.Generator, n: int) -> cm.CoMomentSet:
+    """Co-moments of a random heavy-tailed panel with random cross-loadings."""
+    mixing = np.eye(n) + rng.uniform(-0.6, 0.6, (n, n))
+    panel = rng.standard_t(rng.uniform(4.5, 30.0), size=(500, n)) @ mixing
+    return cm.build_comoments(cm.ReturnSample(panel))
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(min_value=2, max_value=5), seed=st.integers(min_value=0, max_value=2**32 - 1))
 # a nearly riskless universe (cond(m2) 2.5e5, least mu4 4e-11) where the
 # first descent stops with a Frank-Wolfe gap of 1.4e-10 and a floor below 0
 @example(n=5, seed=2214)
 def test_alpha_floor_is_a_true_floor(n, seed):
-    # a random heavy-tailed panel with random cross-loadings: the floor lies
-    # below mu4 at the vertices, at equal weights and at random simplex points
+    # the floor lies below mu4 at the vertices, at equal weights and at random simplex points
     rng = np.random.default_rng(seed)
-    mixing = np.eye(n) + rng.uniform(-0.6, 0.6, (n, n))
-    panel = rng.standard_t(rng.uniform(4.5, 30.0), size=(500, n)) @ mixing
-    c = cm.build_comoments(cm.ReturnSample(panel))
+    c = mixed_t_comoments(rng, n)
     alpha = bb.alpha_floor(c)
     points = np.vstack([np.eye(n), np.full((1, n), 1.0 / n), rng.dirichlet(np.ones(n), size=64)])
     mu4 = cm.batch_moments(points, c)[2]
@@ -363,6 +367,18 @@ def test_milp_guard_on_large_cells():
     c = iid_comoments(7)
     with pytest.raises(ValueError, match="size guard"):
         bb.bound_milp(bb.SimplexCell(np.eye(7)), c, 1.0)
+    assert [bb.bound_modes(n) for n in (1, 6, 7, 30)] == [bb.BOUND_MODES] * 2 + [("lp1", "lp2")] * 2
+
+
+def test_alpha_floor_below_the_pivot_tolerance_still_bounds_cells():
+    # the nearly riskless n=5, seed=2214 universe of test_alpha_floor_is_a_true_floor:
+    # a floor row alpha * sum b <= 1 with alpha below the simplex's pivot tolerance
+    # was skipped by its ratio test, and the root LP came out unbounded
+    c = mixed_t_comoments(np.random.default_rng(2214), 5)
+    result = bb.solve(c, bb.BbConfig(max_iterations=20))
+    assert 0.0 < result.alpha < ss._PIVOT_TOL
+    assert result.status == "iteration_limit" and result.iterations == 20
+    assert np.all(result.lower_bounds <= result.upper_bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -691,3 +707,14 @@ def test_alpha_is_computed_once_per_set(c_n3, monkeypatch):
     copy = dataclasses.replace(fresh)
     bb.solve(copy, bb.BbConfig(rho_tol=1e-2))
     assert calls == [fresh, copy]
+    # in units 2^-4 the solves search one rescaled set, so its floor is computed once too
+    j = -4
+    scaled = dataclasses.replace(
+        fresh,
+        mean=np.ldexp(fresh.mean, j),
+        m2=np.ldexp(fresh.m2, 2 * j),
+        m3_unique=np.ldexp(fresh.m3_unique, 3 * j),
+        m4_unique=np.ldexp(fresh.m4_unique, 4 * j),
+    )
+    alphas = {bb.solve(scaled, bb.BbConfig(rho_tol=1e-2, bound_mode=mode)).alpha for mode in ("lp1", "lp2", "milp")}
+    assert alphas == {math.ldexp(floor(c_n3), 4 * j)} and len(calls) == 3

@@ -329,6 +329,28 @@ def test_bench_leaves_out_milp_above_the_envelope_cap(tmp_path):
     assert {row["status"] for row in table["rows"]} == {"iteration_limit"}
 
 
+def test_optimize_bb_rejects_milp_above_six_assets_before_sampling(tmp_path, capsys, monkeypatch):
+    message = "--bound-mode milp bounds at most 6 assets, got 7"
+    assert "milp" in bb.bound_modes(6) and "milp" not in bb.bound_modes(7)
+    argv = ["optimize-bb", "--bound-mode", "milp", "--output-dir", str(tmp_path)]
+    # a returns file is checked once it is read, before its co-moments are built
+    returns = tmp_path / "r7.csv"
+    np.savetxt(returns, np.random.default_rng(0).standard_normal((500, 7)), delimiter=",",
+               header=",".join(f"a{i}" for i in range(7)), comments="")
+
+    def no_moments(cfg, sample):
+        raise AssertionError("built co-moments before checking --bound-mode")
+
+    monkeypatch.setattr(hn, "_comoments", no_moments)
+    assert usage_error([*argv, "--returns", str(returns)], capsys) == message
+
+    def no_sampling(cfg):
+        raise AssertionError("sampled before checking --bound-mode")
+
+    monkeypatch.setattr(hn, "load_or_simulate", no_sampling)
+    assert usage_error([*argv, "--n-assets", "7", "--rho", "0.1", "--t-obs", "2000"], capsys) == message
+
+
 def test_cli_merging_flags_beat_config(tmp_path):
     doc = {
         "experiment": "merged",
