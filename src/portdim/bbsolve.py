@@ -287,20 +287,9 @@ def _descent_floor(c: CoMomentSet, w: np.ndarray, exponent: int) -> tuple[np.nda
     return w, mu4, mu4 - max(0.0, float(grad @ w - grad.min()))
 
 
-#: ``unit_scaled`` of each co-moment set that ``solve`` has seen, with the
-#: alpha_floor of the scaled set, so that solves of one set under several
-#: modes rescale it and run the descent once.  At k = 0 the scaled set is
-#: the key itself and is not stored: a value holding its key keeps it alive.
-_ALPHAS: weakref.WeakKeyDictionary[CoMomentSet, tuple[CoMomentSet | None, int, float]] = weakref.WeakKeyDictionary()
-
-
-def _scaled_alpha(c: CoMomentSet) -> tuple[CoMomentSet, int, float]:
-    """``unit_scaled(c)`` and the alpha_floor of the scaled set."""
-    if c not in _ALPHAS:
-        scaled, k = unit_scaled(c)
-        _ALPHAS[c] = (scaled if k else None, k, alpha_floor(scaled))
-    scaled, k, alpha = _ALPHAS[c]
-    return (c if scaled is None else scaled), k, alpha
+#: The alpha_floor of ``unit_scaled`` of each co-moment set that ``solve``
+#: has seen, so that solves of one set under several modes run the descent once.
+_ALPHAS: weakref.WeakKeyDictionary[CoMomentSet, float] = weakref.WeakKeyDictionary()
 
 
 def _cut_points(vertices: np.ndarray, n_c: int) -> np.ndarray:
@@ -484,7 +473,11 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
     gets the same result bit for bit; ``alpha`` is reported in ``c``'s units.
     """
     start_time = time.perf_counter()
-    c, scale, alpha = _scaled_alpha(c)
+    given = c
+    c, scale = unit_scaled(c)
+    if given not in _ALPHAS:
+        _ALPHAS[given] = alpha_floor(c)
+    alpha = _ALPHAS[given]
     n = c.n_assets
     shrink = 1.0 - cfg.rho_tol
     lp_pivots = 0

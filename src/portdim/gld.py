@@ -97,10 +97,10 @@ class GldConfig:
     polish: bool = True
 
     def __post_init__(self) -> None:
-        if not (self.lam > 0.0):
-            raise ValueError(f"step size lam must be positive, got {self.lam!r}")
-        if not (self.c > 0.0):
-            raise ValueError(f"temperature scale c must be positive, got {self.c!r}")
+        if not (0.0 < self.lam < math.inf):
+            raise ValueError(f"step size lam must be positive and finite, got {self.lam!r}")
+        if not (0.0 < self.c < math.inf):
+            raise ValueError(f"temperature scale c must be positive and finite, got {self.c!r}")
         _check_counts(("n_sim", self.n_sim, 1), ("n_iter", self.n_iter, 0), ("seed", self.seed, 0))
 
 

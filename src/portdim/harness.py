@@ -352,6 +352,8 @@ def toy_universe(cfg: ExperimentConfig, rho: float) -> MetaGaussianSpec:
 def cmd_toy_example(cfg: ExperimentConfig, rho_grid) -> Path:
     """Weight of asset three versus rho: minimum kurtosis (branch and
     bound), closed-form risk parity, closed-form diversification ratio."""
+    if not rho_grid:
+        raise InputError("--rho-grid holds no correlation")
     start = time.perf_counter()
     rows = []
     specs = [toy_universe(cfg, rho) for rho in rho_grid]  # reject a bad universe before any sampling

@@ -111,6 +111,9 @@ class MarginTarget:
     kurtosis: float
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (self.variance > 0.0):
             raise ValueError(f"variance must be positive, got {self.variance!r}")
         if not (self.kurtosis > 3.0):

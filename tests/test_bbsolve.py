@@ -1,9 +1,11 @@
 """Simplex partition geometry, cell bounds, and the branch-and-bound loop."""
 
 import dataclasses
+import gc
 import heapq
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -516,8 +518,10 @@ def test_iteration_limit_status(c_n3):
 
 
 def test_time_limit_status(c_n3):
-    result = bb.solve(c_n3, bb.BbConfig(rho_tol=1e-9, max_seconds=1e-6))
-    assert result.status == "time_limit"
+    result = bb.solve(c_n3, bb.BbConfig(rho_tol=1e-9, max_seconds=1e-9))
+    assert (result.status, result.iterations) == ("time_limit", 0)
+    histories = (result.lower_bounds, result.upper_bounds, result.fraction_deleted)
+    assert [h.size for h in histories] == [2, 2, 2]  # the root row and the row at the stopping test
     assert result.lower_bounds[-1] <= result.upper_bounds[-1]
 
 
@@ -718,3 +722,16 @@ def test_alpha_is_computed_once_per_set(c_n3, monkeypatch):
     )
     alphas = {bb.solve(scaled, bb.BbConfig(rho_tol=1e-2, bound_mode=mode)).alpha for mode in ("lp1", "lp2", "milp")}
     assert alphas == {math.ldexp(floor(c_n3), 4 * j)} and len(calls) == 3
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.01])
+def test_alpha_cache_keeps_no_set_alive(sample_n3, scale, monkeypatch):
+    monkeypatch.setattr(bb, "_ALPHAS", weakref.WeakKeyDictionary())
+    c = cm.build_comoments(cm.ReturnSample(sample_n3.values * scale))
+    assert cm.unit_scaled(c)[1] == (0 if scale == 1.0 else -7)  # variance near 2^-13
+    bb.solve(c, bb.BbConfig(rho_tol=1e-2))
+    assert list(bb._ALPHAS.keys()) == [c]
+    ref = weakref.ref(c)
+    del c
+    gc.collect()
+    assert ref() is None and not bb._ALPHAS

@@ -1,6 +1,7 @@
 """Simplex projection, Langevin multistart, and the local polish step."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -74,6 +75,13 @@ def test_config_validation():
         gld.GldConfig(n_sim=0)
     with pytest.raises(ValueError):
         gld.GldConfig(n_iter=-1)
+
+
+@pytest.mark.parametrize("field", ["lam", "c"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_config_rejects_non_finite_step_and_temperature(field, value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        gld.GldConfig(**{field: value})
 
 
 @pytest.mark.parametrize(

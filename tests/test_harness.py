@@ -480,6 +480,11 @@ def test_bad_input_files_exit_2_and_other_errors_raise(tmp_path, capsys, monkeyp
         (["simulate", "--t-obs", str(10**20)], f"--t-obs {10**20}: a {10**20} x 3 panel is too large for one array"),
         (["optimize-bb", "--n-assets", "5", "--t-obs", str(10**20)], f"--t-obs {10**20}: a {10**20} x 5 panel"),
         (["toy-example", "--t-obs", str(10**20)], f"--t-obs {10**20}: a {10**20} x 3 panel"),
+        (["simulate", "--variance", "inf"], "universe: variance must be finite, got inf"),
+        (["simulate", "--kurtosis", "inf"], "universe: kurtosis must be finite, got inf"),
+        (["optimize-gld", "--lam", "inf"], "step size lam must be positive and finite, got inf"),
+        (["optimize-gld", "--noise-scale", "inf"], "temperature scale c must be positive and finite, got inf"),
+        (["toy-example", "--rho-grid="], "--rho-grid holds no correlation"),
     ],
 )
 def test_rejected_universes_and_flags_exit_2_before_sampling(argv, message, tmp_path, capsys, monkeypatch):

@@ -124,6 +124,14 @@ def test_margin_target_validation():
         rs.MarginTarget(mean=0.0, variance=1.0, skewness=1.4, kurtosis=6.0)
 
 
+@pytest.mark.parametrize("field", ["mean", "variance", "skewness", "kurtosis"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_margin_target_rejects_non_finite_fields(field, value):
+    moments = {"mean": 0.0, "variance": 1.0, "skewness": 0.0, "kurtosis": 6.0} | {field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        rs.MarginTarget(**moments)
+
+
 def test_pdf_integrates_to_one():
     for p in (P_ASYM, P_SYM):
         total, err = quad(rs.nig_pdf, -np.inf, np.inf, args=(p,), limit=200)
