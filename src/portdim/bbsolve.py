@@ -66,7 +66,7 @@ from .comoments import (
 )
 from .gld import _projected_descent
 # solve_lp and solve_milp are the one-problem cases of the stack solver, re-exported here
-from .subsolver import _PIVOT_TOL, _best_blocks, _Breakdown, solve_lp, solve_milp  # noqa: F401
+from .subsolver import _best_blocks, _Breakdown, solve_lp, solve_milp  # noqa: F401
 
 __all__ = [
     "SimplexCell",
@@ -261,30 +261,26 @@ def alpha_floor(c: CoMomentSet) -> float:
     a projected-gradient descent from the barycenter, where that gap is
     small, but the bound holds whether or not the descent converged.
 
-    The descent's step cap and stall test are absolute, so on a nearly
-    riskless universe (g of order 1e-11 at its minimum) it can stop where
-    the gap exceeds g.  Only where the floor comes out <= 0 is the descent
-    continued from its endpoint on g / 2^e, with 2^e of the size of g there.
+    Where that is not positive (a nearly riskless universe), the floor is (lambda_min -
+    n_p eps lambda_max) / N^2 of G = ``m4_gram``, with Weyl's margin for ``eigvalsh``: g = v'Gv
+    >= lambda_min |v|^2 for the pair products v of w, |v|^2 >= 1/N^2.  ValueError if that is <= 0.
     """
-    w, mu4, floor = _descent_floor(c, np.full(c.n_assets, 1.0 / c.n_assets), 0)
-    if floor <= 0.0:
-        floor = _descent_floor(c, w, -math.frexp(mu4)[1])[2]
-    return floor
-
-
-def _descent_floor(c: CoMomentSet, w: np.ndarray, exponent: int) -> tuple[np.ndarray, float, float]:
-    """Descend g * 2^exponent from w; return the endpoint, g there and its
-    Frank-Wolfe floor on g."""
-    w, value, _ = _projected_descent(
-        lambda v: math.ldexp(portfolio_moments(v, c).mu4, exponent),
-        lambda v: np.ldexp(moment_derivatives(v, c).grad_mu4, exponent),
-        w,
+    w, mu4, _ = _projected_descent(
+        lambda v: portfolio_moments(v, c).mu4,
+        lambda v: moment_derivatives(v, c).grad_mu4,
+        np.full(c.n_assets, 1.0 / c.n_assets),
         grad_tol=_ALPHA_GRAD_TOL,
         max_iter=_ALPHA_MAX_ITER,
     )
-    mu4 = math.ldexp(value, -exponent)
     grad = moment_derivatives(w, c).grad_mu4
-    return w, mu4, mu4 - max(0.0, float(grad @ w - grad.min()))
+    floor = mu4 - max(0.0, float(grad @ w - grad.min()))
+    if floor > 0.0:
+        return floor
+    eig = np.linalg.eigvalsh(c.m4_gram)
+    floor = float(eig[0] - eig.size * np.finfo(float).eps * eig[-1]) / c.n_assets**2
+    if not floor > 0.0:
+        raise ValueError("co-moments have no positive fourth-moment floor in double precision")
+    return floor
 
 
 #: The alpha_floor of ``unit_scaled`` of each co-moment set that ``solve``
@@ -391,12 +387,8 @@ def _bound_cells(
         if mode == "lp2":
             anchors = np.concatenate([anchors, _cut_points(vertices, n_c)], axis=1)
     rows = _cut_rows(cone, anchors, c, alpha)
-    rhs = np.ones(rows.shape[:2])
-    if alpha < _PIVOT_TOL:  # the ratio test would skip the floor row's entries: write it as sum b <= 1/alpha
-        rows[:, -1] = 1.0
-        rhs[:, -1] = 1.0 / alpha
     try:
-        ub, best, b, pivots, unbounded = _best_blocks(_vertex_objective(cone, c), rows, rhs, blocks)
+        ub, best, b, pivots, unbounded = _best_blocks(_vertex_objective(cone, c), rows, np.ones(rows.shape[:2]), blocks)
     except _Breakdown as err:
         k = err.problem // blocks.shape[0]
         raise _Breakdown(
@@ -468,9 +460,9 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
     wall-clock limits return the best incumbent with status
     ``'iteration_limit'`` or ``'time_limit'``.
 
-    The search runs on ``unit_scaled(c)``, where the LP tolerances meet
-    coefficients of unit size, so a panel multiplied by any power of two
-    gets the same result bit for bit; ``alpha`` is reported in ``c``'s units.
+    The search runs on ``unit_scaled(c)``, where the absolute tolerances of the alpha
+    descent and the candidate test meet unit-sized coefficients, so a panel in any
+    power-of-two units gets the same result bit for bit; ``alpha`` is in ``c``'s units.
     """
     start_time = time.perf_counter()
     given = c

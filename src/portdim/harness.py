@@ -360,8 +360,7 @@ def cmd_toy_example(cfg: ExperimentConfig, rho_grid) -> Path:
     for rho, spec in zip(rho_grid, specs):
         sample = _simulate(cfg, spec)
         with _input(f"toy panel at rho {rho}"):
-            c = build_comoments(sample)
-        result = solve(c, cfg.bb)
+            result = solve(build_comoments(sample), cfg.bb)
         w3 = float(np.asarray(result.incumbent)[2])
         rows.append(
             (rho, w3, toy_rp_weight(rho), toy_dr_weight(rho), result.kurtosis, result.status)
@@ -378,7 +377,8 @@ def cmd_toy_example(cfg: ExperimentConfig, rho_grid) -> Path:
 
 def _check_bound_mode(cfg: ExperimentConfig, n_assets: int) -> None:
     if cfg.bb.bound_mode not in bound_modes(n_assets):
-        raise InputError(f"--bound-mode {cfg.bb.bound_mode} bounds at most 6 assets, got {n_assets}")
+        limit = next(n for n in range(1, n_assets) if cfg.bb.bound_mode not in bound_modes(n + 1))
+        raise InputError(f"--bound-mode {cfg.bb.bound_mode} bounds at most {limit} assets, got {n_assets}")
 
 
 def cmd_optimize_bb(cfg: ExperimentConfig) -> tuple[Path, Path]:
@@ -388,7 +388,8 @@ def cmd_optimize_bb(cfg: ExperimentConfig) -> tuple[Path, Path]:
         _check_bound_mode(cfg, cfg.n_assets)  # fail before seconds of sampling
     sample = load_or_simulate(cfg)
     _check_bound_mode(cfg, sample.n_assets)  # a returns file's width is known once it is read
-    result = solve(_comoments(cfg, sample), cfg.bb)
+    with _input(cfg.returns_file or "simulated returns"):  # singular, or with no positive fourth-moment floor
+        result = solve(build_comoments(sample), cfg.bb)
     directory = _out_dir(cfg)
     meta = _metadata(cfg)
     weights = np.asarray(result.incumbent)
@@ -559,7 +560,8 @@ def cmd_bench(cfg: ExperimentConfig) -> dict:
         if bound_mode not in bound_modes(c.n_assets):
             continue
         start = time.perf_counter()
-        result = solve(c, dataclasses.replace(cfg.bb, bound_mode=bound_mode, n_c=n_c))
+        with _input(cfg.returns_file or "simulated returns"):  # co-moments with no positive fourth-moment floor
+            result = solve(c, dataclasses.replace(cfg.bb, bound_mode=bound_mode, n_c=n_c))
         rows.append(
             {
                 "bound_mode": bound_mode,

@@ -12,6 +12,8 @@ pivot one row scale and one rank-1 update per LP with no basis inverse.
 Pricing is Dantzig's, with a switch to Bland's rule after too many
 degenerate pivots, and every choice is made per LP, so a stacked LP takes
 exactly the pivots, and returns bitwise the point, that it would alone.
+Each tableau row is first multiplied by the power of two that puts its largest
+|a| (or |c|) entry in [1, 2): exact, prices unchanged, pivot tolerance relative.
 LPs that finish drop out of the stack.  ``solve_lp`` and ``solve_milp``
 are the one-problem cases.
 """
@@ -128,6 +130,9 @@ def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, n
     t[:, :m, n:-1] = np.eye(m)
     t[:, :m, -1] = b
     t[:, m, :n] = -c
+    # the largest |a| (|c|) entry of each row, over the leading axis of a C-ordered copy: fast for short rows
+    row_max = np.abs(t[:, :, :n].transpose(2, 0, 1), order="C").max(axis=0, initial=0.0)
+    t *= np.ldexp(1.0, 1 - np.frexp(row_max)[1])[:, :, None]
     x = np.zeros((n_lp, n + m))
     pivots = np.zeros(n_lp, dtype=int)
     unbounded = np.zeros(n_lp, dtype=bool)

@@ -138,7 +138,8 @@ def mixed_t_comoments(rng: np.random.Generator, n: int) -> cm.CoMomentSet:
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(min_value=2, max_value=5), seed=st.integers(min_value=0, max_value=2**32 - 1))
 # a nearly riskless universe (cond(m2) 2.5e5, least mu4 4e-11) where the
-# first descent stops with a Frank-Wolfe gap of 1.4e-10 and a floor below 0
+# first descent stops with a Frank-Wolfe gap of 1.4e-10 and a floor below 0,
+# so alpha is the eigenvalue floor of m4_gram, 1.41e-11
 @example(n=5, seed=2214)
 def test_alpha_floor_is_a_true_floor(n, seed):
     # the floor lies below mu4 at the vertices, at equal weights and at random simplex points
@@ -151,13 +152,18 @@ def test_alpha_floor_is_a_true_floor(n, seed):
     assert 0.0 < alpha <= mu4.min() * (1.0 + 1e-12)
 
 
-def test_alpha_floor_continues_the_descent_only_below_zero(c_n3, monkeypatch):
-    # a floor that comes out positive is the first descent's, bit for bit
-    calls = []
-    descent = bb._descent_floor
-    monkeypatch.setattr(bb, "_descent_floor", lambda c, w, e: calls.append(e) or descent(c, w, e))
-    assert bb.alpha_floor(c_n3) == descent(c_n3, np.full(3, 1.0 / 3.0), 0)[2]
-    assert calls == [0]
+@pytest.mark.parametrize("n, seed", [(3, None), (4, 5), (5, 6)])
+def test_alpha_floor_falls_back_to_the_eigenvalue_floor(c_n3, monkeypatch, n, seed):
+    # a descent that stops at a vertex with mu4 taken as 0 leaves a floor <= 0,
+    # so alpha is (lambda_min - n_p eps lambda_max) / N^2 of m4_gram
+    c = c_n3 if seed is None else mixed_t_comoments(np.random.default_rng(seed), n)
+    monkeypatch.setattr(bb, "_projected_descent", lambda f, grad, w, **kw: (np.eye(n)[0], 0.0, 0))
+    alpha = bb.alpha_floor(c)
+    eig = np.linalg.eigvalsh(c.m4_gram)
+    assert alpha == (eig[0] - eig.size * np.finfo(float).eps * eig[-1]) / n**2
+    rng = np.random.default_rng(0)
+    points = np.vstack([np.eye(n), np.full((1, n), 1.0 / n), rng.dirichlet(np.ones(n), size=256)])
+    assert 0.0 < alpha <= cm.batch_moments(points, c)[2].min()
 
 
 @pytest.mark.parametrize("max_iter", [0, 1, 2])
@@ -381,6 +387,28 @@ def test_alpha_floor_below_the_pivot_tolerance_still_bounds_cells():
     assert 0.0 < result.alpha < ss._PIVOT_TOL
     assert result.status == "iteration_limit" and result.iterations == 20
     assert np.all(result.lower_bounds <= result.upper_bounds)
+
+
+def hedged_comoments(noise: float) -> cm.CoMomentSet:
+    """A long-only hedge: t(6) assets a and b, and c = -(a + b) + noise x N(0, 1), over 20,000 rows."""
+    rng = np.random.default_rng(0)
+    ab = rng.standard_t(6, (20_000, 2))
+    hedge = -ab.sum(axis=1) + noise * rng.standard_normal(20_000)
+    return cm.build_comoments(cm.ReturnSample(np.column_stack([ab, hedge])))
+
+
+def test_nearly_riskless_hedge_is_certified():
+    # the first descent's floor is below 0 (-5.4e-12) and the eigenvalue floor
+    # (1e-14) is far below the pivot tolerance; the floor row still bounds every cell
+    result = bb.solve(hedged_comoments(1e-3))
+    assert result.status == "optimal"
+    assert 0.0 < result.alpha < 1e-13
+    assert result.kurtosis_lower_bounds[-1] <= result.kurtosis
+
+
+def test_hedge_without_a_positive_floor_is_rejected():
+    with pytest.raises(ValueError, match="no positive fourth-moment floor in double precision"):
+        bb.solve(hedged_comoments(1e-4))
 
 
 # ---------------------------------------------------------------------------

@@ -538,6 +538,31 @@ def test_duplicated_column_exits_2_naming_the_returns_file(command, tmp_path, ca
     ), message
 
 
+def hedged_panel(path, noise: float) -> Path:
+    """20,000 rows of t(6) assets a and b and the hedge c = -(a + b) + ``noise`` x a standard normal."""
+    rng = np.random.default_rng(0)
+    ab = rng.standard_t(6, (20_000, 2))
+    hedge = -ab.sum(axis=1) + noise * rng.standard_normal(20_000)
+    return hn.write_csv(path, ["a", "b", "c"], np.column_stack([ab, hedge]), {})
+
+
+@pytest.mark.parametrize("command", ["optimize-bb", "bench", "toy-example"])
+def test_universe_without_a_positive_alpha_floor_exits_2_naming_the_panel(command, tmp_path, capsys, monkeypatch):
+    # covariance eigenvalue ratio 7.4e-10, above the singular limit, but no
+    # positive fourth-moment floor: the B&B cannot bound its cells
+    returns = hedged_panel(tmp_path / "hedged.csv", noise=1e-4)
+    argv = [command] if command == "bench" else [command, "--output-dir", str(tmp_path)]
+    if command == "toy-example":  # every toy panel is the hedged one
+        monkeypatch.setattr(hn, "_simulate", lambda cfg, spec: hn.read_returns_csv(returns))
+        argv += ["--rho-grid=0.1"]
+        source = "toy panel at rho 0.1"
+    else:
+        argv += ["--returns", str(returns)]
+        source = str(returns)
+    message = usage_error(argv, capsys)
+    assert message == f"{source}: co-moments have no positive fourth-moment floor in double precision"
+
+
 def test_copied_column_with_noise_above_the_limit_is_accepted(tmp_path, capsys):
     returns = copied_column_panel(tmp_path / "noisy.csv", noise=1e-3)
     assert hn.main(["build-moments", "--returns", str(returns), "--output-dir", str(tmp_path)]) == 0

@@ -312,12 +312,9 @@ def test_degenerate_run_belongs_to_each_lp_of_a_stack():
     assert not unbounded.any()
 
 
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=150, deadline=None)
-def test_stacked_solves_equal_one_problem_solves(seed):
-    # one shape per stack; LPs with and without the capping row (so some are
-    # unbounded) and with some or all right-hand sides zero
-    rng = np.random.default_rng(seed)
+def _random_stack(rng):
+    """One shape per stack; LPs with and without the capping row (so some are
+    unbounded) and with some or all right-hand sides zero."""
     n_rows, n_vars, size = int(rng.integers(0, 6)), int(rng.integers(1, 8)), int(rng.integers(1, 12))
     c = rng.standard_normal((size, n_vars))
     a = rng.uniform(-1.0, 2.0, (size, n_rows + 1, n_vars))
@@ -325,6 +322,14 @@ def test_stacked_solves_equal_one_problem_solves(seed):
     a[capped, -1] = rng.uniform(0.1, 1.0, (int(capped.sum()), n_vars))
     b = rng.uniform(0.0, 2.0, (size, n_rows + 1))
     b[rng.random((size, n_rows + 1)) < rng.choice([0.0, 0.5, 1.0], (size, 1))] = 0.0
+    return c, a, b
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_stacked_solves_equal_one_problem_solves(seed):
+    c, a, b = _random_stack(np.random.default_rng(seed))
+    size = c.shape[0]
     x, pivots, unbounded = ss._simplex(c, a, b)
     for i in range(size):
         x_i, pivots_i, unbounded_i = ss._simplex(c[i : i + 1], a[i : i + 1], b[i : i + 1])
@@ -336,3 +341,58 @@ def test_milp_blocks_must_share_a_size():
     lp = ss.LpProblem(objective=[1.0, 1.0], matrix=[[1.0, 1.0]], rhs=[1.0])
     with pytest.raises(ValueError, match="same size"):
         ss.MilpProblem(lp=lp, blocks=((0,), (0, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the power-of-two row scaling
+
+
+def _beale_stack(rng):
+    problems = [_beale_shaped_lp(rng) for _ in range(5)]
+    problems.insert(int(rng.integers(0, 6)), BEALE)
+    return _stack(problems)
+
+
+_STACKS = {
+    "random": _random_stack,
+    "beale": _beale_stack,
+    "bland": lambda rng: _stack([_beale_after_free_pivots(0), _beale_after_free_pivots(3)]),
+    "cube": lambda rng: _stack([_klee_minty(8), _padded_beale(8)]),
+}
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(sorted(_STACKS)))
+@settings(max_examples=150, deadline=None)
+def test_objective_scaled_by_a_power_of_two_changes_no_answer(seed, kind):
+    # each LP's objective times its own 2^j, j in [-60, 60]: the objective row
+    # is scaled back to a largest |entry| in [1, 2), so the tableau is the same
+    rng = np.random.default_rng(seed)
+    c, a, b = _STACKS[kind](rng)
+    scaled = np.ldexp(c, rng.integers(-60, 61, (c.shape[0], 1)))
+    x, pivots, unbounded = ss._simplex(c, a, b)
+    x_scaled, pivots_scaled, unbounded_scaled = ss._simplex(scaled, a, b)
+    assert x_scaled.tobytes() == x.tobytes()
+    assert np.array_equal(pivots_scaled, pivots) and np.array_equal(unbounded_scaled, unbounded)
+
+
+def test_row_of_tiny_entries_still_bounds_the_lp():
+    # max x s.t. 1e-12 x <= 1: the entry is below the pivot tolerance until its row is scaled
+    sol = ss.solve_lp(ss.LpProblem([1.0], [[1e-12]], [1.0]))
+    assert sol.optimal
+    assert sol.value == pytest.approx(1e12, rel=1e-15)
+
+
+def test_tiny_objective_still_prices():
+    # max 1e-12 x s.t. x <= 1: the reduced cost is below the pivot tolerance until the objective is scaled
+    sol = ss.solve_lp(ss.LpProblem([1e-12], [[1.0]], [1.0]))
+    assert sol.optimal
+    assert np.array_equal(sol.x, [1.0])
+
+
+def test_milp_blocks_see_tiny_rows_and_objectives():
+    # block {0}: max 1e-12 x0 s.t. 1e-12 x0 <= 1 gives 1; block {1}: max 3e-12 x1 s.t. x1 <= 1 gives 3e-12
+    lp = ss.LpProblem(objective=[1e-12, 3e-12], matrix=[[1e-12, 0.0], [0.0, 1.0]], rhs=[1.0, 1.0])
+    sol = ss.solve_milp(ss.MilpProblem(lp=lp, blocks=((0,), (1,))))
+    assert sol.optimal
+    assert sol.value == pytest.approx(1.0, rel=1e-15)
+    assert sol.x == pytest.approx([1e12, 0.0], rel=1e-15)
