@@ -442,7 +442,8 @@ def cmd_optimize_gld(cfg: ExperimentConfig, record_paths: tuple[int, ...] = ()) 
         check_record_paths(record_paths, cfg.gld.n_sim)  # fail before seconds of sampling
     start = time.perf_counter()
     c = _comoments(cfg, load_or_simulate(cfg))
-    result = multistart(c, cfg.gld, record_paths=record_paths)
+    with _input("--lam/--noise-scale"):  # a step so large that the iterates leave the finite range
+        result = multistart(c, cfg.gld, record_paths=record_paths)
     directory = _out_dir(cfg)
     meta = _metadata(cfg)
     weights = np.asarray(result.best_weights)

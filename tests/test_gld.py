@@ -55,6 +55,8 @@ def test_uniform_simplex_sampling_statistics():
 
 def test_temperature_heuristic():
     assert gld.temperature(0.01, 5, 0.06) == pytest.approx(2 * 0.01 * 25 / 0.0036, rel=1e-12)
+    # multistart's noise scale c / n is sqrt(2 lam / beta) in closed form
+    assert math.sqrt(2 * 0.01 / gld.temperature(0.01, 5, 0.06)) == pytest.approx(0.06 / 5, rel=1e-15)
 
 
 def test_recorded_iterates_stay_feasible(c_n3):
@@ -213,10 +215,47 @@ def test_results_do_not_depend_on_noise_chunk(monkeypatch, c_n3, chunk_iters):
     # None keeps the default buffer; 250 holds all 200 iterations at once
     cfg = small_cfg(n_sim=10, n_iter=200)
     reference = gld.multistart(c_n3, cfg, record_paths=(0, 6))
-    if chunk_iters is not None:
-        monkeypatch.setattr(gld, "_NOISE_BUFFER_BYTES", chunk_iters * cfg.n_sim * c_n3.n_assets * 8)
+    if chunk_iters is not None:  # 1 draws 3 float32 normals a call, an odd count of 32-bit halves
+        monkeypatch.setattr(gld, "_NOISE_BUFFER_BYTES", chunk_iters * cfg.n_sim * c_n3.n_assets * 4)
     result = gld.multistart(c_n3, cfg, record_paths=(0, 6))
     assert_same_result(reference, result)
+
+
+def substream(seed: int, path: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(gld.GLD_STREAM, path))))
+
+
+def one_start(n: int, gen: np.random.Generator) -> np.ndarray:
+    """Reference draw, one vector at a time: the spacings of n - 1 sorted uniforms between 0 and 1, normalised."""
+    w = np.diff(np.concatenate([[0.0], np.sort(gen.random(n - 1)), [1.0]]))
+    return w / w.sum()
+
+
+@pytest.mark.parametrize("n", [1, 3, 15])
+def test_each_start_is_the_first_draw_of_its_own_substream(c_n3, n):
+    c = c_n3 if n == 3 else iid_comoments(n)
+    cfg = small_cfg(n_sim=20, n_iter=0)
+    result = gld.multistart(c, cfg, record_paths=tuple(range(cfg.n_sim)))
+    for p, trace in result.recorded_paths.items():
+        assert trace[0].tobytes() == gld.sample_uniform_simplex(n, substream(cfg.seed, p)).w.tobytes()
+        assert trace[0].tobytes() == one_start(n, substream(cfg.seed, p)).tobytes()
+
+
+def test_first_iterate_is_rebuilt_from_its_own_substream(c_n3):
+    # each path draws its start, then n float32 normals per iteration
+    cfg = small_cfg(n_sim=4, n_iter=3)
+    n = c_n3.n_assets
+    gens = [substream(cfg.seed, p) for p in range(cfg.n_sim)]
+    starts = np.array([gld.sample_uniform_simplex(n, gen).w for gen in gens])
+    eps = np.array([gen.standard_normal(n, dtype=np.float32) for gen in gens])
+    unit = cm.unit_scaled(c_n3)[0]
+    kernel = cm._KernelMoments(unit.m2.astype(np.float32), unit.m4_gram.astype(np.float32))
+    _, grad = cm.batch_kurtosis_and_gradient(starts, kernel)
+    first = gld.project_rows(starts - cfg.lam * grad + (cfg.c / n) * eps.astype(np.float64))
+    result = gld.multistart(c_n3, cfg, record_paths=tuple(range(cfg.n_sim)))
+    assert result.precision == "float32"
+    for p, trace in result.recorded_paths.items():
+        assert trace[1].tobytes() == first[p].tobytes()
 
 
 @pytest.mark.parametrize("j", [-10, 10])

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import logging
 import os
 import re
 import subprocess
@@ -284,6 +285,38 @@ def test_optimize_gld_reports_langevin_counters(tmp_path):
     assert not {"best_so_far", "precision"} & set(results)
     again, _ = hn.cmd_optimize_gld(cfg)
     assert again.read_bytes() == results_path.read_bytes()
+
+
+def test_optimize_gld_logs_one_debug_line_per_noise_chunk(tmp_path, caplog, monkeypatch):
+    cfg = tiny_cfg(tmp_path)
+    monkeypatch.setattr(gld, "_NOISE_BUFFER_BYTES", 50 * cfg.gld.n_sim * cfg.n_assets * 4)  # chunks of 50, 50, 20
+    quiet, _ = hn.cmd_optimize_gld(cfg)
+    expected = quiet.read_bytes()
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="portdim.gld"):
+        logged, _ = hn.cmd_optimize_gld(cfg)
+    lines = [r.getMessage() for r in caplog.records if r.name == "portdim.gld"]
+    assert [line.split(":")[0] for line in lines] == [f"{i} of 120 iterations" for i in (50, 100, 120)]
+    curve = json.loads((tmp_path / "t" / "run_record.json").read_text())["counters"]["best_so_far"]
+    best = float(lines[-1].split("best kurtosis ")[1].split(",")[0])
+    assert best == pytest.approx(curve[-1], rel=1e-8)
+    assert int(lines[-1].rsplit(" ", 1)[1]) in range(1, cfg.n_assets + 1)
+    assert logged.read_bytes() == expected
+
+
+def test_optimize_gld_runs_at_a_tiny_noise_scale(tmp_path):
+    # sigma = c / n has no c**2 to underflow
+    argv = ["optimize-gld", "--noise-scale", "1e-200", "--t-obs", "1500", "--n-sim", "8", "--n-iter", "20"]
+    assert hn.main([*argv, "--output-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "adhoc" / "gld_results.json").read_text())["gld"]["c"] == 1e-200
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("flag,value", [("--lam", "1e300"), ("--noise-scale", "1e200")])
+def test_langevin_step_that_leaves_the_finite_range_exits_2(flag, value, tmp_path, capsys):
+    argv = ["optimize-gld", flag, value, "--t-obs", "1500", "--n-sim", "4", "--n-iter", "5"]
+    message = usage_error([*argv, "--output-dir", str(tmp_path)], capsys)
+    assert message == "--lam/--noise-scale: projection input contains non-finite entries"
 
 
 def test_dimensionality_command(tmp_path, margin_k6):
