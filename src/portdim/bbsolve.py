@@ -28,26 +28,33 @@ max f'b s.t. A b <= 1, b >= 0, whose origin is feasible.
 The solver works in rounds over a frontier of cells.  The live cells are
 held in arrays (vertices, bound, depth, id) sorted best first by
 (-bound, id), so each round's parents are the first rows, up to
-``_FRONTIER_CELLS`` of them.  The round bisects them all at once and
-bounds the children together: one moment-kernel call for the gradients at
-all their cut anchors, one lockstep simplex over the stack of their
-packing LPs, and one moment-kernel call for h at all their LP candidates
-and barycenters.  These kernel calls are per round, not per cell.  The
-children are then applied with array operations, with the outcome of
-applying them parent by parent in order: one history row per parent, the
-lower bound a running max of the parents' scores, the step that fathoms
-each cell a binary search of its bound in those lower bounds, and one
-stable merge of the survivors with the children.
+``_round_cells`` of them: as many as keep the float64 tableaux of their
+children's LPs within ``_ROUND_LP_BYTES``, a width set once per solve.
+The round bisects them all at once and bounds the children together: one
+moment-kernel call for the gradients at all their cut anchors, one
+lockstep simplex over the stack of their packing LPs, and one
+moment-kernel call for h at all their LP candidates and barycenters.
+These kernel calls are per round, not per cell.  The children are then
+applied with array operations, with the outcome of applying them parent
+by parent in order: one history row per parent, the lower bound a running
+max of the parents' scores, the step that fathoms each cell a binary
+search of its bound in those lower bounds, and one stable merge of the
+survivors with the children.
 So with a frontier of one cell this is the plain best-first loop.  A
 wider frontier can only bisect a cell early that best-first would bisect
 later, or one that the lower bound reaches during the round; the
 certificate rule is the same.
+
+With the ``portdim.bbsolve`` logger at DEBUG, each round logs the cells it
+bisected, the live cells after it, the iterations so far and the certified
+kurtosis bounds; nothing is formatted when that level is off.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import logging
 import math
 import time
 import weakref
@@ -85,10 +92,13 @@ __all__ = [
 _DEGENERATE_EDGE = 1e-12
 _MAX_ENVELOPE_VERTICES = 6  # m! subcells: the milp bound solves one LP per subcell
 BOUND_MODES = ("lp1", "lp2", "milp")  # the cell bounds of the module docstring, for BbConfig.bound_mode
-_FRONTIER_CELLS = 128  # cells bisected per round; their children are bounded as one stack
+#: bytes of the float64 tableaux of one round's LP stack, which sets the cells bisected per round
+_ROUND_LP_BYTES = 1 << 20
 _ALPHA_GRAD_TOL = 1e-10
 _ALPHA_MAX_ITER = 100_000
 _CANDIDATE_U_TOL = 1e-12
+
+_log = logging.getLogger(__name__)
 
 
 def bound_modes(n_assets: int) -> tuple[str, ...]:
@@ -401,6 +411,21 @@ def _bound_cells(
     return ub, w, ok, int(pivots.sum())
 
 
+def _round_cells(n: int, mode: str, n_c: int) -> int:
+    """Cells bisected per round of ``solve``: as many as keep the tableaux of
+    their children's LPs within ``_ROUND_LP_BYTES``, and at least one.
+
+    As ``_bound_cells`` builds them, a cell has one LP over its n vertices
+    (n! LPs over the n-column subcell chains for milp), with one row per cut
+    anchor plus the floor row; ``_simplex`` pivots each on an
+    (rows + 1) x (n + rows + 1) float64 tableau.
+    """
+    blocks = math.factorial(n) if mode == "milp" else 1
+    rows = (n * n_c + 2) if mode == "lp2" else 2
+    tableau = 8 * (rows + 1) * (n + rows + 1)
+    return max(1, _ROUND_LP_BYTES // (2 * blocks * tableau))
+
+
 def _bound_one(cell: SimplexCell, c: CoMomentSet, alpha: float, mode: str, n_c: int) -> tuple[float, np.ndarray | None]:
     ub, w, ok, _ = _bound_cells(cell.vertices[None], c, alpha, mode, n_c, cell.id)
     return float(ub[0]), (w[0] if ok[0] else None)
@@ -453,7 +478,7 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
     Returns a certificate-quality result: on status ``'optimal'`` the
     incumbent satisfies h(incumbent) >= (1 - rho_tol) * max h.  A cell is
     fathomed once (1 - rho_tol) * UB(cell) <= LB.  Each round bisects the
-    first ``_FRONTIER_CELLS`` live cells in (-UB, id) order (fewer if the
+    first ``_round_cells`` live cells in (-UB, id) order (fewer if the
     iteration limit is near) and records one history row per parent, as if
     its children were applied parent by parent; a row's top bound is the
     largest bound of any cell live, pending or fathomed.  Iteration and
@@ -472,6 +497,7 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
     alpha = _ALPHAS[given]
     n = c.n_assets
     shrink = 1.0 - cfg.rho_tol
+    width = _round_cells(n, cfg.bound_mode, cfg.n_c)
     lp_pivots = 0
 
     def bound_and_score(cells: np.ndarray, per_group: int, first_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -535,7 +561,7 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
             break
 
         live_per_round.append(live)
-        k = min(_FRONTIER_CELLS, cfg.max_iterations - iteration, live)
+        k = min(width, cfg.max_iterations - iteration, live)
         steps = np.arange(k)
         children = _bisect_cells(vertices[:k])
         bounds, scores, points = bound_and_score(children, 2, created)
@@ -591,6 +617,16 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
         max_depth = max(max_depth, int(child_depth.max()))
         created += 2 * k
         iteration += k
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug(
+                "round %d: %d cells bisected, %d live, %d iterations, kurtosis in [%.9g, %.9g]",
+                len(live_per_round),
+                k,
+                ub.size,
+                iteration,
+                1.0 / ub_hist[-1][-1],
+                1.0 / lb,
+            )
     # the bounds at the stopping test; lb has not moved, so nothing is fathomed
     lb_hist.append(np.array([lb]))
     ub_hist.append(np.array([ub[0] if ub.size else fathomed_top]))

@@ -48,7 +48,6 @@ from .comoments import (
     _KernelMoments,
     batch_kurtosis_and_gradient,
     kurtosis_gradient,
-    kurtosis_hessian,
     portfolio_kurtosis,
     unit_scaled,
 )
@@ -59,11 +58,9 @@ __all__ = [
     "FinalIterateSummary",
     "project_rows",
     "sample_uniform_simplex",
-    "temperature",
     "check_record_paths",
     "multistart",
     "local_descent",
-    "barrier_descent",
 ]
 
 #: substream tag for the Langevin solver (the simulator uses 0)
@@ -84,15 +81,14 @@ _log = logging.getLogger(__name__)
 #: 1.5e-3 at conditions 6, 502 and 5.1e3 (homogeneous rho 0.5, 0.99, 0.999)
 _FLOAT32_MAX_COND = 1e3
 
+#: largest rounding error, n eps max|v|, of the total of a row that project_rows accepts
+_PROJECTION_TOL = 1e-6
+
 #: sufficient-decrease factor of the descents' backtracking line searches
 _ARMIJO = 1e-4
-#: stationarity tolerance of local_descent and barrier_descent
+#: stationarity tolerance of local_descent
 _DESCENT_GRAD_TOL = 1e-8
 _DESCENT_MAX_ITER = 50_000
-#: barrier_descent's barrier weights, factor-10 stages from 0.1 down to
-#: 1e-9, each of at most _BARRIER_MAX_ITER Newton steps
-_MU_LADDER = np.maximum(0.1 * 10.0 ** -np.arange(9), 1e-9)
-_BARRIER_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -154,12 +150,18 @@ def project_rows(points: np.ndarray) -> np.ndarray:
     Sort-threshold algorithm: with u the coordinates sorted descending and
     rho the largest j such that u_j + (1 - sum_{i<=j} u_i)/j > 0, the
     projection is max(v + theta, 0) with theta = (1 - sum_{i<=rho} u_i)/rho.
-    Produces exact zeros on the inactive coordinates.
+    Produces exact zeros on the inactive coordinates.  The rounding of the
+    sums moves each row's total by up to about n eps max|v|, so input that
+    is not finite, or so large that this exceeds ``_PROJECTION_TOL``, raises
+    ``ValueError``.
     """
     v = np.atleast_2d(np.asarray(points, dtype=float))
-    if not np.all(np.isfinite(v)):
-        raise ValueError("projection input contains non-finite entries")
     n = v.shape[1]
+    size = float(np.abs(v).max(initial=0.0))
+    if not math.isfinite(size):
+        raise ValueError("projection input contains non-finite entries")
+    if n * np.finfo(float).eps * size > _PROJECTION_TOL:
+        raise ValueError(f"projection input of size {size:.3g} is too large to land on the simplex in double precision")
     u = -np.sort(-v, axis=1)
     cumsum = np.cumsum(u, axis=1)
     js = np.arange(1, n + 1)
@@ -191,13 +193,6 @@ def _uniform_simplex_rows(n: int, gens: list[np.random.Generator]) -> np.ndarray
     return w / w.sum(axis=1, keepdims=True)
 
 
-def temperature(lam: float, n_assets: int, c: float) -> float:
-    """Langevin inverse temperature heuristic beta = 2 lam n^2 / c^2."""
-    if lam <= 0.0 or c <= 0.0 or n_assets < 1:
-        raise ValueError("temperature needs lam > 0, c > 0, n_assets >= 1")
-    return 2.0 * lam * n_assets**2 / c**2
-
-
 def check_record_paths(record_paths: tuple[int, ...], n_sim: int) -> None:
     """Raise ``ValueError`` naming every path index outside [0, n_sim)."""
     outside = sorted({p for p in record_paths if not 0 <= p < n_sim})
@@ -227,7 +222,7 @@ def multistart(
         step_moments = _KernelMoments(c.m2.astype(np.float32), c.m4_gram.astype(np.float32))
     else:
         step_moments = c
-    # sqrt(2 lam / beta) at beta = temperature(lam, n, c), as a float64
+    # sqrt(2 lam / beta) at beta = 2 lam n^2 / c^2, as a float64
     # scalar so that sigma * eps is formed in float64
     sigma = np.float64(cfg.c / n)
 
@@ -255,7 +250,11 @@ def multistart(
         for p, gen in enumerate(gens):
             gen.standard_normal(out=noise[p, :chunk], dtype=np.float32)
         for k in range(chunk):
-            states = project_rows(states - cfg.lam * grad + sigma * noise[:, k, :])
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):  # the projection rejects a step that overflows
+                    states = project_rows(states - cfg.lam * grad + sigma * noise[:, k, :])
+            except ValueError as err:
+                raise ValueError(f"Langevin step {start_iter + k + 1} leaves the finite range: {err}") from None
             kurt, grad = batch_kurtosis_and_gradient(states, step_moments)
             evaluations += cfg.n_sim
             improved = kurt < best_values
@@ -375,82 +374,5 @@ def local_descent(c: CoMomentSet, w0: np.ndarray) -> tuple[np.ndarray, float, in
         grad_tol=_DESCENT_GRAD_TOL,
         max_iter=_DESCENT_MAX_ITER,
     )
-    w = w / w.sum()
-    return w, portfolio_kurtosis(w, c), evaluations
-
-
-def barrier_descent(c: CoMomentSet, w0: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Log-barrier interior-point local kurtosis minimizer.
-
-    Minimizes kappa(w) - mu * sum(log w) on the simplex for a geometric
-    ladder of barrier weights mu (factor-10 steps from 0.1 down to 1e-9),
-    warm-starting each stage from the previous one.  Each
-    stage runs damped Newton on the sum-zero subspace: the reduced Hessian
-    gets an eigenvalue-shift ridge when indefinite, steps are capped by a
-    0.99 fraction-to-boundary rule and Armijo halving enforces decrease,
-    so iterates stay strictly inside the simplex.
-
-    The first mu is large enough for the barrier to dominate the
-    kurtosis surface at the first stage (the analytic center of the
-    simplex is the equal-weight point); the mu-path from any interior
-    start then tracks the *interior* stationary point of kappa as mu
-    shrinks.  This is the classic interior-point behaviour — distinct from
-    :func:`local_descent`, whose projected iterates can land on (and stay
-    on) a face.  Returns (weights, kurtosis, evaluations).
-    """
-    w = np.asarray(w0, dtype=float)
-    if np.any(w <= 0.0):
-        raise ValueError("barrier descent needs a strictly interior start")
-    w = w / w.sum()
-    n = w.size
-    # orthonormal basis of the sum-zero subspace
-    basis = np.linalg.svd(np.eye(n) - 1.0 / n)[0][:, : n - 1]
-    evaluations = 0
-    for mu in _MU_LADDER:
-        mu = float(mu)
-
-        def objective(v: np.ndarray) -> float:
-            return portfolio_kurtosis(v, c) - mu * float(np.log(v).sum())
-
-        value = objective(w)
-        evaluations += 1
-        stall = 0
-        for _ in range(_BARRIER_MAX_ITER):
-            grad = kurtosis_gradient(w, c) - mu / w
-            reduced_grad = basis.T @ grad
-            if np.linalg.norm(reduced_grad) <= max(_DESCENT_GRAD_TOL, 1e-3 * mu):
-                break
-            hess = kurtosis_hessian(w, c) + np.diag(mu / w**2)
-            reduced_hess = basis.T @ hess @ basis
-            # ridge the smallest eigenvalue up so the Newton direction is a
-            # guaranteed descent direction even where kappa is nonconvex
-            eigs = np.linalg.eigvalsh(reduced_hess)
-            scale = max(float(np.abs(eigs).max()), 1.0)
-            ridge = max(0.0, -float(eigs[0])) * 1.1 + 1e-12 * scale
-            d = basis @ np.linalg.solve(
-                reduced_hess + ridge * np.eye(n - 1), -reduced_grad
-            )
-            neg = d < 0.0
-            t_max = 0.99 * float(np.min(-w[neg] / d[neg])) if np.any(neg) else np.inf
-            t = min(1.0, t_max)
-            accepted = False
-            while t > 1e-14:
-                cand = w + t * d
-                cand_value = objective(cand)
-                evaluations += 1
-                if cand_value <= value + 1e-4 * t * float(grad @ d):
-                    accepted = True
-                    break
-                t *= 0.5
-            if not accepted:
-                break
-            if abs(value - cand_value) <= 1e-16 * (1.0 + abs(value)):
-                stall += 1
-                if stall >= 3:
-                    w, value = cand, cand_value
-                    break
-            else:
-                stall = 0
-            w, value = cand, cand_value
     w = w / w.sum()
     return w, portfolio_kurtosis(w, c), evaluations

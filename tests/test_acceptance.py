@@ -27,6 +27,7 @@ from portdim import gld
 from portdim import retsim as rs
 
 from conftest import homogeneous_spec, m4_block
+from gld_reference import barrier_descent
 
 # ---------------------------------------------------------------------------
 # frozen run parameters
@@ -186,7 +187,7 @@ def fifteen_asset_state():
     )
     rng = np.random.default_rng(DESCENT_START_SEED)
     descents = [
-        gld.barrier_descent(c, gld.sample_uniform_simplex(15, rng)) for _ in range(100)
+        barrier_descent(c, gld.sample_uniform_simplex(15, rng)) for _ in range(100)
     ]
     return {
         "comoments": c,

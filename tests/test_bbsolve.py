@@ -602,10 +602,15 @@ def reference_best_first(c, cfg):
     return iterations, created, fathomed, np.array(history)
 
 
+def force_width(mp, width):
+    """Make ``solve`` bisect up to ``width`` cells per round."""
+    mp.setattr(bb, "_round_cells", lambda n, mode, n_c: width)
+
+
 @pytest.mark.parametrize("mode,n_c", [("lp1", 1), ("lp2", 2), ("milp", 1)])
 def test_one_cell_frontier_is_the_best_first_loop(c_n3, monkeypatch, mode, n_c):
     cfg = bb.BbConfig(rho_tol=1e-2, bound_mode=mode, n_c=n_c)
-    monkeypatch.setattr(bb, "_FRONTIER_CELLS", 1)
+    force_width(monkeypatch, 1)
     result = bb.solve(c_n3, cfg)
     iterations, created, fathomed, history = reference_best_first(c_n3, cfg)
     assert (result.iterations, result.cells_created, result.cells_fathomed) == (iterations, created, fathomed)
@@ -620,7 +625,7 @@ def test_frontier_width_keeps_the_certificate(c_n3, monkeypatch):
     # bisects many cells per round and must certify the same optimum
     cfg = bb.BbConfig(rho_tol=1e-3, bound_mode="lp2", n_c=1)
     wide = bb.solve(c_n3, cfg)
-    monkeypatch.setattr(bb, "_FRONTIER_CELLS", 1)
+    force_width(monkeypatch, 1)
     narrow = bb.solve(c_n3, cfg)
     for result in (wide, narrow):
         assert result.status == "optimal"
@@ -631,6 +636,38 @@ def test_frontier_width_keeps_the_certificate(c_n3, monkeypatch):
     assert narrow.rounds == narrow.iterations
     assert wide.rounds < wide.iterations
     assert abs(wide.kurtosis - narrow.kurtosis) <= cfg.rho_tol * narrow.kurtosis
+
+
+class _Stacked(Exception):
+    pass
+
+
+@pytest.mark.parametrize("budget", [None, 4096])
+@pytest.mark.parametrize("mode", bb.BOUND_MODES)
+def test_round_width_keeps_the_lp_stack_within_its_budget(monkeypatch, mode, budget):
+    # the rule against the tableaux that _simplex allocates for a round's children
+    if budget is not None:
+        monkeypatch.setattr(bb, "_ROUND_LP_BYTES", budget)
+    budget = bb._ROUND_LP_BYTES
+
+    def stack_bytes(c, cells):
+        def record(objective, a, b):
+            lps, rows, cols = a.shape
+            raise _Stacked(lps * 8 * (rows + 1) * (cols + rows + 1))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ss, "_simplex", record)
+            with pytest.raises(_Stacked) as stacked:
+                bb._bound_cells(np.repeat(np.eye(c.n_assets)[None], 2 * cells, axis=0), c, 0.1, mode, n_c, 0)
+        return stacked.value.args[0]
+
+    for n in range(2, 7):
+        c = iid_comoments(n)
+        for n_c in range(1, 5):
+            width = bb._round_cells(n, mode, n_c)
+            assert width >= 1
+            assert stack_bytes(c, width) <= budget or width == 1
+            assert stack_bytes(c, width + 1) > budget
 
 
 def test_stalled_cell_lp_names_its_cell(c_n3, monkeypatch):
@@ -680,8 +717,12 @@ def assert_same_result(got, want):
 
 
 def array_and_heap_loops(c, cfg, frontier):
+    """``solve`` at ``frontier`` cells per round (None: the default width) and the heap loop at that width."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bb, "_FRONTIER_CELLS", frontier)
+        if frontier is None:
+            frontier = bb._round_cells(c.n_assets, cfg.bound_mode, cfg.n_c)
+        else:
+            force_width(mp, frontier)
         got = bb.solve(c, cfg)
     return got, heap_solve(c, cfg, frontier)
 
@@ -703,16 +744,22 @@ def test_array_frontier_matches_the_heap_loop(c_n3, mode, n_c, frontier):
                 assert got.fathomed_cells or got.live_cells
 
 
-@pytest.mark.parametrize("frontier", [5, 128])
+@pytest.mark.parametrize("frontier", [5, 128, None])
 @pytest.mark.parametrize("n, rho_tol, iterations", [(4, 1e-3, range(1000, 10**6)), (3, 0.9, [0])])
 def test_array_frontier_matches_the_heap_loop_on_more_instances(bound_instances, n, rho_tol, iterations, frontier):
     # N=4 takes thousands of bisections; on the iid N=3 set at rho_tol 0.9
-    # the root's own candidates fathom the root
+    # the root's own candidates fathom the root.  At the default width
+    # (frontier None) N=4 also runs milp: lp2's rounds stay below its width
+    # of 851 cells (538 live at most), while milp's 130 binds
     c = bound_instances[4][0] if n == 4 else iid_comoments(3)
-    cfg = bb.BbConfig(rho_tol=rho_tol, bound_mode="lp2", n_c=1, collect_cells=True)
-    got, want = array_and_heap_loops(c, cfg, frontier)
-    assert want.status == "optimal" and want.iterations in iterations
-    assert_same_result(got, want)
+    modes = ["lp2", "milp"] if frontier is None and n == 4 else ["lp2"]
+    for mode in modes:
+        cfg = bb.BbConfig(rho_tol=rho_tol, bound_mode=mode, n_c=1, collect_cells=True)
+        got, want = array_and_heap_loops(c, cfg, frontier)
+        assert want.status == "optimal" and want.iterations in iterations
+        assert_same_result(got, want)
+    if frontier is None and n == 4:  # got is milp's result
+        assert got.live_cells_per_round.max() > bb._round_cells(n, "milp", 1)
 
 
 @settings(max_examples=25, deadline=None)

@@ -13,6 +13,7 @@ from portdim import comoments as cm
 from portdim import gld
 
 from conftest import iid_comoments
+from gld_reference import barrier_descent, temperature
 
 free_rows = arrays(
     np.float64,
@@ -43,6 +44,23 @@ def test_projection_is_feasible_and_optimal(v):
         assert np.max(inner) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 3, 15])
+def test_projection_rejects_rows_too_large_to_land_on_the_simplex(n):
+    rows = np.random.default_rng(n).standard_normal((4, n))
+    largest = gld._PROJECTION_TOL / (n * np.finfo(float).eps)
+    # near the largest accepted size the rows still sum to 1 within the tolerance
+    p = gld.project_rows(0.99 * largest * rows / np.abs(rows).max())
+    assert np.all(p >= 0.0)
+    assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=gld._PROJECTION_TOL)
+    for size in (2.0 * largest, 1e199):
+        with pytest.raises(ValueError, match="too large to land on the simplex"):
+            gld.project_rows(size * rows / np.abs(rows).max())
+    for bad in (np.inf, np.nan):
+        rows[-1, -1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            gld.project_rows(rows)
+
+
 def test_uniform_simplex_sampling_statistics():
     rng = np.random.default_rng(0)
     draws = np.array([np.asarray(gld.sample_uniform_simplex(4, rng)) for _ in range(4000)])
@@ -54,9 +72,9 @@ def test_uniform_simplex_sampling_statistics():
 
 
 def test_temperature_heuristic():
-    assert gld.temperature(0.01, 5, 0.06) == pytest.approx(2 * 0.01 * 25 / 0.0036, rel=1e-12)
+    assert temperature(0.01, 5, 0.06) == pytest.approx(2 * 0.01 * 25 / 0.0036, rel=1e-12)
     # multistart's noise scale c / n is sqrt(2 lam / beta) in closed form
-    assert math.sqrt(2 * 0.01 / gld.temperature(0.01, 5, 0.06)) == pytest.approx(0.06 / 5, rel=1e-15)
+    assert math.sqrt(2 * 0.01 / temperature(0.01, 5, 0.06)) == pytest.approx(0.06 / 5, rel=1e-15)
 
 
 def test_recorded_iterates_stay_feasible(c_n3):
@@ -125,7 +143,7 @@ def test_local_descent_is_monotone_from_any_start(c_n3):
 
 
 def test_barrier_descent_finds_iid_pair_optimum(c2_iid):
-    w, value, evaluations = gld.barrier_descent(c2_iid, np.array([0.9, 0.1]))
+    w, value, evaluations = barrier_descent(c2_iid, np.array([0.9, 0.1]))
     assert np.allclose(w, [0.5, 0.5], atol=1e-7)
     assert value == pytest.approx(4.5, rel=1e-10)
     assert evaluations > 0
@@ -135,7 +153,7 @@ def test_barrier_descent_stays_interior_and_stationary(c_n3):
     rng = np.random.default_rng(11)
     for _ in range(10):
         w0 = rng.dirichlet(np.ones(3))
-        w, value, _ = gld.barrier_descent(c_n3, w0)
+        w, value, _ = barrier_descent(c_n3, w0)
         assert np.all(w > 0.0)  # iterates never touch a face exactly
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         # the endpoint is a critical point of kappa restricted to the
@@ -147,15 +165,15 @@ def test_barrier_descent_stays_interior_and_stationary(c_n3):
 
 def test_barrier_descent_deterministic(c_n3):
     w0 = np.array([0.2, 0.5, 0.3])
-    first = gld.barrier_descent(c_n3, w0)
-    second = gld.barrier_descent(c_n3, w0)
+    first = barrier_descent(c_n3, w0)
+    second = barrier_descent(c_n3, w0)
     assert np.array_equal(first[0], second[0])
     assert first[1] == second[1]
 
 
 def test_barrier_descent_rejects_boundary_start(c_n3):
     with pytest.raises(ValueError):
-        gld.barrier_descent(c_n3, np.array([0.5, 0.5, 0.0]))
+        barrier_descent(c_n3, np.array([0.5, 0.5, 0.0]))
 
 
 def small_cfg(**kw):

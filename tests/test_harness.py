@@ -237,8 +237,29 @@ def test_optimize_bb_reports_solver_counters(tmp_path):
     live = counters["live_cells_per_round"]
     assert len(live) == results["rounds"] and live[0] == 1 and min(live) >= 1
     # each round bisects the best live cells, up to a frontier's worth
-    assert sum(min(n, bb._FRONTIER_CELLS) for n in live) == results["iterations"]
+    width = bb._round_cells(cfg.n_assets, cfg.bb.bound_mode, cfg.bb.n_c)
+    assert sum(min(n, width) for n in live) == results["iterations"]
     assert 1 <= counters["max_depth"] <= results["iterations"]
+
+
+def test_optimize_bb_logs_one_debug_line_per_round(tmp_path, caplog):
+    cfg = tiny_cfg(tmp_path)
+    quiet, trace_path = hn.cmd_optimize_bb(cfg)
+    expected = quiet.read_bytes()
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="portdim.bbsolve"):
+        logged, _ = hn.cmd_optimize_bb(cfg)
+    assert logged.read_bytes() == expected
+    results = json.loads(expected)
+    lines = [r.getMessage() for r in caplog.records if r.name == "portdim.bbsolve"]
+    assert len(lines) == results["rounds"] > 1
+    assert [line.split(":")[0] for line in lines] == [f"round {r}" for r in range(1, results["rounds"] + 1)]
+    # the last round leaves no live cell, has done every iteration, and its
+    # bounds are the trace's last rows
+    assert lines[-1].split(": ")[1].split(", ")[1:3] == ["0 live", f"{results['iterations']} iterations"]
+    low, high = (float(x) for x in lines[-1].split("kurtosis in [")[1].rstrip("]").split(", "))
+    last = [line for line in trace_path.read_text().splitlines() if not line.startswith("#")][-1].split(",")
+    assert (low, high) == (pytest.approx(float(last[4]), rel=1e-8), pytest.approx(results["kurtosis"], rel=1e-8))
 
 
 def test_optimize_gld_rejects_record_paths_before_sampling(tmp_path, monkeypatch):
@@ -311,12 +332,14 @@ def test_optimize_gld_runs_at_a_tiny_noise_scale(tmp_path):
     assert json.loads((tmp_path / "adhoc" / "gld_results.json").read_text())["gld"]["c"] == 1e-200
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("flag,value", [("--lam", "1e300"), ("--noise-scale", "1e200")])
 def test_langevin_step_that_leaves_the_finite_range_exits_2(flag, value, tmp_path, capsys):
+    # the first step overflows to inf, or lands at a size of about 1e199 that the projection rejects
+    reason = {"--lam": "projection input contains non-finite entries", "--noise-scale": "projection input of size "}
     argv = ["optimize-gld", flag, value, "--t-obs", "1500", "--n-sim", "4", "--n-iter", "5"]
     message = usage_error([*argv, "--output-dir", str(tmp_path)], capsys)
-    assert message == "--lam/--noise-scale: projection input contains non-finite entries"
+    assert message.startswith(f"--lam/--noise-scale: Langevin step 1 leaves the finite range: {reason[flag]}")
 
 
 def test_dimensionality_command(tmp_path, margin_k6):
