@@ -298,15 +298,15 @@ def alpha_floor(c: CoMomentSet) -> float:
 _ALPHAS: weakref.WeakKeyDictionary[CoMomentSet, float] = weakref.WeakKeyDictionary()
 
 
-def _cut_points(vertices: np.ndarray, n_c: int) -> np.ndarray:
-    """Tangent-plane anchor points of each cell of a (K, m, N) stack, as a
-    (K, m n_c, N) stack: the vertices, plus for n_c >= 2 the points
-    (j/n_c) v^i + (1 - j/n_c) barycenter, j = 1..n_c-1."""
-    center = vertices.mean(axis=1, keepdims=True)
+def _cut_points(vertices: np.ndarray, center: np.ndarray, n_c: int) -> np.ndarray:
+    """Tangent-plane anchor points of each cell of a (K, m, N) stack with
+    (K, N) barycenters ``center``, as a (K, m n_c, N) stack: the vertices,
+    plus for n_c >= 2 the points (j/n_c) v^i + (1 - j/n_c) barycenter,
+    j = 1..n_c-1."""
     pieces = [vertices]
     for j in range(1, n_c):
         frac = j / n_c
-        pieces.append(frac * vertices + (1.0 - frac) * center)
+        pieces.append(frac * vertices + (1.0 - frac) * center[:, None])
     return np.concatenate(pieces, axis=1)
 
 
@@ -373,9 +373,10 @@ def _subcell_chains(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bound_cells(
-    vertices: np.ndarray, c: CoMomentSet, alpha: float, mode: str, n_c: int, first_id: int
+    vertices: np.ndarray, center: np.ndarray, c: CoMomentSet, alpha: float, mode: str, n_c: int, first_id: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Bound h on each cell of a (K, m, N) stack, all LPs in one lockstep stack.
+    """Bound h on each cell of a (K, m, N) stack with (K, N) barycenters
+    ``center``, all LPs in one lockstep stack.
 
     The lp1/lp2 LP of a cell is its one column block; the milp bound's
     blocks are the m! subcell chains.  The cells carry the ids first_id,
@@ -386,7 +387,6 @@ def _bound_cells(
     m = vertices.shape[1]
     if mode not in bound_modes(m):
         raise ValueError(f"piecewise envelope of a {m}-vertex cell exceeds the size guard")
-    center = vertices.mean(axis=1)
     anchors = center[:, None]
     if mode == "milp":
         members, blocks = _subcell_chains(m)
@@ -395,7 +395,7 @@ def _bound_cells(
         blocks = np.arange(m)[None]
         cone = vertices
         if mode == "lp2":
-            anchors = np.concatenate([anchors, _cut_points(vertices, n_c)], axis=1)
+            anchors = np.concatenate([anchors, _cut_points(vertices, center, n_c)], axis=1)
     rows = _cut_rows(cone, anchors, c, alpha)
     try:
         ub, best, b, pivots, unbounded = _best_blocks(_vertex_objective(cone, c), rows, np.ones(rows.shape[:2]), blocks)
@@ -427,7 +427,8 @@ def _round_cells(n: int, mode: str, n_c: int) -> int:
 
 
 def _bound_one(cell: SimplexCell, c: CoMomentSet, alpha: float, mode: str, n_c: int) -> tuple[float, np.ndarray | None]:
-    ub, w, ok, _ = _bound_cells(cell.vertices[None], c, alpha, mode, n_c, cell.id)
+    vertices = cell.vertices[None]
+    ub, w, ok, _ = _bound_cells(vertices, vertices.mean(axis=1), c, alpha, mode, n_c, cell.id)
     return float(ub[0]), (w[0] if ok[0] else None)
 
 
@@ -506,9 +507,9 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
         score and its point (the first best, in the order candidate then
         barycenter of each cell)."""
         nonlocal lp_pivots
-        ub, w, ok, pivots = _bound_cells(cells, c, alpha, cfg.bound_mode, cfg.n_c, first_id)
-        lp_pivots += pivots
         center = cells.mean(axis=1)
+        ub, w, ok, pivots = _bound_cells(cells, center, c, alpha, cfg.bound_mode, cfg.n_c, first_id)
+        lp_pivots += pivots
         points = np.stack([np.where(ok[:, None], w, center), center], axis=1).reshape(-1, per_group * 2, n)
         even = _even_moments(points.reshape(-1, n), c)
         scores = (even.variance**2 / even.mu4).reshape(points.shape[:2])

@@ -154,7 +154,10 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+        # one tolist() suffices unless an inf or NaN must become a string
+        if value.dtype.kind in "biu" or (value.dtype.kind == "f" and np.isfinite(value).all()):
+            return value.tolist()
+        return _jsonable(value.tolist())
     if isinstance(value, (np.floating, np.integer, np.bool_)):
         return value.item()
     if isinstance(value, float) and not np.isfinite(value):

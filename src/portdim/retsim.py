@@ -15,7 +15,9 @@ a copula pair with given margins is
               / sqrt(Var X Var Y)
 
 (Hoeffding's covariance identity), and ``adjust_correlation`` inverts this
-map entry-wise so the sampled panel hits the target correlations.
+map entry-wise so the sampled panel hits the target correlations.  The map's
+derivative is the same integral over the bivariate normal density (Plackett
+1954), so the inversion is a safeguarded Newton iteration on closed forms.
 
 Sampling pipeline: draw Z ~ N(0, R_in) via Cholesky, map to uniforms with
 the normal CDF, then through each margin's quantile function.  All
@@ -74,7 +76,10 @@ _TAIL_FIRST_SD = 0.25
 #: points of one left-tail evaluation, so its (points, panels, 15) nodes stay small
 _TAIL_POINTS = 256
 
-_BISECT_TOL = 1e-6
+#: the inversion of ``rho_out`` stops once a step in rho_in is below this
+_NEWTON_STEP_TOL = 1e-12
+#: a cap that only a cycling iteration reaches; Newton takes three or four steps
+_NEWTON_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -488,9 +493,22 @@ def _bvn_grid(z: np.ndarray, r: float) -> np.ndarray:
     return 0.5 * (phi[:, None] + phi[None, :]) - (t + t.T) - 0.5 * (h * k < 0.0)
 
 
+def _bvn_density_grid(z: np.ndarray, r: float) -> np.ndarray:
+    """phi2(z_i, z_j; r), the standard bivariate normal density, |r| < 1.
+
+    By Plackett's (1954) identity it is d Phi2 / dr.  The quadratic form
+    h^2 - 2 r h k + k^2 is (h - k)^2 + 2 (1 - r) h k, or (h + k)^2 - 2 (1 + r) h k
+    for r < 0, as ``_bvn_grid`` forms k - r h."""
+    h, k = z[:, None], z[None, :]
+    quad = (h - k) ** 2 + 2.0 * (1.0 - r) * (h * k) if r >= 0.0 else (h + k) ** 2 - 2.0 * (1.0 + r) * (h * k)
+    one_minus_r2 = (1.0 - r) * (1.0 + r)
+    return np.exp(-0.5 * quad / one_minus_r2) / (2.0 * math.pi * math.sqrt(one_minus_r2))
+
+
 def _rho_out_map(mx: NigParams, my: NigParams):
-    """``rho_out`` of the margins ``mx``, ``my`` as a function of rho_in; a
-    bisection reuses the margin factors, which are formed once."""
+    """``rho_out`` of the margins ``mx``, ``my`` and its derivative, as two
+    functions of rho_in; an inversion reuses the margin factors, which are
+    formed once."""
     weights, variances = [], []
     for p in (mx, my):
         quant = _table(p).quantile_clipped(_U64)
@@ -508,7 +526,10 @@ def _rho_out_map(mx: NigParams, my: NigParams):
             raise RuntimeError(f"correlation integral did not converge (got {result!r})")
         return float(result)
 
-    return rho
+    def slope(rho_in: float) -> float:
+        return float(weights[0] @ _bvn_density_grid(z, rho_in) @ weights[1] / scale)
+
+    return rho, slope
 
 
 def rho_out(rho_in: float, mx: NigParams, my: NigParams) -> float:
@@ -524,7 +545,7 @@ def rho_out(rho_in: float, mx: NigParams, my: NigParams) -> float:
     """
     if not (-1.0 < rho_in < 1.0):
         raise ValueError(f"input correlation must lie strictly inside (-1, 1), got {rho_in!r}")
-    return _rho_out_map(mx, my)(rho_in)
+    return _rho_out_map(mx, my)[0](rho_in)
 
 
 def _margin_params(margins) -> tuple[NigParams, ...]:
@@ -554,10 +575,11 @@ def _check_correlation_matrix(mat: np.ndarray, what: str) -> None:
 def adjust_correlation(target: np.ndarray, margins) -> np.ndarray:
     """Input correlation matrix whose copula output correlations hit ``target``.
 
-    Each off-diagonal entry is inverted through :func:`rho_out` by bisection
-    on (-1, 1) to tolerance ``_BISECT_TOL`` in the input correlation.  The
-    adjusted matrix must itself be positive definite; it is verified, never
-    repaired.
+    Each distinct off-diagonal entry is inverted through :func:`rho_out` by
+    Newton's method on its closed-form derivative, safeguarded by a bracket
+    in (-1, 1), until a step in the input correlation is below
+    ``_NEWTON_STEP_TOL`` (see ``_invert_rho_out``).  The adjusted matrix must
+    itself be positive definite; it is verified, never repaired.
     """
     target = np.asarray(target, dtype=float)
     _check_correlation_matrix(target, "target correlation matrix")
@@ -586,9 +608,13 @@ def adjust_correlation(target: np.ndarray, margins) -> np.ndarray:
 
 
 def _invert_rho_out(target: float, mx: NigParams, my: NigParams) -> float:
+    """rho_in with ``rho_out(rho_in, mx, my) == target``: Newton's method from
+    rho_in = target, safeguarded by a bracket that each evaluation tightens
+    by the sign of its residual; a step that leaves the bracket goes to its
+    midpoint instead.  It stops once a step is below ``_NEWTON_STEP_TOL``."""
     if target == 0.0:
         return 0.0  # independence copula has exactly zero covariance
-    rho = _rho_out_map(mx, my)
+    rho, slope = _rho_out_map(mx, my)
     lo, hi = -1.0 + 1e-9, 1.0 - 1e-9
     f_lo, f_hi = rho(lo), rho(hi)
     if not (f_lo <= target <= f_hi):
@@ -596,13 +622,21 @@ def _invert_rho_out(target: float, mx: NigParams, my: NigParams) -> float:
             f"target correlation {target!r} is outside the attainable range "
             f"[{f_lo:.6f}, {f_hi:.6f}] for these margins"
         )
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if rho(mid) < target:
-            lo = mid
+    x = min(max(target, lo), hi)
+    for _ in range(_NEWTON_MAX_STEPS):
+        resid = rho(x) - target
+        if resid < 0.0:
+            lo = x
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = x
+        d = slope(x)
+        step = -resid / d if d > 0.0 else math.inf
+        if not lo <= x + step <= hi:
+            step = 0.5 * (lo + hi) - x
+        x += step
+        if abs(step) < _NEWTON_STEP_TOL:
+            return x
+    raise RuntimeError(f"correlation inversion for target {target!r} did not converge")
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,9 @@ def heap_solve(c, cfg, frontier):
 
     def bound_and_score(cells, per_group):
         nonlocal lp_pivots
-        ub, w, ok, pivots = bb._bound_cells(cells, c, alpha, cfg.bound_mode, cfg.n_c, created)
-        lp_pivots += pivots
         center = cells.mean(axis=1)
+        ub, w, ok, pivots = bb._bound_cells(cells, center, c, alpha, cfg.bound_mode, cfg.n_c, created)
+        lp_pivots += pivots
         points = np.stack([np.where(ok[:, None], w, center), center], axis=1).reshape(-1, per_group * 2, n)
         even = _even_moments(points.reshape(-1, n), c)
         scores = (even.variance**2 / even.mu4).reshape(points.shape[:2])

@@ -109,8 +109,9 @@ def test_subcell_chains_tile_the_cell(m):
 
 def test_cut_points_layout():
     vertices = np.eye(3)
-    assert np.array_equal(bb._cut_points(vertices[None], 1)[0], vertices)
-    pts = bb._cut_points(vertices[None], 2)[0]
+    center = vertices.mean(axis=0)[None]
+    assert np.array_equal(bb._cut_points(vertices[None], center, 1)[0], vertices)
+    pts = bb._cut_points(vertices[None], center, 2)[0]
     assert pts.shape == (6, 3)
     # the extra three points are vertex-barycenter midpoints
     expected = 0.5 * vertices + 0.5 * vertices.mean(axis=0)
@@ -211,7 +212,8 @@ def test_cut_rows_match_dense_reference(n, n_c, seed):
     panel = rng.standard_normal((200, n)) + 0.3 * rng.standard_t(5, (200, n))
     c = cm.build_comoments(cm.ReturnSample(panel))
     cell = bb.SimplexCell(rng.dirichlet(np.ones(n), size=n))
-    anchors = np.vstack([cell.vertices.mean(axis=0)[None, :], bb._cut_points(cell.vertices[None], n_c)[0]])
+    center = cell.vertices.mean(axis=0)[None, :]
+    anchors = np.vstack([center, bb._cut_points(cell.vertices[None], center, n_c)[0]])
     rows = bb._cut_rows(cell.vertices, anchors, c, 0.5)
     assert rows.shape == (anchors.shape[0] + 1, n)
     t = m4_tensor(c)
@@ -657,8 +659,9 @@ def test_round_width_keeps_the_lp_stack_within_its_budget(monkeypatch, mode, bud
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ss, "_simplex", record)
+            vertices = np.repeat(np.eye(c.n_assets)[None], 2 * cells, axis=0)
             with pytest.raises(_Stacked) as stacked:
-                bb._bound_cells(np.repeat(np.eye(c.n_assets)[None], 2 * cells, axis=0), c, 0.1, mode, n_c, 0)
+                bb._bound_cells(vertices, vertices.mean(axis=1), c, 0.1, mode, n_c, 0)
         return stacked.value.args[0]
 
     for n in range(2, 7):

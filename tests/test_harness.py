@@ -909,6 +909,46 @@ def test_jsonable_handles_numpy_and_inf():
     json.dumps(out)
 
 
+def _walked_jsonable(value):
+    """``_jsonable`` as it stood when it walked every array element: the
+    reference for the bytes the files must keep."""
+    if isinstance(value, dict):
+        return {str(k): _walked_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_walked_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [_walked_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        return value.item()
+    if isinstance(value, float) and not np.isfinite(value):
+        return repr(value)
+    return value
+
+
+def test_written_bytes_match_the_element_walk(tmp_path):
+    rng = np.random.default_rng(3)
+    sample = cm.ReturnSample(rng.standard_normal((300, 3)) * 1e-3)
+    c = cm.build_comoments(sample)
+    path = hn.write_moments(tmp_path / "m.json", c, sample.asset_names, {"seed": 1})
+    fields = {f.name: getattr(c, f.name) for f in dataclasses.fields(cm.CoMomentSet)}
+    payload = {"seed": 1, "asset_names": list(sample.asset_names), **fields}
+    assert path.read_bytes() == (json.dumps(_walked_jsonable(payload), sort_keys=True, indent=2) + "\n").encode()
+
+    payload = {
+        "finite": rng.standard_normal((4, 3)),
+        "float32": rng.standard_normal(5).astype(np.float32),
+        "non_finite": np.array([[1.5, np.inf], [-np.inf, np.nan]]),
+        "ints": np.arange(6, dtype=np.int64).reshape(2, 3),
+        "uints": np.arange(3, dtype=np.uint8),
+        "bools": np.array([True, False]),
+        "empty": np.empty((0, 2)),
+        "nested": [{"history": np.array([0.5, -np.inf])}, (np.float64(2.5), np.int32(7))],
+    }
+    path = hn._write_results(tmp_path / "r.json", payload)
+    assert path.read_bytes() == (json.dumps(_walked_jsonable(payload), sort_keys=True, indent=2) + "\n").encode()
+    assert json.loads(path.read_text())["non_finite"] == [[1.5, "inf"], ["-inf", "nan"]]
+
+
 def test_run_record_fields(tmp_path):
     cfg = tiny_cfg(tmp_path)
     hn.cmd_simulate(cfg)

@@ -381,7 +381,7 @@ def _bvn_cdf_by_quadrature(h, k, r):
     return sum(quad(integrand, a, b, epsabs=1e-16, epsrel=1e-13, limit=200)[0] for a, b in zip(edges, edges[1:]))
 
 
-# r of either sign from 0 out to 1 - 1e-9, the end of the bisection's bracket,
+# r of either sign from 0 out to 1 - 1e-9, the end of the inversion's bracket,
 # where k - r h must be formed without cancellation
 @pytest.mark.parametrize(
     "r", [0.0, 0.2, -0.25, 0.5, -0.6, 0.8, -0.9, 0.93, -0.95, 0.999, -0.9999, 1 - 1e-9, -(1 - 1e-9)]
@@ -451,17 +451,96 @@ def test_rho_out_near_gaussian_margins_is_identity():
         assert rs.rho_out(r, p, p) == pytest.approx(r, abs=1e-3)
 
 
+def _bisect_rho_out(target, mx, my):
+    """The inversion of ``rho_out`` as it stood before Newton's method: bisection
+    of the bracket [-1 + 1e-9, 1 - 1e-9] to 1e-6 in the input correlation."""
+    rho = rs._rho_out_map(mx, my)[0]
+    lo, hi = -1.0 + 1e-9, 1.0 - 1e-9
+    assert rho(lo) <= target <= rho(hi)
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if rho(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# distinct kurtosis and skewness of either sign per asset
+HETEROGENEOUS_MARGINS = (
+    rs.MarginTarget(mean=0.0, variance=1.0, skewness=0.0, kurtosis=6.0),
+    rs.MarginTarget(mean=0.1, variance=2.0, skewness=1.0, kurtosis=9.0),
+    rs.MarginTarget(mean=-0.2, variance=0.5, skewness=-0.6, kurtosis=4.5),
+)
+
+
 def test_adjust_correlation_hits_target(margin_k6):
-    p = rs.nig_params_from_moments(margin_k6)
     target = np.array([[1.0, 0.5, -0.2], [0.5, 1.0, 0.1], [-0.2, 0.1, 1.0]])
-    adjusted = rs.adjust_correlation(target, (p, p, p))
-    assert np.array_equal(np.diag(adjusted), np.ones(3))
-    assert np.array_equal(adjusted, adjusted.T)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            assert rs.rho_out(adjusted[i, j], p, p) == pytest.approx(
-                target[i, j], abs=2e-6
-            )
+    for margins in ((margin_k6,) * 3, HETEROGENEOUS_MARGINS):
+        params = [rs.nig_params_from_moments(m) for m in margins]
+        adjusted = rs.adjust_correlation(target, margins)
+        assert np.array_equal(np.diag(adjusted), np.ones(3))
+        assert np.array_equal(adjusted, adjusted.T)
+        for i in range(3):
+            for j in range(i + 1, 3):
+                assert rs.rho_out(adjusted[i, j], params[i], params[j]) == pytest.approx(target[i, j], abs=1e-12)
+                assert adjusted[i, j] == pytest.approx(_bisect_rho_out(target[i, j], params[i], params[j]), abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "pair, target",
+    [(pair, t) for pair in ("k6", "asymmetric") for t in (-0.9, 0.9, 0.99, 0.999)]
+    + [("heterogeneous", t) for t in (-0.9, 0.9)],
+)
+def test_inversion_agrees_with_the_reference_bisection(pair, target):
+    mx, my = {
+        "k6": (rs.nig_params_from_moments(HETEROGENEOUS_MARGINS[0]),) * 2,
+        "asymmetric": (P_ASYM, P_ASYM),
+        "heterogeneous": tuple(rs.nig_params_from_moments(m) for m in HETEROGENEOUS_MARGINS[1:]),
+    }[pair]
+    got = rs._invert_rho_out(target, mx, my)
+    assert got == pytest.approx(_bisect_rho_out(target, mx, my), abs=1e-6)
+    assert rs.rho_out(got, mx, my) == pytest.approx(target, abs=1e-12)
+
+
+@pytest.mark.parametrize("rho_in", [-0.95, -0.4, 0.0, 0.3, 0.9, 0.999])
+def test_rho_out_slope_is_its_derivative(rho_in):
+    # Plackett's identity: d Phi2 / d rho is the bivariate normal density
+    rho, slope = rs._rho_out_map(*(rs.nig_params_from_moments(m) for m in HETEROGENEOUS_MARGINS[1:]))
+    h = 1e-5  # a fourth-order central difference, as the map curves sharply near 1
+    diff = (8.0 * (rho(rho_in + h) - rho(rho_in - h)) - (rho(rho_in + 2.0 * h) - rho(rho_in - 2.0 * h))) / (12.0 * h)
+    assert slope(rho_in) == pytest.approx(diff, rel=1e-7)
+
+
+def test_unattainable_target_and_zero_target():
+    mx, my = (rs.nig_params_from_moments(m) for m in HETEROGENEOUS_MARGINS[1:])
+    with pytest.raises(ValueError, match=r"^target correlation 0\.99 is outside the attainable range \[-0\.\d{6}, 0\.\d{6}\] for these margins$"):
+        rs._invert_rho_out(0.99, mx, my)
+    zero = rs._invert_rho_out(0.0, mx, my)
+    assert type(zero) is float and zero == 0.0 and math.copysign(1.0, zero) == 1.0
+    adjusted = rs.adjust_correlation(np.array([[1.0, 0.0], [0.0, 1.0]]), (mx, my))
+    assert adjusted[0, 1] == 0.0 and adjusted[1, 0] == 0.0
+
+
+def test_inversion_that_runs_out_of_steps_raises(monkeypatch):
+    p = rs.nig_params_from_moments(HETEROGENEOUS_MARGINS[0])
+    monkeypatch.setattr(rs, "_NEWTON_MAX_STEPS", 1)
+    with pytest.raises(RuntimeError, match="correlation inversion for target 0.3 did not converge"):
+        rs._invert_rho_out(0.3, p, p)
+
+
+@given(skewed_margins, skewed_margins, st.floats(min_value=-0.9, max_value=0.9, exclude_min=True, exclude_max=True))
+@settings(max_examples=40, deadline=None)
+def test_inversion_hits_every_attainable_target(tx, ty, target):
+    mx, my = rs.nig_params_from_moments(tx), rs.nig_params_from_moments(ty)
+    try:
+        got = rs._invert_rho_out(target, mx, my)
+    except ValueError as err:
+        # opposite skews can cap the attainable range below 0.9 in magnitude
+        assert "outside the attainable range" in str(err)
+        assert not rs.rho_out(-1.0 + 1e-9, mx, my) <= target <= rs.rho_out(1.0 - 1e-9, mx, my)
+        return
+    assert abs(rs.rho_out(got, mx, my) - target) <= 1e-12
 
 
 def test_adjustment_shrinks_magnitude_for_heavy_tails(margin_k6):
