@@ -72,7 +72,8 @@ from .comoments import (
     unit_scaled,
 )
 from .gld import _projected_descent
-# solve_lp and solve_milp are the one-problem cases of the stack solver, re-exported here
+# solve never calls solve_lp or solve_milp (nor bisect and bound_*); they are bound
+# here only because the benchmark's tracer patches them under these names
 from .subsolver import _best_blocks, _Breakdown, solve_lp, solve_milp  # noqa: F401
 
 __all__ = [
@@ -243,7 +244,7 @@ def _bisect_cells(vertices: np.ndarray) -> np.ndarray:
 
 
 def bisect(cell: SimplexCell, first_child_id: int = 0) -> tuple[SimplexCell, SimplexCell]:
-    """Split a cell at the midpoint of its longest edge.
+    """Split a cell at the midpoint of its longest edge: ``_bisect_cells`` on one cell.
 
     Each child replaces one endpoint of that edge by the midpoint, so the
     two children tile the parent.  Edge-length ties go to the smallest
@@ -426,6 +427,7 @@ def _round_cells(n: int, mode: str, n_c: int) -> int:
     return max(1, _ROUND_LP_BYTES // (2 * blocks * tableau))
 
 
+# bound_lp1, bound_lp2 and bound_milp are ``_bound_cells`` on one cell
 def _bound_one(cell: SimplexCell, c: CoMomentSet, alpha: float, mode: str, n_c: int) -> tuple[float, np.ndarray | None]:
     vertices = cell.vertices[None]
     ub, w, ok, _ = _bound_cells(vertices, vertices.mean(axis=1), c, alpha, mode, n_c, cell.id)

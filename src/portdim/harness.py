@@ -159,7 +159,7 @@ def _jsonable(value):
             return value.tolist()
         return _jsonable(value.tolist())
     if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
+        value = value.item()
     if isinstance(value, float) and not np.isfinite(value):
         return repr(value)  # JSON has no inf/nan; keep them readable
     return value

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import k1e, ndtr, ndtri, owens_t
@@ -75,6 +75,9 @@ _TAIL_RATIO = 1.5
 _TAIL_FIRST_SD = 0.25
 #: points of one left-tail evaluation, so its (points, panels, 15) nodes stay small
 _TAIL_POINTS = 256
+#: the Gauss-Legendre rules (nodes, weights) of the table's panels
+_GL7 = np.polynomial.legendre.leggauss(7)
+_GL15 = np.polynomial.legendre.leggauss(15)
 
 #: the inversion of ``rho_out`` stops once a step in rho_in is below this
 _NEWTON_STEP_TOL = 1e-12
@@ -273,6 +276,7 @@ class _NigTable:
     def __init__(self, p: NigParams) -> None:
         self.params = p
         mom = nig_moments(p)
+        self.variance = mom.variance
         sd = math.sqrt(mom.variance)
         lo = min(p.mu, mom.mean) - _TABLE_HALF_WIDTH_SD * sd
         hi = max(p.mu, mom.mean) + _TABLE_HALF_WIDTH_SD * sd
@@ -331,17 +335,17 @@ class _NigTable:
 
     def _interval_masses(self) -> np.ndarray:
         lo, hi = self.x[:-1], self.x[1:]
-        masses = self._panel(lo, hi, 15)
+        masses = self._panel(lo, hi, _GL15)
         # one refinement pass, ample for an analytic pdf: intervals whose 7-
         # and 15-point estimates disagree are summed over four equal sub-panels
-        bad = np.abs(masses - self._panel(lo, hi, 7)) > 1e-16
+        bad = np.abs(masses - self._panel(lo, hi, _GL7)) > 1e-16
         edges = np.linspace(lo[bad], hi[bad], 5).T  # (n_bad, 5)
-        sub = self._panel(edges[:, :-1].ravel(), edges[:, 1:].ravel(), 15)
+        sub = self._panel(edges[:, :-1].ravel(), edges[:, 1:].ravel(), _GL15)
         masses[bad] = sub.reshape(-1, 4).sum(axis=1)
         return masses
 
-    def _panel(self, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarray:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
+    def _panel(self, lo: np.ndarray, hi: np.ndarray, rule: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        nodes, weights = rule
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         pts = mid[..., None] + half[..., None] * nodes
@@ -362,8 +366,14 @@ class _NigTable:
         out = np.empty(x.shape)
         for start in range(0, x.size, _TAIL_POINTS):
             block = x[start : start + _TAIL_POINTS, None]
-            out[start : start + _TAIL_POINTS] = self._panel(block - offsets[1:], block - offsets[:-1], 15).sum(axis=1)
+            panels = self._panel(block - offsets[1:], block - offsets[:-1], _GL15)
+            out[start : start + _TAIL_POINTS] = panels.sum(axis=1)
         return out
+
+    @cached_property
+    def copula_weights(self) -> np.ndarray:
+        """This margin's factors w_k / f(F^-1(u_k)) of ``rho_out``'s 64-node rule."""
+        return _W64 / nig_pdf(self.quantile_clipped(_U64), self.params)
 
     def cdf(self, x) -> np.ndarray:
         """The interpolant, its end values beyond the table, and below the
@@ -472,6 +482,9 @@ def nig_quantile(u, p: NigParams):
 _U64_NODES, _U64_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _U64 = 0.5 * (_U64_NODES + 1.0)
 _W64 = 0.5 * _U64_WEIGHTS
+#: the normal scores of the rule's nodes, and the independence copula on its grid
+_Z64 = ndtri(_U64)
+_INDEPENDENT64 = np.outer(_U64, _U64)
 
 
 def _bvn_grid(z: np.ndarray, r: float) -> np.ndarray:
@@ -505,33 +518,6 @@ def _bvn_density_grid(z: np.ndarray, r: float) -> np.ndarray:
     return np.exp(-0.5 * quad / one_minus_r2) / (2.0 * math.pi * math.sqrt(one_minus_r2))
 
 
-def _rho_out_map(mx: NigParams, my: NigParams):
-    """``rho_out`` of the margins ``mx``, ``my`` and its derivative, as two
-    functions of rho_in; an inversion reuses the margin factors, which are
-    formed once."""
-    weights, variances = [], []
-    for p in (mx, my):
-        quant = _table(p).quantile_clipped(_U64)
-        dens = nig_pdf(quant, p)
-        weights.append(_W64 / dens)
-        variances.append(nig_moments(p).variance)
-    z = ndtri(_U64)
-    independent = np.outer(_U64, _U64)
-    scale = math.sqrt(variances[0] * variances[1])
-
-    def rho(rho_in: float) -> float:
-        cov = weights[0] @ (_bvn_grid(z, rho_in) - independent) @ weights[1]
-        result = cov / scale
-        if not np.isfinite(result):
-            raise RuntimeError(f"correlation integral did not converge (got {result!r})")
-        return float(result)
-
-    def slope(rho_in: float) -> float:
-        return float(weights[0] @ _bvn_density_grid(z, rho_in) @ weights[1] / scale)
-
-    return rho, slope
-
-
 def rho_out(rho_in: float, mx: NigParams, my: NigParams) -> float:
     """Realized linear correlation of a Gaussian-copula pair with NIG margins.
 
@@ -541,11 +527,24 @@ def rho_out(rho_in: float, mx: NigParams, my: NigParams) -> float:
         cov = integral over (0,1)^2 of
               [C(u, v; rho_in) - u v] / [f_X(F_X^{-1}(u)) f_Y(F_Y^{-1}(v))]
 
-    evaluated with a tensorized 64-node Gauss-Legendre rule.
+    evaluated with a tensorized 64-node Gauss-Legendre rule, whose margin
+    factors each NIG table forms once (``copula_weights``).
     """
     if not (-1.0 < rho_in < 1.0):
         raise ValueError(f"input correlation must lie strictly inside (-1, 1), got {rho_in!r}")
-    return _rho_out_map(mx, my)[0](rho_in)
+    tx, ty = _table(mx), _table(my)
+    cov = tx.copula_weights @ (_bvn_grid(_Z64, rho_in) - _INDEPENDENT64) @ ty.copula_weights
+    result = cov / math.sqrt(tx.variance * ty.variance)
+    if not np.isfinite(result):
+        raise RuntimeError(f"correlation integral did not converge (got {result!r})")
+    return float(result)
+
+
+def _rho_out_slope(rho_in: float, mx: NigParams, my: NigParams) -> float:
+    """d rho_out / d rho_in: ``rho_out``'s rule over the bivariate normal density."""
+    tx, ty = _table(mx), _table(my)
+    slope = tx.copula_weights @ _bvn_density_grid(_Z64, rho_in) @ ty.copula_weights
+    return float(slope / math.sqrt(tx.variance * ty.variance))
 
 
 def _margin_params(margins) -> tuple[NigParams, ...]:
@@ -614,9 +613,8 @@ def _invert_rho_out(target: float, mx: NigParams, my: NigParams) -> float:
     midpoint instead.  It stops once a step is below ``_NEWTON_STEP_TOL``."""
     if target == 0.0:
         return 0.0  # independence copula has exactly zero covariance
-    rho, slope = _rho_out_map(mx, my)
     lo, hi = -1.0 + 1e-9, 1.0 - 1e-9
-    f_lo, f_hi = rho(lo), rho(hi)
+    f_lo, f_hi = rho_out(lo, mx, my), rho_out(hi, mx, my)
     if not (f_lo <= target <= f_hi):
         raise ValueError(
             f"target correlation {target!r} is outside the attainable range "
@@ -624,12 +622,12 @@ def _invert_rho_out(target: float, mx: NigParams, my: NigParams) -> float:
         )
     x = min(max(target, lo), hi)
     for _ in range(_NEWTON_MAX_STEPS):
-        resid = rho(x) - target
+        resid = rho_out(x, mx, my) - target
         if resid < 0.0:
             lo = x
         else:
             hi = x
-        d = slope(x)
+        d = _rho_out_slope(x, mx, my)
         step = -resid / d if d > 0.0 else math.inf
         if not lo <= x + step <= hi:
             step = 0.5 * (lo + hi) - x

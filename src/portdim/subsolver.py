@@ -14,8 +14,11 @@ degenerate pivots, and every choice is made per LP, so a stacked LP takes
 exactly the pivots, and returns bitwise the point, that it would alone.
 Each tableau row is first multiplied by the power of two that puts its largest
 |a| (or |c|) entry in [1, 2): exact, prices unchanged, pivot tolerance relative.
-LPs that finish drop out of the stack.  ``solve_lp`` and ``solve_milp``
-are the one-problem cases.
+LPs that finish drop out of the stack.  ``_simplex`` solves a stack and
+``_best_blocks`` its best-of-blocks disjunction; ``bbsolve`` builds every
+stack with rhs 1 and calls these two.  ``solve_lp`` and ``solve_milp`` are
+their one-problem views, which the branch and bound never calls: they stay
+only because the benchmark's tracer patches them by name.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "LpProblem",
-    "MilpProblem",
     "LpSolution",
     "solve_lp",
     "solve_milp",
@@ -38,69 +39,13 @@ _BLAND_AFTER = 50
 
 
 @dataclass(frozen=True)
-class LpProblem:
-    """max objective'x  s.t.  matrix x <= rhs, x >= 0, with rhs >= 0 (the origin is feasible)."""
-
-    objective: np.ndarray
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.atleast_1d(np.asarray(self.objective, dtype=float))
-        a = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        rhs = np.atleast_1d(np.asarray(self.rhs, dtype=float))
-        if a.shape != (rhs.size, c.size):
-            raise ValueError(f"matrix shape {a.shape} does not match rhs {rhs.shape} and {c.size} variables")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a)) and np.all(np.isfinite(rhs))):
-            raise ValueError("LP contains non-finite coefficients")
-        if np.any(rhs < 0.0):
-            raise ValueError("rhs must be nonnegative so that the origin is feasible")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "matrix", a)
-        object.__setattr__(self, "rhs", rhs)
-
-    @property
-    def n_vars(self) -> int:
-        return self.objective.size
-
-
-@dataclass(frozen=True)
-class MilpProblem:
-    """Pick one column block of ``lp`` and solve the LP over those columns.
-
-    This is the MILP with one SOS1 group of binaries, one per block, each
-    switching its block's columns on; all other columns stay at zero.  The
-    blocks have one size, so their LPs form one stack.
-    """
-
-    lp: LpProblem
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        blocks = tuple(tuple(int(i) for i in block) for block in self.blocks)
-        if not blocks:
-            raise ValueError("at least one column block is needed")
-        n = self.lp.n_vars
-        for block in blocks:
-            if not block or len(set(block)) != len(block):
-                raise ValueError(f"column block {block} is empty or repeats a column")
-            if any(i < 0 or i >= n for i in block):
-                raise ValueError(f"column block {block} is out of range for {n} variables")
-        if len({len(block) for block in blocks}) != 1:
-            raise ValueError("column blocks must all have the same size")
-        object.__setattr__(self, "blocks", blocks)
-
-
-@dataclass(frozen=True)
 class LpSolution:
+    """What ``solve_lp`` and ``solve_milp`` return; the benchmark's tracer counts its pivots and statuses."""
+
     status: str  # 'optimal' | 'unbounded'
     value: float
     x: np.ndarray | None
     iterations: int = 0
-
-    @property
-    def optimal(self) -> bool:
-        return self.status == "optimal"
 
 
 class _Breakdown(RuntimeError):
@@ -213,27 +158,25 @@ def _best_blocks(
     )
 
 
-def solve_lp(p: LpProblem) -> LpSolution:
-    """Dense primal simplex from the slack basis; deterministic for identical inputs."""
-    x, pivots, unbounded = _simplex(p.objective[None], p.matrix[None], p.rhs[None])
+def solve_lp(objective: np.ndarray, matrix: np.ndarray, rhs: np.ndarray) -> LpSolution:
+    """``_simplex`` on the one float LP max objective'x s.t. matrix x <= rhs, x >= 0."""
+    x, pivots, unbounded = _simplex(objective[None], matrix[None], rhs[None])
     iterations = int(pivots[0])
     if unbounded[0]:
         return LpSolution(status="unbounded", value=np.inf, x=None, iterations=iterations)
-    return LpSolution(status="optimal", value=float(p.objective @ x[0]), x=x[0], iterations=iterations)
+    return LpSolution(status="optimal", value=float(objective @ x[0]), x=x[0], iterations=iterations)
 
 
-def solve_milp(p: MilpProblem) -> LpSolution:
-    """The best of the block LPs, with the pivots of all of them.
+def solve_milp(objective: np.ndarray, matrix: np.ndarray, rhs: np.ndarray, blocks: np.ndarray) -> LpSolution:
+    """``_best_blocks`` on one float LP and its (Q, k) column blocks, with the pivots of all of them.
 
     The first block wins ties; the returned point is zero off its block.
     When a block LP is unbounded, the pivots are counted up to the first one.
     """
-    lp = p.lp
-    blocks = np.array(p.blocks)
-    value, best, x_block, pivots, unbounded = _best_blocks(lp.objective[None], lp.matrix[None], lp.rhs[None], blocks)
+    value, best, x_block, pivots, unbounded = _best_blocks(objective[None], matrix[None], rhs[None], blocks)
     if unbounded.any():
         first = int(np.flatnonzero(unbounded[0])[0])
         return LpSolution(status="unbounded", value=np.inf, x=None, iterations=int(pivots[0, : first + 1].sum()))
-    x = np.zeros(lp.n_vars)
+    x = np.zeros(objective.size)
     x[blocks[best[0]]] = x_block[0]
     return LpSolution(status="optimal", value=float(value[0]), x=x, iterations=int(pivots.sum()))

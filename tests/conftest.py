@@ -55,9 +55,9 @@ def m4_tensor(c: cm.CoMomentSet) -> np.ndarray:
     return m4_block(c).reshape((c.n_assets,) * 4)
 
 
-def cell_volume(cell) -> float:
-    """Euclidean (N-1)-volume of a simplex cell via the Gram determinant of its edge vectors."""
-    edges = cell.vertices[1:] - cell.vertices[0]
+def cell_volume(vertices: np.ndarray) -> float:
+    """Euclidean (N-1)-volume of a simplex cell, one vertex per row, via the Gram determinant of its edge vectors."""
+    edges = vertices[1:] - vertices[0]
     if edges.shape[0] == 0:
         return 1.0
     det = float(np.linalg.det(edges @ edges.T))

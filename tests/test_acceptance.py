@@ -79,20 +79,12 @@ def _grid_min_kurtosis(c: cm.CoMomentSet, step: float) -> float:
     return float(np.min(cm.batch_kurtosis(np.array(pts), c)))
 
 
-def _probe_cells(root: bb.SimplexCell) -> list[bb.SimplexCell]:
-    """Root plus two levels of longest-edge bisection: 7 cells."""
-    cells = [root]
-    frontier = [root]
-    next_id = 1
+def _probe_cells() -> np.ndarray:
+    """The 3-asset root plus two levels of longest-edge bisection: a stack of 7 cells."""
+    levels = [np.eye(3)[None]]
     for _ in range(2):
-        children = []
-        for cell in frontier:
-            kids = bb.bisect(cell, first_child_id=next_id)
-            next_id += len(kids)
-            children.extend(kids)
-        cells.extend(children)
-        frontier = children
-    return cells
+        levels.append(bb._bisect_cells(levels[-1]))
+    return np.concatenate(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +123,13 @@ def bound_battery():
         r1 = bb.solve(c, bb.BbConfig(rho_tol=RHO_TOL, bound_mode="lp1"))
         r2 = bb.solve(c, bb.BbConfig(rho_tol=RHO_TOL, bound_mode="lp2", n_c=1))
         alpha = bb.alpha_floor(c)
-        cell_bounds = []
-        for cell in _probe_cells(bb.SimplexCell(np.eye(3))):
-            ub1 = bb.bound_lp1(cell, c, alpha)[0]
-            ub2 = tuple(bb.bound_lp2(cell, c, alpha, n_c)[0] for n_c in (1, 2, 4))
-            ubm = bb.bound_milp(cell, c, alpha)[0]
-            cell_bounds.append((ub1, ub2, ubm))
+        cells = _probe_cells()
+
+        def bounds(mode, n_c=1):
+            return bb._bound_cells(cells, cells.mean(axis=1), c, alpha, mode, n_c, 0)[0]
+
+        ub2 = np.column_stack([bounds("lp2", n_c) for n_c in (1, 2, 4)])
+        cell_bounds = list(zip(bounds("lp1"), ub2, bounds("milp")))
         records.append(
             {
                 "seed": seed,
@@ -144,7 +137,7 @@ def bound_battery():
                 "lp2": r2,
                 "grid_kurt": _grid_min_kurtosis(c, 0.005),
                 "cell_bounds": cell_bounds,
-                "root_lp2_2": bb.bound_lp2(bb.SimplexCell(np.eye(3)), c, alpha, 2)[0],
+                "root_lp2_2": ub2[0, 1],
             }
         )
     return {"records": records, "elapsed": time.perf_counter() - t0}

@@ -41,6 +41,17 @@ def grid_max_h(c, vertices, step):
     return float(np.max(variance**2 / mu4))
 
 
+def cell_bounds(vertices, c, alpha, mode, n_c=1, first_id=0):
+    """``_bound_cells`` on a (K, m, N) stack of cells at their barycenters:
+    the bounds, the LP candidates and whether each candidate is valid."""
+    ub, w, ok, _ = bb._bound_cells(vertices, vertices.mean(axis=1), c, alpha, mode, n_c, first_id)
+    return ub, w, ok
+
+
+#: every (bound mode, n_c) pair that the bound tests compare
+MODES = (("lp1", 1), ("milp", 1), ("lp2", 1), ("lp2", 2), ("lp2", 3))
+
+
 # ---------------------------------------------------------------------------
 # geometry
 
@@ -63,48 +74,58 @@ def test_longest_edge_tie_breaks_to_smallest_pair():
 def test_unit_simplex_volume():
     # the 2-simplex spanned by e1, e2, e3 is an equilateral triangle with
     # side sqrt(2): area sqrt(3)/2
-    assert cell_volume(bb.SimplexCell(np.eye(3))) == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-12)
-    assert cell_volume(bb.SimplexCell(np.eye(2))) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert cell_volume(np.eye(3)) == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-12)
+    assert cell_volume(np.eye(2)) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 def test_bisect_children_tile_parent():
-    parent = bb.SimplexCell(np.eye(3), id=0)
-    a, b = bb.bisect(parent, first_child_id=1)
-    assert a.id == 1 and b.id == 2
-    assert a.depth == b.depth == 1
+    parent = np.eye(3)
+    a, b = bb._bisect_cells(parent[None])
     assert cell_volume(a) + cell_volume(b) == pytest.approx(cell_volume(parent), rel=1e-12)
     # both children contain the split-edge midpoint as a vertex
-    mid = 0.5 * (parent.vertices[0] + parent.vertices[1])
-    assert any(np.allclose(v, mid) for v in a.vertices)
-    assert any(np.allclose(v, mid) for v in b.vertices)
+    mid = 0.5 * (parent[0] + parent[1])
+    assert any(np.allclose(v, mid) for v in a)
+    assert any(np.allclose(v, mid) for v in b)
 
 
 def test_repeated_bisection_shrinks_cells():
-    cell = bb.SimplexCell(np.eye(3))
-    first_length = bb._longest_edges(cell.vertices[None])[2][0]
+    cell = np.eye(3)[None]
+    first_length = bb._longest_edges(cell)[2][0]
     for _ in range(20):
-        cell, _ = bb.bisect(cell)
-    assert bb._longest_edges(cell.vertices[None])[2][0] < 0.01 * first_length
+        cell = bb._bisect_cells(cell)[:1]
+    assert bb._longest_edges(cell)[2][0] < 0.01 * first_length
 
 
 def test_bisect_rejects_degenerate_cell():
     flat = np.array([[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(ValueError, match="degenerate"):
-        bb.bisect(bb.SimplexCell(flat))
+        bb._bisect_cells(flat[None])
+
+
+def test_bisect_is_the_stack_bisection_of_one_cell():
+    # the one-cell view that the benchmark's tracer patches: its children are
+    # the rows of _bisect_cells bit for bit, one level deeper, with the next ids
+    vertices = np.eye(4)[None]
+    for depth in range(6):
+        children = bb.bisect(bb.SimplexCell(vertices[0], depth=depth, id=3), first_child_id=11 + depth)
+        want = bb._bisect_cells(vertices)
+        assert [(child.id, child.depth) for child in children] == [(11 + depth, depth + 1), (12 + depth, depth + 1)]
+        assert [child.vertices.tobytes() for child in children] == [v.tobytes() for v in want]
+        vertices = want[depth % 2 :][:1]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_subcell_chains_tile_the_cell(m):
     # the milp bound's m! subcells: vertex k of a subcell is the barycenter
     # of the k+1 parent vertices in a permutation prefix
-    cell = bb.SimplexCell(np.eye(m))
+    cell = np.eye(m)
     members, chains = bb._subcell_chains(m)
     assert chains.shape == (math.factorial(m), m)
-    barycenters = (members @ cell.vertices) / members.sum(axis=1)[:, None]
-    subcells = [bb.SimplexCell(barycenters[chain]) for chain in chains]
+    barycenters = (members @ cell) / members.sum(axis=1)[:, None]
+    subcells = barycenters[chains]
     assert sum(cell_volume(sub) for sub in subcells) == pytest.approx(cell_volume(cell), rel=1e-10)
     for sub in subcells:
-        assert any(np.allclose(v, np.full(m, 1.0 / m)) for v in sub.vertices)
+        assert any(np.allclose(v, np.full(m, 1.0 / m)) for v in sub)
 
 
 def test_cut_points_layout():
@@ -178,13 +199,13 @@ def test_alpha_floor_holds_before_the_descent_converges(c_n3, monkeypatch, max_i
 
 def test_bound_soundness_and_dominance_on_root(c_n3):
     alpha = bb.alpha_floor(c_n3)
-    root = bb.SimplexCell(np.eye(3))
-    ub_lp1, cand1 = bb.bound_lp1(root, c_n3, alpha)
-    ub_lp2_1, _ = bb.bound_lp2(root, c_n3, alpha, 1)
-    ub_lp2_2, _ = bb.bound_lp2(root, c_n3, alpha, 2)
-    ub_lp2_4, _ = bb.bound_lp2(root, c_n3, alpha, 4)
-    ub_milp, cand_m = bb.bound_milp(root, c_n3, alpha)
-    h_max = grid_max_h(c_n3, root.vertices, step=0.02)
+    root = np.eye(3)[None]
+    (ub_lp1,), (cand1,), (ok1,) = cell_bounds(root, c_n3, alpha, "lp1")
+    (ub_lp2_1,), _, _ = cell_bounds(root, c_n3, alpha, "lp2", 1)
+    (ub_lp2_2,), _, _ = cell_bounds(root, c_n3, alpha, "lp2", 2)
+    (ub_lp2_4,), _, _ = cell_bounds(root, c_n3, alpha, "lp2", 4)
+    (ub_milp,), (cand_m,), (ok_m,) = cell_bounds(root, c_n3, alpha, "milp")
+    h_max = grid_max_h(c_n3, root[0], step=0.02)
     for ub in (ub_lp1, ub_lp2_1, ub_lp2_2, ub_lp2_4, ub_milp):
         assert ub >= h_max - 1e-9
     # more tangent cuts never loosen the bound
@@ -196,8 +217,8 @@ def test_bound_soundness_and_dominance_on_root(c_n3):
     assert ub_milp <= ub_lp1 + 1e-12
     assert ub_milp <= ub_lp2_2 + 1e-12
     # candidates are feasible points
+    assert ok1 and ok_m
     for cand in (cand1, cand_m):
-        assert cand is not None
         assert np.all(cand >= 0.0) and cand.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -242,33 +263,32 @@ def bound_instances(c_n3):
 )
 def test_bounds_cover_h_on_random_cells(bound_instances, n, path, seed):
     c, alpha = bound_instances[n]
-    cell = bb.SimplexCell(np.eye(n))
+    cell = np.eye(n)[None]
     for side in path:
-        children = bb.bisect(cell)
-        assert sum(cell_volume(child) for child in children) == pytest.approx(cell_volume(cell), rel=1e-9)
-        cell = children[side]
-    points = np.random.default_rng(seed).dirichlet(np.ones(n), size=32) @ cell.vertices
+        children = bb._bisect_cells(cell)
+        assert sum(cell_volume(child) for child in children) == pytest.approx(cell_volume(cell[0]), rel=1e-9)
+        cell = children[side : side + 1]
+    points = np.random.default_rng(seed).dirichlet(np.ones(n), size=32) @ cell[0]
     variance, _, mu4 = cm.batch_moments(points, c)
     h_max = float(np.max(variance**2 / mu4))
-    bounds = [bb.bound_lp1(cell, c, alpha)[0], bb.bound_milp(cell, c, alpha)[0]]
-    bounds += [bb.bound_lp2(cell, c, alpha, n_c)[0] for n_c in (1, 2, 3)]
-    for ub in bounds:
+    for mode, n_c in MODES:
+        (ub,), _, _ = cell_bounds(cell, c, alpha, mode, n_c)
         assert h_max <= ub * (1.0 + 1e-12)
 
 
 def test_milp_dominates_lp1_on_descendants(c_n3):
     # the structural half of the dominance story holds on every cell
     alpha = bb.alpha_floor(c_n3)
-    cells = [bb.SimplexCell(np.eye(3))]
+    cells = np.eye(3)[None]
     for _ in range(2):
-        cells.extend(child for cell in list(cells) for child in bb.bisect(cell))
-    for cell in cells:
-        ub_lp1, _ = bb.bound_lp1(cell, c_n3, alpha)
-        ub_milp, _ = bb.bound_milp(cell, c_n3, alpha)
-        assert ub_milp <= ub_lp1 + 1e-9
+        cells = np.concatenate([cells, bb._bisect_cells(cells)])
+    assert cells.shape[0] == 9
+    ub_lp1 = cell_bounds(cells, c_n3, alpha, "lp1")[0]
+    ub_milp = cell_bounds(cells, c_n3, alpha, "milp")[0]
+    assert np.all(ub_milp <= ub_lp1 + 1e-9)
 
 
-def mccormick_milp_bound(cell, c, alpha):
+def mccormick_milp_bound(vertices, c, alpha):
     """The milp bound in its mixed-integer form, solved by HiGHS.
 
     Variables are [b (one per vertex-subset barycenter), u, z (one per
@@ -277,9 +297,9 @@ def mccormick_milp_bound(cell, c, alpha):
     subcells whose chain contains subset k; z_j = q_j u by McCormick rows
     under 0 <= u <= 1/alpha.
     """
-    m = cell.vertices.shape[0]
+    m = vertices.shape[0]
     subsets = [s for size in range(1, m + 1) for s in itertools.combinations(range(m), size)]
-    bary = np.array([cell.vertices[list(s)].mean(axis=0) for s in subsets])
+    bary = np.array([vertices[list(s)].mean(axis=0) for s in subsets])
     perms = list(itertools.permutations(range(m)))
     n_b, n_cell = len(subsets), len(perms)
     u, z, q = n_b, n_b + 1, n_b + 1 + n_cell
@@ -298,7 +318,7 @@ def mccormick_milp_bound(cell, c, alpha):
 
     add([(k, 1.0) for k in range(n_b)] + [(u, -1.0)], 0.0, 0.0)
     add([(q + j, 1.0) for j in range(n_cell)], 1.0, 1.0)
-    center = cell.vertices.mean(axis=0)
+    center = vertices.mean(axis=0)
     m4 = m4_tensor(c)
     grad = 4.0 * np.einsum("ijkl,j,k,l->i", m4, center, center, center)
     mu4 = np.einsum("ijkl,i,j,k,l->", m4, center, center, center, center)
@@ -333,19 +353,16 @@ def test_milp_bound_matches_mccormick_reference(c_n3):
     # the root and four bisection levels of the N=3 instance, and an N=4 cell;
     # each of the six subcells is the only best one on some of these cells,
     # so a skipped block shows
-    cells = [bb.SimplexCell(np.eye(3))]
-    frontier = cells
+    levels = [np.eye(3)[None]]
     for _ in range(4):
-        frontier = [child for cell in frontier for child in bb.bisect(cell)]
-        cells = cells + frontier
+        levels.append(bb._bisect_cells(levels[-1]))
     rng = np.random.default_rng(4)
     mix = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
     c4 = cm.build_comoments(cm.ReturnSample((rng.standard_t(6, (20_000, 4)) + rng.exponential(1.0, (20_000, 4))) @ mix))
-    cases = [(cell, c_n3) for cell in cells] + [(bb.bisect(bb.SimplexCell(np.eye(4)))[1], c4)]
-    alphas = {id(c): bb.alpha_floor(c) for c in (c_n3, c4)}
-    for cell, c in cases:
-        ub, _ = bb.bound_milp(cell, c, alphas[id(c)])
-        assert ub == pytest.approx(mccormick_milp_bound(cell, c, alphas[id(c)]), rel=1e-9, abs=0.0)
+    for cells, c in ((np.concatenate(levels), c_n3), (bb._bisect_cells(np.eye(4)[None])[1:], c4)):
+        alpha = bb.alpha_floor(c)
+        for ub, vertices in zip(cell_bounds(cells, c, alpha, "milp")[0], cells):
+            assert ub == pytest.approx(mccormick_milp_bound(vertices, c, alpha), rel=1e-9, abs=0.0)
 
 
 def test_bound_is_tight_on_tiny_cell(c_n3):
@@ -356,9 +373,8 @@ def test_bound_is_tight_on_tiny_cell(c_n3):
     variance, _, mu4 = cm.portfolio_moments(w, c_n3)
     h_w = variance**2 / mu4
     gaps = []
-    for eps in (1e-4, 1e-7):
-        vertices = w[None, :] + eps * (np.eye(3) - w[None, :])
-        ub, _ = bb.bound_lp1(bb.SimplexCell(vertices), c_n3, alpha)
+    cells = np.stack([w[None, :] + eps * (np.eye(3) - w[None, :]) for eps in (1e-4, 1e-7)])
+    for ub in cell_bounds(cells, c_n3, alpha, "lp1")[0]:
         assert ub >= h_w - 1e-12
         gaps.append(ub / h_w - 1.0)
     assert gaps[0] < 1e-3
@@ -366,18 +382,39 @@ def test_bound_is_tight_on_tiny_cell(c_n3):
 
 
 def test_bound_requires_positive_alpha(c_n3):
-    root = bb.SimplexCell(np.eye(3))
-    with pytest.raises(ValueError):
-        bb.bound_lp1(root, c_n3, 0.0)
-    with pytest.raises(ValueError):
-        bb.bound_milp(root, c_n3, -1.0)
+    root = np.eye(3)[None]
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        cell_bounds(root, c_n3, 0.0, "lp1")
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        cell_bounds(root, c_n3, -1.0, "milp")
 
 
 def test_milp_guard_on_large_cells():
     c = iid_comoments(7)
     with pytest.raises(ValueError, match="size guard"):
-        bb.bound_milp(bb.SimplexCell(np.eye(7)), c, 1.0)
+        cell_bounds(np.eye(7)[None], c, 1.0, "milp")
     assert [bb.bound_modes(n) for n in (1, 6, 7, 30)] == [bb.BOUND_MODES] * 2 + [("lp1", "lp2")] * 2
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_bound_functions_are_the_stack_bound_of_one_cell(bound_instances, n):
+    # the one-cell views that the benchmark's tracer patches: the bound and the
+    # candidate (None where not valid) of _bound_cells on that cell, bit for bit
+    c, alpha = bound_instances[n]
+    views = {
+        "lp1": lambda cell, n_c: bb.bound_lp1(cell, c, alpha),
+        "lp2": lambda cell, n_c: bb.bound_lp2(cell, c, alpha, n_c),
+        "milp": lambda cell, n_c: bb.bound_milp(cell, c, alpha),
+    }
+    for vertices in (np.eye(n), *bb._bisect_cells(bb._bisect_cells(np.eye(n)[None]))):
+        cell = bb.SimplexCell(vertices, id=5)
+        for mode, n_c in MODES:
+            ub, candidate = views[mode](cell, n_c)
+            (want_ub,), (w,), (ok,) = cell_bounds(vertices[None], c, alpha, mode, n_c)
+            assert type(ub) is float and np.float64(ub).tobytes() == want_ub.tobytes()
+            assert candidate.tobytes() == w.tobytes() if ok else candidate is None
+    with pytest.raises(ValueError, match="n_c must be >= 1"):
+        bb.bound_lp2(cell, c, alpha, 0)
 
 
 def test_alpha_floor_below_the_pivot_tolerance_still_bounds_cells():
@@ -537,6 +574,41 @@ def test_lp1_needs_more_iterations_than_lp2(c_n3):
     assert lp1.kurtosis == pytest.approx(lp2.kurtosis, rel=2e-3)
 
 
+@pytest.fixture(scope="module")
+def relabel_panels():
+    """Fixed N=3 and N=4 panels (rho = -0.2, kurtosis 6, T = 2e4, seed 11) whose columns get relabelled."""
+    return {n: rs.sample_meta_gaussian(homogeneous_spec(n, -0.2), 20_000, seed=11).values for n in (3, 4)}
+
+
+#: (N, bound mode, n_c, rho_tol) of the relabelling runs; rho_tol 1e-6 leaves
+#: a relative margin of about 8e-7 between the orders' bounds and kurtoses
+RELABEL_RUNS = [
+    (3, "lp1", 1, 1e-3),
+    (3, "lp2", 1, 1e-3),
+    (3, "lp2", 2, 1e-3),
+    (3, "milp", 1, 1e-3),
+    (4, "lp2", 1, 1e-3),
+    (3, "lp2", 1, 1e-6),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    run_and_orders=st.sampled_from(RELABEL_RUNS).flatmap(
+        lambda run: st.tuples(st.just(run), st.lists(st.permutations(range(run[0])), min_size=1, max_size=3))
+    )
+)
+def test_asset_order_changes_no_certificate(relabel_panels, run_and_orders):
+    # the minimal kurtosis does not depend on the order of the assets, so no
+    # order's certified lower bound may exceed any order's incumbent kurtosis
+    (n, mode, n_c, rho_tol), orders = run_and_orders
+    cfg = bb.BbConfig(rho_tol=rho_tol, bound_mode=mode, n_c=n_c)
+    panel = relabel_panels[n]
+    results = [bb.solve(cm.build_comoments(cm.ReturnSample(panel[:, order])), cfg) for order in [range(n), *orders]]
+    assert {result.status for result in results} == {"optimal"}
+    assert max(result.kurtosis_lower_bounds[-1] for result in results) <= min(result.kurtosis for result in results)
+
+
 def test_iteration_limit_status(c_n3):
     result = bb.solve(c_n3, bb.BbConfig(rho_tol=1e-6, max_iterations=3))
     assert result.status == "iteration_limit"
@@ -556,30 +628,27 @@ def test_time_limit_status(c_n3):
 
 
 def reference_best_first(c, cfg):
-    """One cell per iteration through the one-cell entry points: bisect the
-    best live cell, bound both children (capped at the parent's bound), score
-    their LP candidates and barycenters, fathom, record one history row.
+    """One cell per iteration, each bisected and bounded as a stack of one:
+    bisect the best live cell, bound both children (capped at the parent's
+    bound), score their LP candidates and barycenters, fathom, record one
+    history row.  Cells are numbered in creation order.
     Returns (iterations, cells created, cells fathomed, (lb, ub, fraction) rows)."""
     alpha = bb.alpha_floor(c)
-    bound = {
-        "lp1": lambda cell: bb.bound_lp1(cell, c, alpha),
-        "lp2": lambda cell: bb.bound_lp2(cell, c, alpha, cfg.n_c),
-        "milp": lambda cell: bb.bound_milp(cell, c, alpha),
-    }[cfg.bound_mode]
     shrink = 1.0 - cfg.rho_tol
     lb, created, fathomed, iterations = -math.inf, 0, 0, 0
     heap, deletions, live, history = [], [], set(), []
 
-    def evaluate(cell, cap):
+    def evaluate(vertices, cap):
         nonlocal lb, created
-        ub, candidate = bound(cell)
-        ub = min(ub, cap)
-        points = np.array([p for p in (candidate, cell.vertices.mean(axis=0)) if p is not None])
+        (ub,), (candidate,), (ok,) = cell_bounds(vertices[None], c, alpha, cfg.bound_mode, cfg.n_c, created)
+        ub = min(float(ub), cap)
+        center = vertices.mean(axis=0)
+        points = np.array([candidate, center] if ok else [center])
         variance, _, mu4 = cm.batch_moments(points, c)
         lb = max(lb, float(np.max(variance**2 / mu4)))
-        heapq.heappush(heap, (-ub, cell.id, cell))
-        heapq.heappush(deletions, (ub, cell.id))
-        live.add(cell.id)
+        heapq.heappush(heap, (-ub, created, vertices))
+        heapq.heappush(deletions, (ub, created))
+        live.add(created)
         created += 1
 
     def fathom_and_record():
@@ -591,13 +660,13 @@ def reference_best_first(c, cfg):
                 fathomed += 1
         history.append((lb, -heap[0][0], fathomed / (fathomed + len(live))))
 
-    evaluate(bb.SimplexCell(np.eye(c.n_assets)), math.inf)
+    evaluate(np.eye(c.n_assets), math.inf)
     fathom_and_record()
     while shrink * -heap[0][0] > lb:
-        neg_ub, _, parent = heapq.heappop(heap)
-        live.remove(parent.id)
+        neg_ub, parent_id, parent = heapq.heappop(heap)
+        live.remove(parent_id)
         iterations += 1
-        for child in bb.bisect(parent, first_child_id=created):
+        for child in bb._bisect_cells(parent[None]):
             evaluate(child, -neg_ub)
         fathom_and_record()
     fathom_and_record()
@@ -679,13 +748,13 @@ def test_stalled_cell_lp_names_its_cell(c_n3, monkeypatch):
 
     monkeypatch.setattr(ss, "_simplex", stall)
     alpha = bb.alpha_floor(c_n3)
-    cell = bb.SimplexCell(np.eye(3), id=7)
+    cell = np.eye(3)[None]
     with pytest.raises(ss._Breakdown, match=r"cell 7 with vertices \[\[1\.0, 0\.0, 0\.0\]") as err:
-        bb.bound_lp2(cell, c_n3, alpha, 1)
+        cell_bounds(cell, c_n3, alpha, "lp2", 1, first_id=7)
     assert err.value.cap == 4000
     # the last of the six subcell LPs belongs to the same cell
     with pytest.raises(ss._Breakdown, match="cell 7 "):
-        bb.bound_milp(cell, c_n3, alpha)
+        cell_bounds(cell, c_n3, alpha, "milp", first_id=7)
     with pytest.raises(ss._Breakdown, match="cell 0 "):
         bb.solve(c_n3)
 

@@ -909,6 +909,15 @@ def test_jsonable_handles_numpy_and_inf():
     json.dumps(out)
 
 
+def test_jsonable_writes_non_finite_numpy_scalars_as_strings():
+    # a non-finite numpy scalar follows the float rule, so the JSON stays valid
+    values = {
+        f"{kind}{width}": np.dtype(f"float{width}").type(kind) for kind in ("inf", "-inf", "nan") for width in (32, 64)
+    }
+    text = json.dumps(hn._jsonable({"scalars": values}), allow_nan=False)
+    assert json.loads(text) == {"scalars": {key: key[:-2] for key in values}}
+
+
 def _walked_jsonable(value):
     """``_jsonable`` as it stood when it walked every array element: the
     reference for the bytes the files must keep."""
