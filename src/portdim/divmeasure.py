@@ -14,28 +14,26 @@ is the value an equal-weight portfolio of k iid copies of Z would attain
 reads as the number of independent Z-like return streams the portfolio is
 worth.  The dimensionality d maps D through the inverse of that curve,
 k = nu(Z) / f(k), which is the identity for both supported measures, so
-d = D exactly.  Near-Gaussian portfolios, where nu is
-at numerical zero, report D as +inf with a quality flag: vanishing excess
-kurtosis is a success mode of diversification, not an error.
+d = D exactly.  A near-Gaussian portfolio (nu at numerical zero or below)
+reports D as +inf with the result flag ``near_gaussian``, not a warning:
+vanishing excess kurtosis is a success mode of diversification.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .comoments import CoMomentSet, Weights, portfolio_kurtosis, portfolio_skewness
-from .retsim import MarginTarget, NigParams, nig_moments
+from .retsim import MarginTarget
 
 __all__ = [
     "NuMeasure",
     "ReferenceAsset",
     "DiversificationResult",
-    "NearGaussianWarning",
     "NEAR_GAUSSIAN_NU",
     "nu",
     "reference_curve",
@@ -47,10 +45,6 @@ __all__ = [
 
 #: below this, nu(portfolio) is treated as numerically Gaussian
 NEAR_GAUSSIAN_NU = 1e-6
-
-
-class NearGaussianWarning(UserWarning):
-    """The evaluated portfolio has no measurable excess over the Gaussian."""
 
 
 class NuMeasure(enum.Enum):
@@ -69,11 +63,6 @@ class ReferenceAsset:
     def __post_init__(self) -> None:
         if not (self.nu_value > 0.0 and np.isfinite(self.nu_value)):
             raise ValueError(f"reference nu must be positive and finite, got {self.nu_value!r}")
-
-    @classmethod
-    def from_nig(cls, params: NigParams, measure: NuMeasure) -> "ReferenceAsset":
-        """Analytic nu(Z) from NIG parameters (no Monte Carlo re-estimation)."""
-        return cls.from_target(nig_moments(params), measure)
 
     @classmethod
     def from_target(cls, target: MarginTarget, measure: NuMeasure) -> "ReferenceAsset":
@@ -95,23 +84,16 @@ class DiversificationResult:
 
 
 def nu(w: Weights | np.ndarray, c: CoMomentSet, m: NuMeasure) -> float:
-    """Leverage-invariant non-Gaussianity of the portfolio w under measure m."""
+    """Leverage-invariant non-Gaussianity of the portfolio w under measure m;
+    an excess kurtosis can be zero or negative."""
     if m is NuMeasure.EXCESS_KURTOSIS:
-        value = portfolio_kurtosis(w, c) - 3.0
-        if value <= 0.0:
-            warnings.warn(
-                f"excess kurtosis {value:.3e} is not positive; nu is undefined "
-                "as a positive measure here",
-                NearGaussianWarning,
-                stacklevel=2,
-            )
-        return value
+        return portfolio_kurtosis(w, c) - 3.0
     if m is NuMeasure.SQUARED_SKEWNESS:
         return portfolio_skewness(w, c) ** 2
     raise TypeError(f"unsupported measure {m!r}")
 
 
-def reference_curve(k: int, ref: ReferenceAsset, m: NuMeasure) -> float:
+def reference_curve(k: int, ref: ReferenceAsset) -> float:
     """nu of an equal-weight portfolio of k iid copies of Z: nu(Z)/k.
 
     Both supported measures scale as 1/k under iid averaging (fourth and
@@ -127,9 +109,7 @@ def diversification(
     w: Weights | np.ndarray, c: CoMomentSet, ref: ReferenceAsset, m: NuMeasure
 ) -> DiversificationResult:
     """D = nu(Z) / nu(portfolio), with a +inf sentinel near the Gaussian."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NearGaussianWarning)
-        nu_p = nu(w, c, m)
+    nu_p = nu(w, c, m)
     if nu_p <= NEAR_GAUSSIAN_NU:
         return DiversificationResult(
             value=math.inf, nu_portfolio=nu_p, nu_reference=ref.nu_value, near_gaussian=True

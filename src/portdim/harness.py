@@ -534,7 +534,7 @@ def cmd_dimensionality(
             "near_gaussian": dim.near_gaussian,
             "reference_curve": {
                 "k": k_grid,
-                "nu": [reference_curve(k, reference, measure) for k in k_grid],
+                "nu": [reference_curve(k, reference) for k in k_grid],
             },
         },
     )

@@ -56,8 +56,8 @@ SIMULATION_STREAM = 0
 
 _BLOCK_ROWS = 65536
 #: rows of a block drawn and transformed at a time, so that the sampler's
-#: (rows, N) temporaries stay a few MB; every value follows its own path,
-#: so the piece size changes no bit
+#: and the quantile's temporaries stay a few MB; every value follows its
+#: own path, so the piece size changes no bit
 _PIECE_ROWS = 8192
 
 _TABLE_NODES = 2048
@@ -65,8 +65,6 @@ _TABLE_HALF_WIDTH_SD = 40.0
 #: bins of the quantile's guide table; a power of two, so u * _GUIDE_BINS
 #: and every bin edge k / _GUIDE_BINS are exact
 _GUIDE_BINS = 8192
-#: values per quantile block, so that its temporaries stay in cache
-_QUANTILE_BLOCK = 8192
 
 #: the left-tail rule: 15-point Gauss-Legendre panels below a point, the
 #: first _TAIL_FIRST_SD sd wide and each further one _TAIL_RATIO times wider
@@ -391,26 +389,22 @@ class _NigTable:
     def quantile_clipped(self, u) -> np.ndarray:
         """Quantiles of the tabulated CDF; clips u into table range, keeps NaN.
 
-        The values run in blocks of 8192, each block's intervals read from
-        the guide table (see the class docstring).  Each value starts from
-        its interval's inverse Hermite interpolant (``_inverse_hermite``) and
-        takes one Newton step on the interval's cubic.  The step is kept when
-        it stays in the interval and the cubic there is within 1e-14 of u.
-        The few others, compacted, bisect the same interval (``_bisect``), so
-        every quantile lies in the interval its u falls in.  Every value
-        follows its own path, so the blocks do not change any bit.  Returns
-        an array of ``u``'s shape.
+        Each value reads its interval from the guide table (see the class
+        docstring), starts from the interval's inverse Hermite interpolant
+        (``_inverse_hermite``) and takes one Newton step on its cubic.  The
+        step is kept when it stays in the interval and the cubic there is
+        within 1e-14 of u.  The few others, compacted, bisect the same
+        interval (``_bisect``), so every quantile lies in the interval its u
+        falls in.  Every value follows its own path, so how the values are
+        split between calls (the sampler passes ``_PIECE_ROWS`` rows of one
+        column) changes no bit.  Returns an array of ``u``'s shape.
         """
         ua = np.asarray(u, dtype=float)
-        q = np.empty(ua.shape)
-        flat_u, flat_q = ua.reshape(-1), q.reshape(-1)
-        for start in range(0, flat_u.size, _QUANTILE_BLOCK):
-            block = slice(start, start + _QUANTILE_BLOCK)
-            flat_q[block] = self._one_step(np.clip(flat_u[block], self.cdf_values[0], self.cdf_values[-1]))
-        return q
+        clipped = np.clip(ua.reshape(-1), self.cdf_values[0], self.cdf_values[-1])
+        return self._one_step(clipped).reshape(ua.shape)
 
     def _one_step(self, ua: np.ndarray) -> np.ndarray:
-        """The quantiles of one block of u already clipped into table range."""
+        """The quantiles of a 1-d array of u already clipped into table range."""
         idx = _table_interval(self.cdf_values, self._guide, ua)
         flo, inv_mass, b1, b2, b3 = (col[idx] for col in self._inverse)
         lo = self.x[idx]

@@ -143,7 +143,7 @@ def _best_blocks(
     cb = c[:, blocks]
     ab = a[:, :, blocks].transpose(0, 2, 1, 3)
     x, pivots, unbounded = _simplex(
-        cb.reshape(-1, size), ab.reshape(-1, m, size), np.repeat(b, n_blocks, axis=0)
+        cb.reshape(n_lp * n_blocks, size), ab.reshape(n_lp * n_blocks, m, size), np.repeat(b, n_blocks, axis=0)
     )
     x = x.reshape(n_lp, n_blocks, size)
     values = np.einsum("lqi,lqi->lq", cb, x)

@@ -9,7 +9,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from portdim import bbsolve as bb
@@ -286,6 +286,27 @@ def test_milp_dominates_lp1_on_descendants(c_n3):
     ub_lp1 = cell_bounds(cells, c_n3, alpha, "lp1")[0]
     ub_milp = cell_bounds(cells, c_n3, alpha, "milp")[0]
     assert np.all(ub_milp <= ub_lp1 + 1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.sampled_from([3, 4]),
+    path=st.lists(st.integers(min_value=0, max_value=1), max_size=12),
+)
+def test_milp_equals_lp1_where_the_floor_row_is_slack(bound_instances, n, path):
+    # where the barycenter cut's coefficient r_i is at least alpha at every vertex, the floor row
+    # is slack and lp1 is max_i f(v_i)/r_i; each milp subcell LP has a vertex column, and its
+    # subset-barycenter columns score no higher (f convex, r affine), so the bounds coincide
+    c, alpha = bound_instances[n]
+    cell = np.eye(n)[None]
+    for side in path:
+        cell = bb._bisect_cells(cell)[side : side + 1]
+    r = bb._cut_rows(cell, cell.mean(axis=1)[:, None], c, alpha)[0, 0]
+    assume(np.all(r >= alpha))
+    (ub_lp1,), _, _ = cell_bounds(cell, c, alpha, "lp1")
+    (ub_milp,), _, _ = cell_bounds(cell, c, alpha, "milp")
+    assert ub_lp1 == pytest.approx(float(np.max(bb._vertex_objective(cell[0], c) / r)), rel=1e-12)
+    assert ub_milp == pytest.approx(ub_lp1, rel=1e-12)
 
 
 def mccormick_milp_bound(vertices, c, alpha):

@@ -1,6 +1,7 @@
 """Diversification measure, dimensionality, and toy-universe closed forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,27 +76,19 @@ def test_nu_squared_skewness():
     assert got == pytest.approx(0.64, abs=1e-12)
 
 
-def test_nu_warns_when_portfolio_is_gaussian():
+def test_nu_of_a_gaussian_portfolio_is_zero():
     c = iid_comoments(2, kurt=3.0)  # exactly Gaussian fourth moments
-    with pytest.warns(dv.NearGaussianWarning):
-        value = dv.nu(np.array([0.5, 0.5]), c, dv.NuMeasure.EXCESS_KURTOSIS)
+    value = dv.nu(np.array([0.5, 0.5]), c, dv.NuMeasure.EXCESS_KURTOSIS)
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reference_curve_is_nu_over_k(margin_k6):
     ref = dv.ReferenceAsset.from_target(margin_k6, dv.NuMeasure.EXCESS_KURTOSIS)
     assert ref.nu_value == pytest.approx(3.0, abs=1e-15)
-    assert dv.reference_curve(1, ref, dv.NuMeasure.EXCESS_KURTOSIS) == 3.0
-    assert dv.reference_curve(6, ref, dv.NuMeasure.EXCESS_KURTOSIS) == pytest.approx(0.5)
+    assert dv.reference_curve(1, ref) == 3.0
+    assert dv.reference_curve(6, ref) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        dv.reference_curve(0, ref, dv.NuMeasure.EXCESS_KURTOSIS)
-
-
-def test_reference_from_nig_matches_target(margin_k6):
-    params = rs.nig_params_from_moments(margin_k6)
-    a = dv.ReferenceAsset.from_target(margin_k6, dv.NuMeasure.EXCESS_KURTOSIS)
-    b = dv.ReferenceAsset.from_nig(params, dv.NuMeasure.EXCESS_KURTOSIS)
-    assert b.nu_value == pytest.approx(a.nu_value, rel=1e-12)
+        dv.reference_curve(0, ref)
 
 
 def test_gaussian_reference_rejected():
@@ -141,6 +134,19 @@ def test_near_gaussian_portfolio_reports_infinite_d(margin_k6):
     assert div.near_gaussian
     dim = dv.dimensionality(np.array([0.5, 0.5]), c, ref, dv.NuMeasure.EXCESS_KURTOSIS)
     assert math.isinf(dim.value) and dim.near_gaussian
+
+
+def test_near_gaussian_is_a_result_flag_not_a_warning(margin_k6):
+    c = iid_comoments(2, kurt=3.0)  # exactly Gaussian fourth moments
+    ref = dv.ReferenceAsset.from_target(margin_k6, dv.NuMeasure.EXCESS_KURTOSIS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        filters = list(warnings.filters)
+        dim = dv.dimensionality(np.array([0.5, 0.5]), c, ref, dv.NuMeasure.EXCESS_KURTOSIS)
+        nu_p = dv.nu(np.array([0.5, 0.5]), c, dv.NuMeasure.EXCESS_KURTOSIS)
+        assert warnings.filters == filters
+    assert dim.near_gaussian and math.isinf(dim.value)
+    assert dim.nu_portfolio == nu_p
 
 
 def test_dimensionality_is_leverage_consistent(c_n3, margin_k6):

@@ -257,7 +257,7 @@ def test_guide_table_interval_on_end_bins_and_flat_intervals(cdf):
     [
         lambda u: u[0, 0],  # 0-d
         lambda u: u[:, 1],  # a strided column, as the sampler passes
-        lambda u: u,  # 2-d, more values than one Newton block
+        lambda u: u,  # 2-d, more values than one sampler piece
         lambda u: u.T,  # 2-d, not C-contiguous
         lambda u: u[:0, 0],  # empty
     ],
@@ -269,7 +269,7 @@ def test_quantile_keeps_shape_and_reference_bits(make_u):
     q = table.quantile_clipped(u)
     assert q.shape == np.shape(u)
     _assert_meets_reference(table, u, q)
-    # the same bits from a contiguous copy split into blocks of another size
+    # the same bits from a contiguous copy split into pieces of 1000
     flat = np.ascontiguousarray(u).ravel()
     pieces = [table.quantile_clipped(flat[i : i + 1000]) for i in range(0, flat.size, 1000)]
     assert q.ravel().tobytes() == np.concatenate([np.empty(0)] + pieces).tobytes()

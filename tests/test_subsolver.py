@@ -408,7 +408,7 @@ def test_solve_lp_is_the_stack_simplex_on_one_lp(seed, capped):
 def test_solve_milp_is_the_best_of_the_stacked_blocks(seed, capped):
     rng = np.random.default_rng(seed)
     c, a, b = random_packing_lp(rng, 0.5)
-    if not capped and a.shape[0] > 1:  # _best_blocks needs a row: every bound LP has two or more
+    if not capped:  # without the positive last row the LP may be unbounded, or have no row
         a, b = a[:-1], b[:-1]
     size = int(rng.integers(1, c.size + 1))
     blocks = np.array([rng.permutation(c.size)[:size] for _ in range(int(rng.integers(1, 5)))])
@@ -422,3 +422,21 @@ def test_solve_milp_is_the_best_of_the_stacked_blocks(seed, capped):
         full[blocks[best]] = x
         assert sol.status == "optimal" and sol.iterations == pivots.sum()
         assert sol.x.tobytes() == full.tobytes() and np.float64(sol.value).tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("objective", [[-1.0, -2.0, -0.5], [-1.0, 2.0, -0.5]], ids=["bounded", "two-blocks-unbounded"])
+def test_solve_milp_on_an_lp_without_rows_is_the_simplex_of_each_block(objective):
+    # with no row a block LP is optimal at 0 when no price is positive, and unbounded otherwise
+    c, a, b = lp(objective, np.zeros((0, 3)), [])
+    blocks = np.array([[0, 2], [1, 2], [0, 1]])
+    value, best, x, pivots, unbounded = best_block((c, a, b), blocks)
+    for q, k in enumerate(blocks):
+        x_q, pivots_q, unbounded_q = ss._simplex(c[None, k], a[None][:, :, k], b[None])
+        assert (pivots[q], unbounded[q]) == (pivots_q[0], unbounded_q[0])
+        if q == best:
+            assert x.tobytes() == x_q[0].tobytes() and value == c[k] @ x_q[0]
+    sol = ss.solve_milp(c, a, b, blocks)
+    if unbounded.any():
+        assert (sol.status, sol.value, sol.x) == ("unbounded", np.inf, None)
+    else:
+        assert (sol.status, sol.value, sol.x.tolist()) == ("optimal", 0.0, [0.0, 0.0, 0.0])
