@@ -19,11 +19,16 @@ map entry-wise so the sampled panel hits the target correlations.  The map's
 derivative is the same integral over the bivariate normal density (Plackett
 1954), so the inversion is a safeguarded Newton iteration on closed forms.
 
-Sampling pipeline: draw Z ~ N(0, R_in) via Cholesky, map to uniforms with
-the normal CDF, then through each margin's quantile function.  All
-randomness comes from a counter-based generator (Philox) with substreams
-derived from (seed, block index), and Gaussians are produced by inverse
-CDF, so output is reproducible regardless of how blocks are scheduled.
+Each margin is tabulated once as its normal-score map x(z) = F^-1(Phi(z)):
+node scores from the masses on both sides of each node, joined by the cubic
+Hermite interpolant with the exact slopes phi(z) / f(x) (``_NigTable``).
+Sampling pipeline: draw Z ~ N(0, R_in) via Cholesky and send each column
+straight through its margin's map, with no normal CDF and no root-finding
+per draw; ``nig_quantile(u)`` is the map at ndtri(u), and ``nig_cdf``
+inverts the map by a safeguarded Newton iteration.  All randomness comes
+from a counter-based generator (Philox) with substreams derived from
+(seed, block index), and Gaussians are produced by inverse CDF, so output is
+reproducible regardless of how blocks are scheduled.
 """
 
 from __future__ import annotations
@@ -62,16 +67,20 @@ _PIECE_ROWS = 8192
 
 _TABLE_NODES = 2048
 _TABLE_HALF_WIDTH_SD = 40.0
-#: bins of the quantile's guide table; a power of two, so u * _GUIDE_BINS
-#: and every bin edge k / _GUIDE_BINS are exact
+#: bins of the normal-score map's guide table
 _GUIDE_BINS = 8192
+#: the inversion of the map in ``nig_cdf`` stops once a step is below this
+#: fraction of its interval, or after the cap, by which bisection alone is
+#: far past it
+_SCORE_TOL = 2.0**-50
+_SCORE_STEPS = 64
 
-#: the left-tail rule: 15-point Gauss-Legendre panels below a point, the
-#: first _TAIL_FIRST_SD sd wide and each further one _TAIL_RATIO times wider
+#: the tail rule: 15-point Gauss-Legendre panels beyond a point, the first
+#: _TAIL_FIRST_SD sd wide and each further one _TAIL_RATIO times wider
 _TAIL_PANELS = 80
 _TAIL_RATIO = 1.5
 _TAIL_FIRST_SD = 0.25
-#: points of one left-tail evaluation, so its (points, panels, 15) nodes stay small
+#: points of one tail evaluation, so its (points, panels, 15) nodes stay small
 _TAIL_POINTS = 256
 #: the Gauss-Legendre rules (nodes, weights) of the table's panels
 _GL7 = np.polynomial.legendre.leggauss(7)
@@ -177,98 +186,75 @@ def nig_params_from_moments(t: MarginTarget) -> NigParams:
 
 
 # ---------------------------------------------------------------------------
-# tabulated CDF / quantile
+# tabulated normal-score map
 # ---------------------------------------------------------------------------
 
 
-def _guide_table(cdf_values: np.ndarray) -> np.ndarray:
-    """Guide table of a tabulated CDF (indexed search, Chen & Asau 1974).
+def _guide_bin(z: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Guide-table bin of each z of a 1-d array: floor((z - nodes[0]) * scale)
+    with scale = _GUIDE_BINS / (nodes[-1] - nodes[0]), clipped into
+    [0, _GUIDE_BINS].  NaN goes to the last bin before the cast, so no NaN
+    reaches it.  Every operation rounds monotonically, so the bin never
+    decreases in z, and the table is built from the bins of its own nodes."""
+    v = z - nodes[0]
+    v *= _GUIDE_BINS / (nodes[-1] - nodes[0])
+    np.fmin(v, _GUIDE_BINS, out=v)
+    np.maximum(v, 0.0, out=v)
+    return v.astype(np.intp)
 
-    Entry k is the last node whose CDF value is at most k / _GUIDE_BINS.  It
-    is -1, and the bin [k, k+1) / _GUIDE_BINS searched, where one compare
-    against the next node cannot settle a u of the bin: the bin holds more
-    than one node, starts below the first node or ends above the last
-    interval.  A final bin, for u >= 1 and NaN, is searched as well.
+
+def _guide_table(nodes: np.ndarray) -> np.ndarray:
+    """Guide table of sorted nodes over equal bins of their span (indexed
+    search, Chen & Asau 1974).
+
+    Entry k is the last node in a bin before k: every z of bin k is above
+    it, and below every node of a later bin, so one compare against the next
+    node settles a z of a bin that holds at most one node.  The entry is -1,
+    and the bin binary-searched, where the bin holds more than one node or
+    the last one, or lies beyond the last; the first node's bin has no node
+    before it, so its entry is -1 too.
     """
-    edges = np.arange(_GUIDE_BINS + 1) / _GUIDE_BINS
-    below = np.searchsorted(cdf_values, edges, side="right") - 1
-    lo, hi = below[:-1], below[1:]
-    one_compare = (hi - lo <= 1) & (hi <= cdf_values.size - 2)
-    return np.append(np.where(one_compare, lo, -1), -1)
+    counts = np.bincount(_guide_bin(nodes, nodes), minlength=_GUIDE_BINS + 1)
+    before = np.cumsum(counts) - counts - 1
+    one_compare = (counts <= 1) & (before + counts <= nodes.size - 2)
+    return np.where(one_compare, before, -1)
 
 
-def _table_interval(cdf_values: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Interval of each u >= 0 (or NaN) in a tabulated CDF, by its guide table:
-    ``clip(searchsorted(cdf_values, u, "right") - 1, 0, n - 2)``.
-
-    ``fmin`` sends NaN and u >= 1 to the final bin before the cast, so no
-    NaN reaches it."""
-    idx = guide[np.fmin(u * _GUIDE_BINS, _GUIDE_BINS).astype(np.intp)]
+def _table_interval(nodes: np.ndarray, guide: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Interval of each z of a 1-d array among sorted nodes, by their guide
+    table: ``clip(searchsorted(nodes, z, "right") - 1, 0, n - 2)``."""
+    idx = guide[_guide_bin(z, nodes)]
     searched = idx < 0
-    idx += cdf_values[idx + 1] <= u  # the searched entries are overwritten below
+    idx += nodes[idx + 1] <= z  # the searched entries are overwritten below
     if searched.any():
-        found = np.searchsorted(cdf_values, u[searched], side="right") - 1
-        idx[searched] = np.clip(found, 0, cdf_values.size - 2)
+        found = np.searchsorted(nodes, z[searched], side="right") - 1
+        idx[searched] = np.clip(found, 0, nodes.size - 2)
     return idx
 
 
-def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """Moler's one-sided three-point slope at an end node, kept shape-preserving."""
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-interval power coefficients (c0, c1, c2, c3) of the monotone cubic
-    (PCHIP, Fritsch & Carlson 1980) through (x, y): on [x_i, x_i+1] it is
-    c3 + c2 s + c1 s^2 + c0 s^3 at s = x - x_i.
-
-    The node slopes are the weighted harmonic mean of the two secants, zero
-    where a secant is zero or the secants change sign, and Moler's one-sided
-    rule at the two ends.  Every operation is the one scipy's
-    ``PchipInterpolator`` performs, in its order, so the coefficients are
-    its ``c`` bit for bit.
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    w1 = 2.0 * h[1:] + h[:-1]
-    w2 = h[1:] + 2.0 * h[:-1]
-    # the far-tail secants can be denormal; the harmonic mean of them
-    # overflows to the correct zero slope, so the warning is noise
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-    d = np.empty_like(y)
-    d[1:-1] = np.where(flat, 0.0, inner)
-    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    t = (d[:-1] + d[1:] - 2.0 * m) / h
-    return t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
-
-
 class _NigTable:
-    """CDF tabulation of a NIG law on 2048 sinh-spaced nodes.
+    """A NIG law tabulated as its normal-score map x(z) = F^-1(Phi(z)).
 
-    Node positions cluster near the mean (spacing ~0.006 sd) and widen
-    toward +-40 sd.  Per-interval integrals of the pdf use Gauss-Legendre
-    panels with one adaptive refinement pass, and the mass below the first
-    node a fixed rule of geometrically widening panels (``_left_tail``); the
-    cumulative sums, capped at 1, are interpolated with a monotone cubic
-    (PCHIP, ``_pchip``), which the quantile
-    inverts on the cubic of the one interval bracketing each target: one
-    Newton step from an inverse-Hermite start, with a bisection of that
-    interval behind it.
+    The pdf is integrated over 2048 sinh-spaced nodes, which cluster near the
+    mean (spacing ~0.006 sd) and widen toward +-40 sd: Gauss-Legendre panels
+    with one adaptive refinement pass on each interval, and beyond each end
+    node a fixed rule of geometrically widening panels (``_tail``).  A node's
+    normal score is ndtri(F_i) from the sums of the masses below it where
+    F_i <= 1/2, and -ndtri(S_i) from the sums above it elsewhere, so both
+    tails keep their relative accuracy.  The map joins the (z_i, x_i) by the
+    cubic Hermite interpolant whose node slopes are the exact
+    dx/dz = phi(z_i) / f(x_i); nodes whose tail mass, density or slope is not
+    finite and normal are left out.  Every interval must meet the
+    Fritsch-Carlson condition alpha^2 + beta^2 <= 9 (Fritsch & Carlson
+    1980), so the map is increasing; the build raises otherwise.
 
-    The bracketing interval comes from a guide table over 8192 equal bins
-    of u (``_guide_table``): ``_guide[k]`` is the last node whose CDF value
-    is at most k / 8192, so a u of bin k lies in interval ``_guide[k]`` or
-    the next one, and one compare against the next node decides.  Only u in
-    the few bins marked -1 (more than one node, the table's ends, u >= 1,
-    NaN) are binary-searched.
+    A score's interval comes from a guide table over 8192 equal bins of the
+    scores' span (``_guide_table``): one table read and one compare, with
+    binary search left to the few bins that hold more than one node.  The
+    map of a score is then one cubic, with no Newton step: tabulating the
+    inverse CDF itself is the fast numerical inversion of Hörmann & Leydold
+    (2003).  ``cdf`` inverts the map on x's interval by a safeguarded Newton
+    iteration, off the sampling path.
     """
 
     def __init__(self, p: NigParams) -> None:
@@ -284,52 +270,44 @@ class _NigTable:
         self.x = center + half * np.sinh(stretch * t) / math.sinh(stretch)
         self._sd = sd
 
-        left_tail = self._left_tail(self.x[:1])[0]
-        intervals = self._interval_masses()
+        masses = self._interval_masses()
+        below = self._tail(self.x[:1], -1.0)[0] + np.concatenate([[0.0], np.cumsum(masses)])
+        above = self._tail(self.x[-1:], 1.0)[0] + np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])
         # the rounded cumulative sum can pass 1; the cap keeps it nondecreasing
-        self.cdf_values = np.minimum(left_tail + np.concatenate([[0.0], np.cumsum(intervals)]), 1.0)
-        self._guide = _guide_table(self.cdf_values)
-        # per-interval columns, each gathered on its own: the cubic's four
-        # coefficients and its slope's 3c0 and 2c1, as a derivative forms them
-        c0, c1, c2, c3 = _pchip(self.x, self.cdf_values)
-        self._cubic = (c0, c1, c2, c3, 3.0 * c0, 2.0 * c1)
-        self._inverse = self._inverse_hermite()
-
-    def _inverse_hermite(self) -> tuple[np.ndarray, ...]:
-        """Cubic Hermite interpolant of the inverse CDF on each interval
-        (Hörmann & Leydold 2003): x(t) = x_i + t (b1 + t (b2 + t b3)) at
-        t = (u - F_i) / (F_{i+1} - F_i), through (F_i, x_i) and
-        (F_{i+1}, x_{i+1}) with end slopes 1 / F' from the PCHIP derivatives.
-
-        Returns the columns (F_i, 1 / (F_{i+1} - F_i), b1, b2, b3).  An
-        interval whose mass or an end slope is zero, denormal or not finite
-        gets the linear start (b2 = b3 = 0), and one without a normal mass
-        starts at x_i (1 / mass stored as 0).
-        """
+        self.cdf_values = np.minimum(below, 1.0)
+        lower = below <= 0.5
+        tail = np.where(lower, below, above)
+        density = nig_pdf(self.x, p)
         tiny = np.finfo(float).tiny
-        flo, mass = self.cdf_values[:-1], np.diff(self.cdf_values)
-        width = np.diff(self.x)
-        # the cubic's slope at every node, the last one at the right end of
-        # the last interval, in the order of a polynomial evaluation with nu=1
-        idx = np.minimum(np.arange(self.x.size), self.x.size - 2)
-        s = self.x - self.x[idx]
-        c0, c1, c2 = (col[idx] for col in self._cubic[:3])
-        slopes = (c2 + (c1 * s) * 2.0) + (c0 * (s * s)) * 3.0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            m0 = mass / slopes[:-1]  # dx/dt at each end of the interval
-            m1 = mass / slopes[1:]
-            b2 = 3.0 * width - 2.0 * m0 - m1
-            b3 = m0 + m1 - 2.0 * width
-        has_mass = mass >= tiny
-        hermite = has_mass & (np.minimum(slopes[:-1], slopes[1:]) >= tiny) & np.isfinite(b2) & np.isfinite(b3)
-        inv_mass = np.divide(1.0, mass, out=np.zeros_like(mass), where=has_mass)
-        return (
-            flo,
-            inv_mass,
-            np.where(hermite, m0, width),
-            np.where(hermite, b2, 0.0),
-            np.where(hermite, b3, 0.0),
-        )
+        keep = (tail >= tiny) & (density >= tiny) & np.isfinite(density)
+        z = ndtri(tail[keep])
+        z = np.where(lower[keep], z, -z)
+        slope = np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * density[keep])
+        normal = slope >= tiny
+        self.knots_z, self.knots_x, slope = z[normal], self.x[keep][normal], slope[normal]
+        self._guide = _guide_table(self.knots_z)
+        self._cubic = self._hermite(slope)
+
+    def _hermite(self, slope: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-interval columns (z_i, x_i, b1, b2, b3) of the map's cubic
+        x_i + s (b1 + s (b2 + s b3)) at s = z - z_i: the Hermite interpolant
+        through the interval's two knots with the given slopes there, b1
+        being the slope at z_i.  Raises if an interval fails the
+        Fritsch-Carlson condition."""
+        h = np.diff(self.knots_z)
+        secant = np.diff(self.knots_x) / h
+        d0, d1 = slope[:-1], slope[1:]
+        alpha, beta = d0 / secant, d1 / secant
+        fritsch_carlson = (h > 0.0) & (alpha * alpha + beta * beta <= 9.0)
+        if not fritsch_carlson.all():
+            bad = np.flatnonzero(~fritsch_carlson)
+            raise ValueError(
+                f"the normal-score map of {self.params!r} is not monotone on "
+                f"{bad.size} of its {h.size} intervals (first at x = {self.knots_x[bad[0]]!r})"
+            )
+        b2 = (3.0 * secant - 2.0 * d0 - d1) / h
+        b3 = (d0 + d1 - 2.0 * secant) / (h * h)
+        return self.knots_z[:-1], self.knots_x[:-1], d0, b2, b3
 
     def _interval_masses(self) -> np.ndarray:
         lo, hi = self.x[:-1], self.x[1:]
@@ -350,103 +328,89 @@ class _NigTable:
         vals = nig_pdf(pts, self.params)
         return half * (vals @ weights)
 
-    def _left_tail(self, x: np.ndarray) -> np.ndarray:
-        """Mass of the pdf below each point of the 1-d ``x``.
+    def _tail(self, x: np.ndarray, side: float) -> np.ndarray:
+        """Mass of the pdf beyond each point of the 1-d ``x``: below it for
+        ``side`` -1, above it for +1.
 
-        A fixed rule of 80 15-point Gauss-Legendre panels below each point,
+        A fixed rule of 80 15-point Gauss-Legendre panels beyond each point,
         the first 0.25 sd wide and each further one 1.5 times wider, so they
-        reach about 6e13 sd down the tail and resolve its exponential decay
+        reach about 6e13 sd into the tail and resolve its exponential decay
         near the point.  At the first node it is within 1e-15 relative of a
         30-digit reference on margins of kurtosis 6 and 30.
         """
         widths = _TAIL_FIRST_SD * self._sd * _TAIL_RATIO ** np.arange(_TAIL_PANELS)
-        offsets = np.concatenate([[0.0], np.cumsum(widths)])
+        offsets = side * np.concatenate([[0.0], np.cumsum(widths)])
         out = np.empty(x.shape)
         for start in range(0, x.size, _TAIL_POINTS):
             block = x[start : start + _TAIL_POINTS, None]
-            panels = self._panel(block - offsets[1:], block - offsets[:-1], _GL15)
-            out[start : start + _TAIL_POINTS] = panels.sum(axis=1)
+            near, far = block + offsets[:-1], block + offsets[1:]
+            lo, hi = (far, near) if side < 0.0 else (near, far)
+            out[start : start + _TAIL_POINTS] = self._panel(lo, hi, _GL15).sum(axis=1)
         return out
 
     @cached_property
     def copula_weights(self) -> np.ndarray:
         """This margin's factors w_k / f(F^-1(u_k)) of ``rho_out``'s 64-node rule."""
-        return _W64 / nig_pdf(self.quantile_clipped(_U64), self.params)
+        return _W64 / nig_pdf(self.score_map(_Z64), self.params)
+
+    def score_map(self, z) -> np.ndarray:
+        """x(z) = F^-1(Phi(z)) of each normal score, an array of ``z``'s shape.
+
+        Scores beyond the knots map to the end knots, and NaN to NaN.  Each
+        value reads its interval from the guide table and evaluates that
+        interval's cubic, kept below the interval's right knot against
+        rounding, so it lies between its interval's knot values.  Every value
+        follows its own path, so how the scores are split between calls (the
+        sampler passes ``_PIECE_ROWS`` rows of one column) changes no bit.
+        """
+        za = np.asarray(z, dtype=float)
+        s = np.clip(za.reshape(-1), self.knots_z[0], self.knots_z[-1])
+        idx = _table_interval(self.knots_z, self._guide, s)
+        z0, x0, b1, b2, b3 = (col[idx] for col in self._cubic)
+        s -= z0
+        x = b3 * s
+        x += b2
+        x *= s
+        x += b1
+        x *= s
+        x += x0
+        np.minimum(x, self.knots_x[idx + 1], out=x)
+        return x.reshape(za.shape)
 
     def cdf(self, x) -> np.ndarray:
-        """The interpolant, its end values beyond the table, and below the
-        first node the left-tail mass up to each point."""
+        """Phi of the map's inverse, the end knot's value beyond the last
+        knot, and at and below the first knot the tail rule up to each point."""
         xa = np.asarray(x, dtype=float)
-        clipped = np.clip(xa, self.x[0], self.x[-1])
-        idx = np.clip(np.searchsorted(self.x, clipped, side="right") - 1, 0, self.x.size - 2)
-        s = clipped - self.x[idx]
-        c0, c1, c2, c3 = (col[idx] for col in self._cubic[:4])
-        out = np.where(xa >= self.x[-1], self.cdf_values[-1], ((c3 + c2 * s) + c1 * (s * s)) + c0 * ((s * s) * s))
-        below = xa < self.x[0]
-        out[below] = self._left_tail(xa[below])
-        return out
+        flat = xa.reshape(-1)
+        clipped = np.clip(flat, self.knots_x[0], self.knots_x[-1])
+        idx = np.clip(np.searchsorted(self.knots_x, clipped, side="right") - 1, 0, self.knots_x.size - 2)
+        out = ndtr(self._score(clipped, idx))
+        below = flat <= self.knots_x[0]
+        out[below] = self._tail(flat[below], -1.0)
+        return out.reshape(xa.shape)
 
-    def quantile_clipped(self, u) -> np.ndarray:
-        """Quantiles of the tabulated CDF; clips u into table range, keeps NaN.
-
-        Each value reads its interval from the guide table (see the class
-        docstring), starts from the interval's inverse Hermite interpolant
-        (``_inverse_hermite``) and takes one Newton step on its cubic.  The
-        step is kept when it stays in the interval and the cubic there is
-        within 1e-14 of u.  The few others, compacted, bisect the same
-        interval (``_bisect``), so every quantile lies in the interval its u
-        falls in.  Every value follows its own path, so how the values are
-        split between calls (the sampler passes ``_PIECE_ROWS`` rows of one
-        column) changes no bit.  Returns an array of ``u``'s shape.
-        """
-        ua = np.asarray(u, dtype=float)
-        clipped = np.clip(ua.reshape(-1), self.cdf_values[0], self.cdf_values[-1])
-        return self._one_step(clipped).reshape(ua.shape)
-
-    def _one_step(self, ua: np.ndarray) -> np.ndarray:
-        """The quantiles of a 1-d array of u already clipped into table range."""
-        idx = _table_interval(self.cdf_values, self._guide, ua)
-        flo, inv_mass, b1, b2, b3 = (col[idx] for col in self._inverse)
-        lo = self.x[idx]
-        t = (ua - flo) * inv_mass
-        s = t * (b1 + t * (b2 + t * b3))  # the start's offset from x[idx]
-        c0, c1, c2, c3, d0, d1 = (col[idx] for col in self._cubic)
-        s2 = s * s
-        resid = (((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)) - ua
-        slope = (c2 + d1 * s) + d0 * s2
-        # a zero slope sends q to +-inf or NaN, which the test below rejects
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            q = (lo + s) - resid / slope
-            s = q - lo
-            s2 = s * s
-            resid = (((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)) - ua
-        accepted = (np.abs(resid) < 1e-14) & (lo <= q) & (q <= self.x[idx + 1])
-        redo = np.flatnonzero(~accepted)
-        redo = redo[~np.isnan(ua[redo])]  # a NaN u fails every compare and keeps its NaN
-        if redo.size:
-            q[redo] = self._bisect(ua[redo], idx[redo])
-        return q
-
-    def _bisect(self, ua: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Bisection of each interval cubic on [x_idx, x_idx+1] for u already
-        clipped into table range, until the cubic is within 1e-14 of u; a
-        settled value holds both ends, so it stays put.  Every midpoint lies
-        in the interval, so no quantile can leave it."""
-        lo, hi = self.x[idx], self.x[idx + 1]
-        origin = lo
-        c0, c1, c2, c3 = (col[idx] for col in self._cubic[:4])
-        q = 0.5 * (lo + hi)
-        for _ in range(60):
-            s = q - origin
-            s2 = s * s
-            resid = (((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)) - ua
-            settled = np.abs(resid) < 1e-14
+    def _score(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """The score z of each x on its interval idx with x(z) = x: Newton's
+        method on the interval's cubic from the secant's point, safeguarded
+        by a bracket that each step narrows by the sign of its residual; a
+        step that leaves the bracket goes to its midpoint instead."""
+        z0, x0, b1, b2, b3 = (col[idx] for col in self._cubic)
+        h = self.knots_z[idx + 1] - z0
+        target = x - x0
+        lo, hi = np.zeros_like(h), h
+        s = np.clip(target / (self.knots_x[idx + 1] - x0) * h, lo, hi)
+        for _ in range(_SCORE_STEPS):
+            resid = s * (b1 + s * (b2 + s * b3)) - target
+            lo = np.where(resid <= 0.0, s, lo)
+            hi = np.where(resid >= 0.0, s, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = s - resid / (b1 + s * (2.0 * b2 + 3.0 * s * b3))
+            newton = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+            settled = ~(np.abs(newton - s) > _SCORE_TOL * h)  # a NaN x settles at once
+            s = newton
             if settled.all():
                 break
-            lo = np.where(settled | (resid <= 0.0), q, lo)
-            hi = np.where(settled | (resid > 0.0), q, hi)
-            q = 0.5 * (lo + hi)
-        return q
+        return np.where(np.isnan(target), math.nan, z0 + s)
 
 
 @lru_cache(maxsize=64)
@@ -455,17 +419,17 @@ def _table(p: NigParams) -> _NigTable:
 
 
 def nig_cdf(x, p: NigParams):
-    """NIG distribution function via the tabulated interpolant."""
+    """NIG distribution function: Phi of the inverse of the tabulated normal-score map."""
     out = _table(p).cdf(x)
     return out if out.ndim else float(out)
 
 
 def nig_quantile(u, p: NigParams):
-    """NIG quantile function; ``u`` must lie strictly inside (0, 1)."""
+    """NIG quantile function, the normal-score map at ndtri(u); ``u`` must lie strictly inside (0, 1)."""
     ua = np.asarray(u, dtype=float)
     if not np.all((ua > 0.0) & (ua < 1.0)):  # NaN fails both comparisons
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    out = _table(p).quantile_clipped(ua)
+    out = _table(p).score_map(ndtri(ua))
     return out if out.ndim else float(out)
 
 
@@ -604,16 +568,17 @@ def _invert_rho_out(target: float, mx: NigParams, my: NigParams) -> float:
     """rho_in with ``rho_out(rho_in, mx, my) == target``: Newton's method from
     rho_in = target, safeguarded by a bracket that each evaluation tightens
     by the sign of its residual; a step that leaves the bracket goes to its
-    midpoint instead.  It stops once a step is below ``_NEWTON_STEP_TOL``."""
+    midpoint instead.  It stops once a step is below ``_NEWTON_STEP_TOL``.
+
+    The bracket starts at [-1 + 1e-9, 1 - 1e-9] without evaluating its ends.
+    They are evaluated once, the first time a step leaves a bracket that
+    still has an unevaluated end, and an unattainable target is refused then:
+    only there would the midpoint steps chase a target outside the range."""
     if target == 0.0:
         return 0.0  # independence copula has exactly zero covariance
-    lo, hi = -1.0 + 1e-9, 1.0 - 1e-9
-    f_lo, f_hi = rho_out(lo, mx, my), rho_out(hi, mx, my)
-    if not (f_lo <= target <= f_hi):
-        raise ValueError(
-            f"target correlation {target!r} is outside the attainable range "
-            f"[{f_lo:.6f}, {f_hi:.6f}] for these margins"
-        )
+    ends = (-1.0 + 1e-9, 1.0 - 1e-9)
+    lo, hi = ends
+    ends_checked = False
     x = min(max(target, lo), hi)
     for _ in range(_NEWTON_MAX_STEPS):
         resid = rho_out(x, mx, my) - target
@@ -624,6 +589,14 @@ def _invert_rho_out(target: float, mx: NigParams, my: NigParams) -> float:
         d = _rho_out_slope(x, mx, my)
         step = -resid / d if d > 0.0 else math.inf
         if not lo <= x + step <= hi:
+            if not ends_checked and (lo == ends[0] or hi == ends[1]):
+                f_lo, f_hi = (rho_out(end, mx, my) for end in ends)
+                if not (f_lo <= target <= f_hi):
+                    raise ValueError(
+                        f"target correlation {target!r} is outside the attainable range "
+                        f"[{f_lo:.6f}, {f_hi:.6f}] for these margins"
+                    )
+                ends_checked = True
             step = 0.5 * (lo + hi) - x
         x += step
         if abs(step) < _NEWTON_STEP_TOL:
@@ -674,7 +647,8 @@ def sample_meta_gaussian(spec: MetaGaussianSpec, t_obs: int, seed: int) -> Retur
     Each 65536-row block owns a Philox substream spawned from
     ``(seed, (SIMULATION_STREAM, block))``; Gaussians are produced by the
     inverse normal CDF applied to that stream's uniforms.  A block's rows
-    are drawn from its stream and transformed 8192 at a time.
+    are drawn from its stream 8192 at a time, correlated by the Cholesky
+    factor, and each column is sent through its margin's normal-score map.
     """
     _check_counts(("t_obs", t_obs, 1), ("seed", seed, 0))
     n = spec.n_assets
@@ -688,7 +662,6 @@ def sample_meta_gaussian(spec: MetaGaussianSpec, t_obs: int, seed: int) -> Retur
         for start in range(block_start, block_end, _PIECE_ROWS):
             rows = min(_PIECE_ROWS, block_end - start)
             z = ndtri(np.clip(gen.random((rows, n)), 1e-300, None)) @ chol.T
-            u = ndtr(z)
             for i in range(n):
-                out[start : start + rows, i] = tables[i].quantile_clipped(u[:, i])
+                out[start : start + rows, i] = tables[i].score_map(z[:, i])
     return ReturnSample(out)
