@@ -28,9 +28,9 @@ def usage_error(argv, capsys) -> str:
     with pytest.raises(SystemExit) as exc:
         hn.main(argv)
     assert exc.value.code == 2
-    last = capsys.readouterr().err.splitlines()[-1]
-    assert last.startswith("portdim: error: ")
-    return last.removeprefix("portdim: error: ")
+    lines = capsys.readouterr().err.splitlines()  # one error line, the last
+    assert [line.startswith("portdim: error: ") for line in lines] == [False] * (len(lines) - 1) + [True], lines
+    return lines[-1].removeprefix("portdim: error: ")
 
 
 def tiny_cfg(tmp_path, **kw):
@@ -327,7 +327,7 @@ def test_optimize_gld_logs_one_debug_line_per_noise_chunk(tmp_path, caplog, monk
 
 def test_optimize_gld_runs_at_a_tiny_noise_scale(tmp_path):
     # sigma = c / n has no c**2 to underflow
-    argv = ["optimize-gld", "--noise-scale", "1e-200", "--t-obs", "1500", "--n-sim", "8", "--n-iter", "20"]
+    argv = "optimize-gld --n-assets 3 --noise-scale 1e-200 --t-obs 20000 --n-sim 20 --n-iter 50".split()
     assert hn.main([*argv, "--output-dir", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "adhoc" / "gld_results.json").read_text())["gld"]["c"] == 1e-200
 
@@ -362,11 +362,12 @@ def test_dimensionality_command(tmp_path, margin_k6):
     assert not payload["near_gaussian"]
 
 
-def test_bench_rows_match_direct_solves(tmp_path):
-    cfg = tiny_cfg(tmp_path, t_obs=2000)
-    table = hn.cmd_bench(cfg)
+def test_bench_rows_match_direct_solves(capsys):
+    assert hn.main(["bench", "--t-obs", "20000", "--rho-tol", "1e-2"]) == 0
+    table = json.loads(capsys.readouterr().out)
+    cfg = hn.ExperimentConfig(t_obs=20000, bb=bb.BbConfig(rho_tol=1e-2))
     c = cm.build_comoments(hn.load_or_simulate(cfg))
-    assert (table["n_assets"], table["n_obs"]) == (3, 2000)
+    assert (table["n_assets"], table["n_obs"]) == (3, 20000)
     assert table["panel_seconds"] > 0.0 and table["moments_seconds"] > 0.0
     modes = [(row["bound_mode"], row["n_c"]) for row in table["rows"]]
     assert modes == [("lp1", 1), ("lp2", 1), ("lp2", 2), ("lp2", 3), ("lp2", 4), ("milp", 1)]
@@ -619,6 +620,14 @@ def test_universe_without_a_positive_alpha_floor_exits_2_naming_the_panel(comman
     assert message == f"{source}: co-moments have no positive fourth-moment floor in double precision"
 
 
+def test_nearly_riskless_hedged_panel_is_certified_end_to_end(tmp_path):
+    # ROADMAP item 12: this `optimal` is a certificate 230 times finer than its
+    # own rounding, so a precision guard on the status would change it
+    returns = hedged_panel(tmp_path / "hedged1e-3.csv", noise=1e-3)
+    assert hn.main(["optimize-bb", "--returns", str(returns), "--output-dir", str(tmp_path), "--experiment", "h"]) == 0
+    assert json.loads((tmp_path / "h" / "bb_results.json").read_text())["status"] == "optimal"
+
+
 def test_copied_column_with_noise_above_the_limit_is_accepted(tmp_path, capsys):
     returns = copied_column_panel(tmp_path / "noisy.csv", noise=1e-3)
     assert hn.main(["build-moments", "--returns", str(returns), "--output-dir", str(tmp_path)]) == 0
@@ -851,7 +860,7 @@ def test_cli_toy_example_negative_rho_grid(tmp_path, capsys):
             "toy-example",
             "--experiment", "toy",
             "--output-dir", str(tmp_path),
-            "--t-obs", "2000",
+            "--t-obs", "20000",
             "--rho-tol", "1e-2",
             "--rho-grid=-0.5,0.99",
         ]
@@ -885,7 +894,8 @@ def test_malformed_list_flag_exits_2(argv, message, capsys):
 
 
 def test_cli_dimensionality_under_both_measures_at_default_margins(tmp_path, capsys):
-    moments_path = hn.cmd_build_moments(tiny_cfg(tmp_path))
+    assert hn.main(["build-moments", *"--n-assets 3 --t-obs 20000 --seed 3".split(), "--output-dir", str(tmp_path)]) == 0
+    moments_path = capsys.readouterr().out.strip()
     weights_path = tmp_path / "w.json"
     weights_path.write_text(json.dumps({"weights": [0.5, 0.3, 0.2]}))
     argv = ["dimensionality", "--weights-file", str(weights_path), "--moments", str(moments_path),
@@ -893,14 +903,16 @@ def test_cli_dimensionality_under_both_measures_at_default_margins(tmp_path, cap
     assert hn.main(argv) == 0
     assert json.loads(Path(capsys.readouterr().out.strip()).read_text())["nu_reference"] == 3.0
     # the default margins have no skewness, so squared_skewness has no reference without the flag
-    with pytest.raises(SystemExit) as exc:
-        hn.main([*argv, "--measure", "squared_skewness"])
-    assert exc.value.code == 2
-    assert "nonzero reference skewness: set --ref-skewness" in capsys.readouterr().err
-    assert hn.main([*argv, "--measure", "squared_skewness", "--ref-skewness", "0.3"]) == 0
+    skewness = [*argv, "--measure", "squared_skewness"]
+    assert "nonzero reference skewness: set --ref-skewness" in usage_error(skewness, capsys)
+    assert hn.main([*skewness, "--ref-skewness", "0.3"]) == 0
     payload = json.loads(Path(capsys.readouterr().out.strip()).read_text())
     assert payload["nu_reference"] == pytest.approx(0.09, rel=1e-15)
     assert payload["measure"] == "squared_skewness"
+    message = usage_error([*argv, "--ref-kurtosis", "2"], capsys)
+    assert message.startswith("reference asset: NIG kurtosis strictly exceeds 3")
+    weights_path.write_text(json.dumps({"weights": [0.5, 0.5]}))
+    assert usage_error(argv, capsys) == "--weights-file holds 2 weights for 3 assets"
 
 
 def test_jsonable_handles_numpy_and_inf():

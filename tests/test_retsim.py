@@ -461,14 +461,20 @@ HETEROGENEOUS_MARGINS = (
 
 
 def test_adjust_correlation_hits_target(margin_k6):
-    target = np.array([[1.0, 0.5, -0.2], [0.5, 1.0, 0.1], [-0.2, 0.1, 1.0]])
-    for margins in ((margin_k6,) * 3, HETEROGENEOUS_MARGINS):
+    three = np.array([[1.0, 0.5, -0.2], [0.5, 1.0, 0.1], [-0.2, 0.1, 1.0]])
+    # six distinct margins under a non-homogeneous target: 15 pairs to invert
+    skews, kurts = (0.3, -0.5, 0.0, 0.8, -1.0, 0.6), (4.0, 5.0, 6.0, 8.0, 10.0, 12.0)
+    six = [rs.MarginTarget(mean=0.1 * i, variance=0.5 + 0.3 * i, skewness=s, kurtosis=k)
+           for i, (s, k) in enumerate(zip(skews, kurts))]
+    a, b = np.indices((6, 6))
+    cases = [((margin_k6,) * 3, three), (HETEROGENEOUS_MARGINS, three), (six, 0.7 ** np.abs(a - b) * (-1.0) ** (a + b))]
+    for margins, target in cases:
         params = [rs.nig_params_from_moments(m) for m in margins]
         adjusted = rs.adjust_correlation(target, margins)
-        assert np.array_equal(np.diag(adjusted), np.ones(3))
+        assert np.array_equal(np.diag(adjusted), np.ones(len(margins)))
         assert np.array_equal(adjusted, adjusted.T)
-        for i in range(3):
-            for j in range(i + 1, 3):
+        for i in range(len(margins)):
+            for j in range(i + 1, len(margins)):
                 assert rs.rho_out(adjusted[i, j], params[i], params[j]) == pytest.approx(target[i, j], abs=1e-12)
                 assert adjusted[i, j] == pytest.approx(_bisect_rho_out(target[i, j], params[i], params[j]), abs=1e-6)
 
