@@ -7,8 +7,16 @@ biased (divide-by-T) estimator,
     s[i,j,k]    = E[(r_i - mu_i)(r_j - mu_j)(r_k - mu_k)]
     k[i,j,k,l]  = E[(r_i - mu_i)(r_j - mu_j)(r_k - mu_k)(r_l - mu_l)]
 
-Only the unique elements (sorted index tuples) are computed and stored.
-Of the familiar ``N x N^2`` and ``N x N^3`` Kronecker block matrices
+Only the unique elements (sorted index tuples) are computed and stored,
+in one pass over rows that may come in pieces.  With s the first chunk's
+mean, the Gram matrix of the sorted pair products of y = (1, r - s) holds
+every raw moment of r - s up to the fourth: that of a sorted index tuple
+of y, led by zeros (y_0 = 1) to length four, is the entry of its two
+pairs.  With delta = E[r - s], a central moment is the sum over the
+subsets K of its indices of E[prod_K (r - s)] prod_(not K) (-delta), and
+the mean is s + delta (Pebay 2008); the shift keeps delta near a standard
+error, so a large mean costs no digits.  Of the familiar ``N x N^2`` and
+``N x N^3`` Kronecker block matrices
 
     M3 = E[(r-mu)(r-mu)' (x) (r-mu)'],   M4 = E[(r-mu)(r-mu)' (x) (r-mu)' (x) (r-mu)']
 
@@ -43,9 +51,10 @@ single-precision copies of ``m2`` and ``m4_gram``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -350,59 +359,55 @@ def _check_positive_definite(m2: np.ndarray) -> None:
     np.linalg.cholesky(m2)
 
 
-def build_comoments(sample: ReturnSample) -> CoMomentSet:
-    """Estimate covariance and unique third/fourth co-moments of a panel.
+def _shifted_gram(pieces: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray, int]:
+    """The shift s, the Gram matrix of y's pair products summed over the rows
+    of every piece, and the row count.  Each piece is cut into chunks of its
+    own, so pieces of whole chunks give the bits of the panel they make up."""
+    gram, t_obs = None, 0
+    for piece in pieces:
+        for start in range(0, len(piece), _CHUNK_ROWS):
+            block = piece[start : start + _CHUNK_ROWS]
+            rows, n = block.shape
+            if gram is None:
+                shift, n_pairs = block.mean(axis=0), (n + 1) * (n + 2) // 2
+                y_buf, pair_buf = np.ones((n + 1, _CHUNK_ROWS)), np.empty((n_pairs, _CHUNK_ROWS))
+                gram, chunk_gram = np.zeros((n_pairs, n_pairs)), np.empty((n_pairs, n_pairs))
+            # y and its pairs run along rows, so each pair block below is one contiguous multiply
+            y, pair_prod = y_buf[:, :rows], pair_buf[:, :rows]
+            np.subtract(block.T, shift[:, None], out=y[1:])
+            for j in range(n + 1):  # the pairs (i <= j) of one j are the colex ranks j(j+1)/2 .. j(j+1)/2 + j
+                np.multiply(y[: j + 1], y[j], out=pair_prod[j * (j + 1) // 2 : (j + 1) * (j + 2) // 2])
+            gram += np.matmul(pair_prod, pair_prod.T, out=chunk_gram)
+            t_obs += rows
+    if gram is None:
+        raise ValueError("no rows to build co-moments from")
+    return shift, gram, t_obs
 
-    The reduction over observations runs in fixed-size chunks in a fixed
-    sequential order, so results are bit-reproducible.  Pair products are
-    formed per chunk in one reused buffer, and the third/fourth moments
-    accumulated as Gram matrices against the unique pair columns:
 
-        G3[i, (j,k)] = sum_t x_ti x_tj x_tk,   G4[(i,j), (k,l)] = sum_t x_ti x_tj x_tk x_tl.
-    """
-    values = sample.values
-    t_obs, n = values.shape
+def build_comoments(sample: ReturnSample | Iterable[np.ndarray]) -> CoMomentSet:
+    """Estimate covariance and unique third/fourth co-moments of a panel,
+    given whole or as an iterable of (rows, N) pieces, in one pass."""
+    shift, gram, t_obs = _shifted_gram([sample.values] if isinstance(sample, ReturnSample) else sample)
+    n = shift.size
+    raw = np.divide(gram, t_obs, out=gram)  # in place: at N = 100 the Gram matrix is 212 MB
+    delta = raw[0, _pair_rank(0, np.arange(n + 1))]  # E[y], by the index in y
 
-    mean = np.zeros(n)
-    for start in range(0, t_obs, _CHUNK_ROWS):
-        mean += values[start : start + _CHUNK_ROWS].sum(axis=0)
-    mean /= t_obs
-
-    n_pairs = n * (n + 1) // 2
-    g2 = np.zeros((n, n))
-    g3 = np.zeros((n, n_pairs))
-    g4 = np.zeros((n_pairs, n_pairs))
-    # assets and pairs in rows, observations along them: each pair block
-    # below is one contiguous multiply
-    chunk = min(t_obs, _CHUNK_ROWS)
-    xc_buf = np.empty((n, chunk))
-    pair_buf = np.empty((n_pairs, chunk))
-    g4_chunk = np.empty((n_pairs, n_pairs))
-    for start in range(0, t_obs, _CHUNK_ROWS):
-        block = values[start : start + _CHUNK_ROWS]
-        xc = np.subtract(block.T, mean[:, None], out=xc_buf[:, : block.shape[0]])
-        pair_prod = pair_buf[:, : block.shape[0]]
-        # the pairs (i <= j) of one j are the colex ranks j(j+1)/2 .. j(j+1)/2 + j
-        for j in range(n):
-            first = j * (j + 1) // 2
-            np.multiply(xc[: j + 1], xc[j], out=pair_prod[first : first + j + 1])
-        g2 += xc @ xc.T
-        g3 += xc @ pair_prod.T
-        g4 += np.matmul(pair_prod, pair_prod.T, out=g4_chunk)
-    del xc_buf, pair_buf, pair_prod, g4_chunk  # the quadruple gather below is the next peak
-
-    m2 = g2 / t_obs
-
-    tri_i, tri_j, tri_k = _sorted_tuple_arrays(n, 3)
-    m3_unique = g3[tri_i, _pair_rank(tri_j, tri_k)] / t_obs
-    quad = _sorted_tuple_arrays(n, 4)
-    m4_unique = g4[_pair_rank(quad[0], quad[1]), _pair_rank(quad[2], quad[3])] / t_obs
+    def central(order: int) -> np.ndarray:
+        idx = [np.add(i, 1, out=i) for i in _sorted_tuple_arrays(n, order)]  # each asset's index in y
+        total = 0.0
+        for kept in itertools.product((False, True), repeat=order):
+            q = [0] * (4 - sum(kept)) + [i for i, k in zip(idx, kept) if k]
+            term = raw[_pair_rank(q[0], q[1]), _pair_rank(q[2], q[3])]
+            for i in (i for i, k in zip(idx, kept) if not k):
+                term = term * -delta[i]
+            total += term
+        return total
 
     return CoMomentSet(
-        mean=mean,
-        m2=m2,
-        m3_unique=m3_unique,
-        m4_unique=m4_unique,
+        mean=shift + delta[1:],
+        m2=central(2)[_pair_layout(n)[3]].reshape(n, n),
+        m3_unique=central(3),
+        m4_unique=central(4),
         n_assets=n,
         n_obs=t_obs,
     )

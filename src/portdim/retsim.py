@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Iterator
 
 import numpy as np
 from scipy.special import k1e, ndtr, ndtri, owens_t
@@ -53,6 +54,7 @@ __all__ = [
     "nig_quantile",
     "rho_out",
     "adjust_correlation",
+    "sample_pieces",
     "sample_meta_gaussian",
 ]
 
@@ -641,27 +643,35 @@ class MetaGaussianSpec:
         return len(self.margins)
 
 
-def sample_meta_gaussian(spec: MetaGaussianSpec, t_obs: int, seed: int) -> ReturnSample:
-    """Draw a T x N meta-Gaussian return panel, bit-reproducible in the seed.
+def sample_pieces(spec: MetaGaussianSpec, t_obs: int, seed: int) -> Iterator[np.ndarray]:
+    """The rows of a T x N meta-Gaussian return panel in order, 8192 at a
+    time (whole ``build_comoments`` chunks), bit-reproducible in the seed.
 
     Each 65536-row block owns a Philox substream spawned from
     ``(seed, (SIMULATION_STREAM, block))``; Gaussians are produced by the
-    inverse normal CDF applied to that stream's uniforms.  A block's rows
-    are drawn from its stream 8192 at a time, correlated by the Cholesky
-    factor, and each column is sent through its margin's normal-score map.
+    inverse normal CDF applied to that stream's uniforms.  A piece's rows
+    are correlated by the Cholesky factor, and each column is sent through
+    its margin's normal-score map.
     """
     _check_counts(("t_obs", t_obs, 1), ("seed", seed, 0))
-    n = spec.n_assets
     chol = np.linalg.cholesky(spec.input_corr)
     tables = [_table(p) for p in spec.margins]
-    out = np.empty((t_obs, n))
     for block, block_start in enumerate(range(0, t_obs, _BLOCK_ROWS)):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(SIMULATION_STREAM, block))
         gen = np.random.Generator(np.random.Philox(ss))
         block_end = min(block_start + _BLOCK_ROWS, t_obs)
         for start in range(block_start, block_end, _PIECE_ROWS):
-            rows = min(_PIECE_ROWS, block_end - start)
-            z = ndtri(np.clip(gen.random((rows, n)), 1e-300, None)) @ chol.T
-            for i in range(n):
-                out[start : start + rows, i] = tables[i].score_map(z[:, i])
+            u = gen.random((min(_PIECE_ROWS, block_end - start), spec.n_assets))
+            z = ndtri(np.clip(u, 1e-300, None)) @ chol.T
+            yield np.column_stack([table.score_map(z[:, i]) for i, table in enumerate(tables)])
+
+
+def sample_meta_gaussian(spec: MetaGaussianSpec, t_obs: int, seed: int) -> ReturnSample:
+    """The T x N panel whose rows ``sample_pieces`` yields."""
+    _check_counts(("t_obs", t_obs, 1), ("seed", seed, 0))
+    out = np.empty((t_obs, spec.n_assets))
+    start = 0
+    for piece in sample_pieces(spec, t_obs, seed):
+        out[start : start + len(piece)] = piece
+        start += len(piece)
     return ReturnSample(out)

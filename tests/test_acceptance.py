@@ -98,8 +98,7 @@ def toy_runs():
     t0 = time.perf_counter()
     runs = {}
     for rho in TOY_RHOS:
-        sample = rs.sample_meta_gaussian(_toy_spec(rho), T_DESK, seed=TOY_SEED)
-        c = cm.build_comoments(sample)
+        c = cm.build_comoments(rs.sample_pieces(_toy_spec(rho), T_DESK, seed=TOY_SEED))
         res = bb.solve(c, bb.BbConfig(rho_tol=RHO_TOL, bound_mode="lp2", n_c=1))
         assert res.status == "optimal"
         runs[rho] = {
@@ -118,8 +117,7 @@ def bound_battery():
     spec = homogeneous_spec(3, -0.2)
     records = []
     for seed in BOUND_SEEDS:
-        sample = rs.sample_meta_gaussian(spec, T_DESK, seed=seed)
-        c = cm.build_comoments(sample)
+        c = cm.build_comoments(rs.sample_pieces(spec, T_DESK, seed=seed))
         r1 = bb.solve(c, bb.BbConfig(rho_tol=RHO_TOL, bound_mode="lp1"))
         r2 = bb.solve(c, bb.BbConfig(rho_tol=RHO_TOL, bound_mode="lp2", n_c=1))
         alpha = bb.alpha_floor(c)
@@ -147,8 +145,7 @@ def bound_battery():
 def five_asset_state():
     """Langevin multistart and branch-and-bound on one 5-asset panel."""
     t0 = time.perf_counter()
-    sample = rs.sample_meta_gaussian(homogeneous_spec(5, -0.2), T_DESK, seed=FIVE_ASSET_SEED)
-    c = cm.build_comoments(sample)
+    c = cm.build_comoments(rs.sample_pieces(homogeneous_spec(5, -0.2), T_DESK, seed=FIVE_ASSET_SEED))
     langevin = gld.multistart(
         c, gld.GldConfig(n_sim=1000, n_iter=10_000, seed=FIVE_ASSET_SEED)
     )
@@ -162,19 +159,18 @@ def five_asset_state():
 
 @pytest.fixture(scope="module")
 def fifteen_asset_state():
-    """Langevin run and 100 interior-point descents on a 10^7-row panel.
+    """Langevin run and 100 interior-point descents on a 10^7-row sample.
 
     The population gap between the dropped-asset optimum and the full
-    equal-weight point is small enough that a 10^6-row panel buries it in
+    equal-weight point is small enough that a 10^6-row sample buries it in
     sampling noise, so this instance (and only this one) simulates 10^7
-    rows.  The Langevin budgets stay at desk scale.
+    rows, reduced to co-moments as they are drawn.  The Langevin budgets
+    stay at desk scale.
     """
     t0 = time.perf_counter()
-    sample = rs.sample_meta_gaussian(
-        homogeneous_spec(15, -0.05), 10_000_000, seed=FIFTEEN_ASSET_SEED
+    c = cm.build_comoments(
+        rs.sample_pieces(homogeneous_spec(15, -0.05), 10_000_000, seed=FIFTEEN_ASSET_SEED)
     )
-    c = cm.build_comoments(sample)
-    del sample
     langevin = gld.multistart(
         c, gld.GldConfig(c=0.1, n_sim=1000, n_iter=10_000, seed=FIFTEEN_ASSET_SEED)
     )
@@ -270,10 +266,9 @@ def test_criterion_03_bounds_certified_and_ordered_across_seeds(bound_battery):
 def test_criterion_04_four_asset_run_completes_with_certificate():
     """The 4-asset desk-scale problem certifies within its time budget."""
     t0 = time.perf_counter()
-    sample = rs.sample_meta_gaussian(
-        homogeneous_spec(4, -0.2), T_DESK, seed=FOUR_ASSET_SEED
+    c = cm.build_comoments(
+        rs.sample_pieces(homogeneous_spec(4, -0.2), T_DESK, seed=FOUR_ASSET_SEED)
     )
-    c = cm.build_comoments(sample)
     res = bb.solve(c, bb.BbConfig(rho_tol=RHO_TOL, bound_mode="lp2", n_c=1))
     elapsed = time.perf_counter() - t0
     print(
@@ -296,10 +291,9 @@ def test_criterion_04_extended_five_asset_run_completes():
     and the certificate are asserted.
     """
     t0 = time.perf_counter()
-    sample = rs.sample_meta_gaussian(
-        homogeneous_spec(5, -0.2), T_DESK, seed=FIVE_ASSET_EXTENDED_SEED
+    c = cm.build_comoments(
+        rs.sample_pieces(homogeneous_spec(5, -0.2), T_DESK, seed=FIVE_ASSET_EXTENDED_SEED)
     )
-    c = cm.build_comoments(sample)
     res = bb.solve(c, bb.BbConfig(rho_tol=RHO_TOL, bound_mode="lp2", n_c=1))
     elapsed = time.perf_counter() - t0
     print(
@@ -392,10 +386,9 @@ def test_criterion_08_iid_equal_weight_kurtosis_scaling():
     """k iid assets at equal weights: kurtosis tracks 3 + (kappa_m - 3)/k."""
     errs = {}
     for k in (2, 4, 8):
-        sample = rs.sample_meta_gaussian(
-            homogeneous_spec(k, 0.0), T_DESK, seed=IID_SCALING_SEED_BASE + k
+        c = cm.build_comoments(
+            rs.sample_pieces(homogeneous_spec(k, 0.0), T_DESK, seed=IID_SCALING_SEED_BASE + k)
         )
-        c = cm.build_comoments(sample)
         kurt = cm.portfolio_kurtosis(np.full(k, 1.0 / k), c)
         errs[k] = abs(kurt - (3.0 + 3.0 / k))
     print(

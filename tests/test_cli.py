@@ -19,13 +19,14 @@ def portdim(tmp_path, command: str, *args: str) -> None:
     assert hn.main([*command.split(), *args, "--output-dir", str(tmp_path)]) == 0
 
 
-def portdim_process(tmp_path, command: str, *python_flags: str) -> None:
-    # a relay process starts it: Linux keeps ru_maxrss across exec, so a direct
-    # child of this test process would report the test process's own peak
+def portdim_process(tmp_path, command: str, *python_flags: str, prelude: str = "") -> None:
+    """Run ``python -m portdim`` in a process of its own; with a ``prelude``, a
+    Python process runs that code first and then execs the command in its place."""
     env = dict(os.environ, PYTHONPATH=str(Path(hn.__file__).parents[1]))
     argv = [sys.executable, *python_flags, "-m", "portdim", *command.split(), "--output-dir", str(tmp_path)]
-    relay = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
-    run = subprocess.run([sys.executable, "-c", relay, *argv], env=env, capture_output=True, text=True)
+    if prelude:
+        argv = [sys.executable, "-c", f"{prelude}; import os, sys; os.execv(sys.argv[1], sys.argv[1:])", *argv]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
 
 
@@ -52,6 +53,18 @@ def test_milp_at_six_assets_keeps_its_lp_stack_within_budget(tmp_path):
     argv = "--n-assets 6 --rho -0.1 --bound-mode milp --max-iterations 2000 --t-obs 20000 --seed 3"
     portdim_process(tmp_path, f"optimize-bb {argv} --experiment milp6")
     assert read_json(tmp_path / "milp6" / "run_record.json")["peak_rss_mb"] < 150
+
+
+def test_peak_rss_is_the_command_s_own_after_exec_from_a_large_process(tmp_path):
+    # Linux carries ru_maxrss across exec: read alone, the record would show the 300 MB
+    portdim_process(tmp_path, "simulate --t-obs 1000 --experiment execd", prelude="held = b'x' * (300 << 20)")
+    assert read_json(tmp_path / "execd" / "run_record.json")["peak_rss_mb"] < 150
+
+
+def test_build_moments_draws_two_million_rows_without_holding_them(tmp_path):
+    # the 2e6 x 15 float64 panel alone would be 240 MB
+    portdim_process(tmp_path, "build-moments --n-assets 15 --rho -0.05 --t-obs 2000000 --seed 1 --experiment stream")
+    assert read_json(tmp_path / "stream" / "run_record.json")["peak_rss_mb"] < 120
 
 
 @pytest.mark.parametrize(

@@ -202,22 +202,59 @@ def test_chunked_reduction_spans_chunk_boundary():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 15])
 def test_in_place_pair_products_match_gathered_reference_bitwise(n):
-    # the pair products gathered whole per chunk, as the build once formed them
-    sample = random_panel(n, 2 * 4096 + 7, seed=n)
-    values = sample.values
-    mean = np.zeros(n)
+    # the pair products of y = (1, r - s) gathered whole per chunk, s the first chunk's mean
+    values = random_panel(n, 2 * 4096 + 7, seed=n).values
+    shift = values[:4096].mean(axis=0)
+    pair_i, pair_j = cm._sorted_tuple_arrays(n + 1, 2)
+    gram = np.zeros((pair_i.size, pair_i.size))
     for start in range(0, values.shape[0], 4096):
-        mean += values[start : start + 4096].sum(axis=0)
-    mean /= values.shape[0]
-    pair_i, pair_j = cm._sorted_tuple_arrays(n, 2)
-    g4 = np.zeros((pair_i.size, pair_i.size))
-    for start in range(0, values.shape[0], 4096):
-        xc = values[start : start + 4096] - mean
-        pair_prod = xc[:, pair_i] * xc[:, pair_j]
-        g4 += pair_prod.T @ pair_prod
-    quad = cm._sorted_tuple_arrays(n, 4)
-    m4_unique = g4[cm._pair_rank(quad[0], quad[1]), cm._pair_rank(quad[2], quad[3])] / values.shape[0]
-    assert cm.build_comoments(sample).m4_unique.tobytes() == m4_unique.tobytes()
+        block = values[start : start + 4096]
+        y = np.column_stack([np.ones(block.shape[0]), block - shift])
+        pair_prod = y[:, pair_i] * y[:, pair_j]
+        gram += pair_prod.T @ pair_prod
+    got_shift, got_gram, t_obs = cm._shifted_gram([values])
+    assert (got_shift.tobytes(), got_gram.tobytes(), t_obs) == (shift.tobytes(), gram.tobytes(), values.shape[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    t_obs=st.integers(8, 3 * cm._CHUNK_ROWS),
+    mean_sd=st.sampled_from([0.0, 1.0, 1e3]),
+    log2_sd=st.integers(-20, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_pass_build_matches_dense_reference_and_any_split(n, t_obs, mean_sd, log2_sd, seed):
+    # means up to 1e3 sd, where raw moments about 0 would lose every digit to cancellation
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((t_obs + n, n))  # n extra rows keep the covariance of the smallest panels nonsingular
+    panel = np.ldexp(mean_sd * rng.uniform(-1.0, 1.0, n) + g @ rng.uniform(-1.0, 1.0, (n, n)) + 0.4 * g**2, log2_sd)
+    t_obs += n
+    mean = np.array([math.fsum(col) / t_obs for col in panel.T])
+    xc = panel - mean
+    sd = math.sqrt(np.max(np.einsum("ti,ti->i", xc, xc) / t_obs))
+    reference = {
+        "mean": (mean, np.max(np.abs(mean)) + sd),
+        "m2": (xc.T @ xc / t_obs, sd**2),
+        "m3": (np.einsum("ti,tj,tk->ijk", xc, xc, xc) / t_obs, sd**3),
+        "m4": (np.einsum("ti,tj,tk,tl->ijkl", xc, xc, xc, xc) / t_obs, sd**4),
+    }
+    c = cm.build_comoments(cm.ReturnSample(panel))
+    got = {"mean": c.mean, "m2": c.m2, "m3": m3_tensor(c), "m4": m4_tensor(c)}
+    for name, (expected, scale) in reference.items():
+        assert np.max(np.abs(got[name] - expected)) <= 1e-12 * scale, name
+    # pieces of whole chunks are reduced through the panel's chunks
+    chunk_ends = np.arange(cm._CHUNK_ROWS, t_obs, cm._CHUNK_ROWS)
+    cuts = [0, *sorted(rng.choice(chunk_ends, rng.integers(0, chunk_ends.size + 1), replace=False)), t_obs]
+    pieces = cm.build_comoments(panel[a:b] for a, b in zip(cuts[:-1], cuts[1:]))
+    for name in ("mean", "m2", "m3_unique", "m4_unique"):
+        assert getattr(pieces, name).tobytes() == getattr(c, name).tobytes(), name
+
+
+@pytest.mark.parametrize("pieces", [[], iter(()), [np.empty((0, 3))]])
+def test_build_from_no_rows_is_rejected(pieces):
+    with pytest.raises(ValueError, match="no rows"):
+        cm.build_comoments(pieces)
 
 
 def test_build_comoments_is_deterministic():

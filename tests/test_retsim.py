@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
+from portdim import comoments as cm
 from portdim import retsim as rs
 
 from conftest import homogeneous_spec
@@ -605,6 +606,21 @@ def test_panel_does_not_depend_on_piece_size(monkeypatch, piece_rows):
     reference = rs.sample_meta_gaussian(spec, 70_000, seed=5).values
     monkeypatch.setattr(rs, "_PIECE_ROWS", piece_rows)
     assert rs.sample_meta_gaussian(spec, 70_000, seed=5).values.tobytes() == reference.tobytes()
+
+
+def test_pieces_are_whole_comoment_chunks():
+    # so a build from the pieces reduces the panel's own chunks
+    assert rs._PIECE_ROWS % cm._CHUNK_ROWS == 0 and rs._BLOCK_ROWS % rs._PIECE_ROWS == 0
+
+
+def test_comoments_of_the_pieces_are_those_of_the_panel_bitwise():
+    # two block boundaries, and a last chunk of 904 rows
+    spec = homogeneous_spec(3, -0.2)
+    t_obs = 2 * rs._BLOCK_ROWS + 5000
+    panel = cm.build_comoments(rs.sample_meta_gaussian(spec, t_obs, seed=8))
+    pieces = cm.build_comoments(rs.sample_pieces(spec, t_obs, seed=8))
+    for name in ("mean", "m2", "m3_unique", "m4_unique"):
+        assert getattr(pieces, name).tobytes() == getattr(panel, name).tobytes(), name
 
 
 # the mass below the table's first node of the symmetric unit-variance
