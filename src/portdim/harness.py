@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bbsolve import BOUND_MODES, BbConfig, bound_modes, solve
@@ -203,7 +204,12 @@ def _write_run_record(command: str, cfg: ExperimentConfig, start: float, counter
     the process's peak resident memory, work counters, environment."""
     seconds = time.perf_counter() - start
     snap = cfg.snapshot()
-    environment = {"python": platform.python_version(), "numpy": np.__version__, "platform": platform.platform()}
+    environment = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+    }
     return _write_results(
         _out_dir(cfg) / "run_record.json",
         {

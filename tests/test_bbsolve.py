@@ -212,10 +212,8 @@ def test_bound_soundness_and_dominance_on_root(c_n3):
     assert ub_lp2_1 <= ub_lp1 + 1e-12
     assert ub_lp2_2 <= ub_lp2_1 + 1e-12
     assert ub_lp2_4 <= ub_lp2_2 + 1e-12
-    # piecewise envelope beats the affine one under the same single cut,
-    # and on the root cell it beats the multi-cut bounds as well
+    # piecewise envelope beats the affine one under the same single cut
     assert ub_milp <= ub_lp1 + 1e-12
-    assert ub_milp <= ub_lp2_2 + 1e-12
     # candidates are feasible points
     assert ok1 and ok_m
     for cand in (cand1, cand_m):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
 from portdim import bbsolve as bb
@@ -556,6 +557,16 @@ def test_rejected_universes_and_flags_exit_2_before_sampling(argv, message, tmp_
     assert usage_error([*argv, "--output-dir", str(tmp_path)], capsys).startswith(message)
 
 
+@pytest.mark.parametrize("rho", ["0.99582", "-0.99582"])
+def test_correlation_beyond_the_input_correlation_limit_exits_2_naming_it(rho, tmp_path, capsys):
+    # kurtosis-6 margins reach +-0.995817 at the limit |rho_in| <= 0.996
+    argv = ["simulate", "--n-assets", "2", f"--rho={rho}", "--output-dir", str(tmp_path)]
+    assert usage_error(argv, capsys) == (
+        f"universe: target correlation {rho} is outside the attainable range [-0.995817, 0.995817] "
+        "for these margins, the image of the input correlation limit |rho_in| <= 0.996"
+    )
+
+
 def test_t_obs_limit_is_the_largest_panel_numpy_can_index(tmp_path, capsys, monkeypatch):
     largest = np.iinfo(np.intp).max // (8 * 3)
     with pytest.raises(ValueError):
@@ -983,7 +994,9 @@ def test_run_record_fields(tmp_path):
     assert record["config_hash"] == hn.config_hash(cfg.snapshot())
     assert isinstance(record["wall_clock_seconds"], float) and record["wall_clock_seconds"] > 0
     assert record["version"] == hn.__version__
-    assert set(record["environment"]) == {"python", "numpy", "platform"}
+    assert set(record["environment"]) == {"python", "numpy", "scipy", "platform"}
+    # a panel depends on numpy's normal stream, and each margin's table on scipy.special
+    assert (record["environment"]["numpy"], record["environment"]["scipy"]) == (np.__version__, scipy.__version__)
 
 
 def test_package_imports_no_interpolate_or_integrate():

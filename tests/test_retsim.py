@@ -482,7 +482,7 @@ def test_adjust_correlation_hits_target(margin_k6):
 
 @pytest.mark.parametrize(
     "pair, target",
-    [(pair, t) for pair in ("k6", "asymmetric") for t in (-0.9, 0.9, 0.99, 0.999)]
+    [(pair, t) for pair in ("k6", "asymmetric") for t in (-0.9, 0.9, 0.99, 0.995)]
     + [("heterogeneous", t) for t in (-0.9, 0.9)],
 )
 def test_inversion_agrees_with_the_reference_bisection(pair, target):
@@ -508,7 +508,11 @@ def test_rho_out_slope_is_its_derivative(rho_in):
 
 def test_unattainable_target_and_zero_target():
     mx, my = (rs.nig_params_from_moments(m) for m in HETEROGENEOUS_MARGINS[1:])
-    with pytest.raises(ValueError, match=r"^target correlation 0\.99 is outside the attainable range \[-0\.\d{6}, 0\.\d{6}\] for these margins$"):
+    message = (
+        r"^target correlation 0\.99 is outside the attainable range \[-0\.\d{6}, 0\.\d{6}\] for these margins, "
+        r"the image of the input correlation limit \|rho_in\| <= 0\.996$"
+    )
+    with pytest.raises(ValueError, match=message):
         rs._invert_rho_out(0.99, mx, my)
     zero = rs._invert_rho_out(0.0, mx, my)
     assert type(zero) is float and zero == 0.0 and math.copysign(1.0, zero) == 1.0
@@ -548,9 +552,89 @@ def test_inversion_hits_every_attainable_target(tx, ty, target):
     except ValueError as err:
         # opposite skews can cap the attainable range below 0.9 in magnitude
         assert "outside the attainable range" in str(err)
-        assert not rs.rho_out(-1.0 + 1e-9, mx, my) <= target <= rs.rho_out(1.0 - 1e-9, mx, my)
+        limit = rs._RHO_IN_LIMIT
+        assert not rs.rho_out(-limit, mx, my) <= target <= rs.rho_out(limit, mx, my)
         return
     assert abs(rs.rho_out(got, mx, my) - target) <= 1e-12
+
+
+def _mirrored_k12_pair():
+    p = rs.nig_params_from_moments(_skewed_target(0.0, 1.0, 12.0, 0.9))
+    return p, rs.NigParams(alpha=p.alpha, beta=-p.beta, delta=p.delta, mu=-p.mu)
+
+
+#: two pairs whose 64-node map passes -1 or +1 before the bracket's end: kurtosis-6
+#: margins, and kurtosis-12 margins of skewness 0.9 of the bound, one the other's mirror
+LIMIT_PAIRS = {
+    "k6": (rs.nig_params_from_moments(HETEROGENEOUS_MARGINS[0]),) * 2,
+    "k12 mirrored": _mirrored_k12_pair(),
+}
+
+
+def _rho_out_by_gauss_hermite(rho_in, mx, my, nodes=120):
+    """rho_out as the correlation of x(Z) and y(rho_in Z + sqrt(1 - rho_in^2) W) over
+    independent standard normals Z and W, by a tensor Gauss-Hermite rule on the
+    margins' normal-score maps: the integrand is smooth, with no kink on the diagonal."""
+    z, w = np.polynomial.hermite_e.hermegauss(nodes)
+    w = w / w.sum()
+    tx, ty = rs._table(mx), rs._table(my)
+    x = tx.score_map(z)
+    y = ty.score_map(rho_in * z[:, None] + math.sqrt((1.0 - rho_in) * (1.0 + rho_in)) * z[None, :])
+    cov = (w * x) @ y @ w - (w @ x) * (w @ ty.score_map(z))
+    return cov / math.sqrt(tx.variance * ty.variance)
+
+
+@pytest.mark.parametrize("pair", LIMIT_PAIRS)
+def test_map_is_trusted_up_to_the_input_correlation_limit(pair):
+    mx, my = LIMIT_PAIRS[pair]
+    # the map passes -1 or +1 before the bracket's end
+    assert max(abs(rs.rho_out(end, mx, my)) for end in (-1.0 + 1e-9, 1.0 - 1e-9)) > 1.0
+    grid = np.linspace(-rs._RHO_IN_LIMIT, rs._RHO_IN_LIMIT, 41)
+    values = np.array([rs.rho_out(r, mx, my) for r in grid])
+    assert np.all(np.diff(values) > 0.0) and np.all(np.abs(values) < 1.0)
+    # at the limit the rule is within 1.5 % of the gap to perfect correlation of a finer rule
+    for end in (-rs._RHO_IN_LIMIT, rs._RHO_IN_LIMIT):
+        finer = _rho_out_by_gauss_hermite(end, mx, my)
+        assert abs(rs.rho_out(end, mx, my) - finer) <= 0.015 * (1.0 - abs(finer))
+
+
+@pytest.mark.parametrize("pair", LIMIT_PAIRS)
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_targets_beyond_the_input_correlation_limit_are_refused(pair, side):
+    mx, my = LIMIT_PAIRS[pair]
+    end = rs.rho_out(side * rs._RHO_IN_LIMIT, mx, my)
+    inside = rs._invert_rho_out(end - side * 1e-6, mx, my)
+    assert abs(inside) <= rs._RHO_IN_LIMIT
+    assert abs(rs.rho_out(inside, mx, my) - (end - side * 1e-6)) <= 1e-12
+    message = r"outside the attainable range .* the image of the input correlation limit \|rho_in\| <= 0\.996$"
+    for beyond in (end + side * 1e-6, side * (1.0 - 1e-12)):
+        with pytest.raises(ValueError, match=message):
+            rs._invert_rho_out(beyond, mx, my)
+
+
+def _correlation_and_standard_error(x, y):
+    """Sample correlation and its delta-method standard error from the sample's own
+    standardized moments: Var r = [r^2 (m40 + m04 + 2 m22) / 4 - r (m31 + m13) + m22] / T."""
+    x, y = (x - x.mean()) / x.std(), (y - y.mean()) / y.std()
+    r = float(np.mean(x * y))
+
+    def m(i, j):
+        return float(np.mean(x**i * y**j))
+
+    var = r * r / 4.0 * (m(4, 0) + m(0, 4) + 2.0 * m(2, 2)) - r * (m(3, 1) + m(1, 3)) + m(2, 2)
+    return r, math.sqrt(var / x.size)
+
+
+@pytest.mark.parametrize("pair", LIMIT_PAIRS)
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_target_just_inside_the_limit_is_simulated_at_its_target(pair, side):
+    # T = 2e5, the benchmark's panel length, where the rule's own error at the limit is about 2 standard errors
+    mx, my = LIMIT_PAIRS[pair]
+    target = rs.rho_out(side * rs._RHO_IN_LIMIT, mx, my) - side * 1e-6
+    spec = rs.MetaGaussianSpec.from_targets((mx, my), np.array([[1.0, target], [target, 1.0]]))
+    x, y = rs.sample_meta_gaussian(spec, 200_000, seed=0).values.T
+    r, se = _correlation_and_standard_error(x, y)
+    assert abs(r - target) <= 8.0 * se
 
 
 def test_adjustment_shrinks_magnitude_for_heavy_tails(margin_k6):
@@ -592,11 +676,24 @@ def test_pinned_panel_is_the_map_of_each_block():
     chol = np.linalg.cholesky(spec.input_corr)
     for block, rows in enumerate((rs._BLOCK_ROWS, 70_000 - rs._BLOCK_ROWS)):
         ss = np.random.SeedSequence(entropy=5, spawn_key=(rs.SIMULATION_STREAM, block))
-        u = np.random.Generator(np.random.Philox(ss)).random((rows, 3))
-        z = ndtri(np.clip(u, 1e-300, None)) @ chol.T
+        z = np.random.Generator(np.random.Philox(ss)).standard_normal((rows, 3)) @ chol.T
         start = block * rs._BLOCK_ROWS
         for i, p in enumerate(spec.margins):
             assert panel[start : start + rows, i].tobytes() == _reference_map(rs._table(p), z[:, i]).tobytes()
+
+
+def test_sampler_draws_no_inverse_normal_cdf(monkeypatch):
+    # the margins' tables call ndtri when they are built; the draw itself never does
+    spec = homogeneous_spec(3, -0.2)
+    tables = [rs._table(p) for p in spec.margins]
+
+    def refuse(u):
+        raise AssertionError("the sampler called ndtri")
+
+    monkeypatch.setattr(rs, "ndtri", refuse)
+    pieces = list(rs.sample_pieces(spec, 70_000, seed=5))
+    assert [len(piece) for piece in pieces] == [rs._PIECE_ROWS] * 8 + [70_000 - 8 * rs._PIECE_ROWS]
+    assert all(rs._table(p) is t for p, t in zip(spec.margins, tables))
 
 
 @pytest.mark.parametrize("piece_rows", [1000, 8192, 65536])
