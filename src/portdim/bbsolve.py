@@ -7,7 +7,7 @@ cell from above by a linear (or mixed-integer linear) program, and bisects
 the cells with the largest bounds until the incumbent is provably within a
 relative tolerance of the global optimum.
 
-Three bounding modes are available, in increasing tightness and cost:
+Three bounding modes are available:
 
 ``lp1``
     Affine concave envelope of the numerator over the cell plus a single
@@ -17,13 +17,18 @@ Three bounding modes are available, in increasing tightness and cost:
     spread between the vertices and the barycenter.
 ``milp``
     Piecewise envelope over the full barycentric subdivision of the cell
-    under the ``lp1`` cut: the best of the m! subcell LPs, one per subcell
-    (factorial in the asset count; intended for small baskets).  This is
-    the disjunctive program that an SOS1 MILP over the subcells describes.
+    under the ``lp1`` cut: the best of the m! subcell LPs, one per subcell.
+    This is the disjunctive program that an SOS1 MILP over the subcells
+    describes.
 
 All bounds are assembled in the cone coordinates b with y = sum b_i v^i,
 u = sum b_i and w = y/u, which turns the ratio bound into a packing LP:
-max f'b s.t. A b <= 1, b >= 0, whose origin is feasible.
+max f'b s.t. A b <= 1, b >= 0, whose origin is feasible.  The ``lp1`` and
+``milp`` LPs have two rows, the cut and the floor alpha * sum b <= 1, so
+an optimal basis has at most two columns and the bound is a closed form
+over single columns and column pairs, with no simplex (``_two_row_bound``);
+``milp``'s pairs are the nested vertex subsets, the pairs that share a
+subcell chain.  ``lp2`` solves its LPs by the simplex.
 
 The solver works in rounds over a frontier of cells.  The live cells are
 held in arrays (vertices, bound, depth, id) sorted best first by
@@ -32,8 +37,9 @@ held in arrays (vertices, bound, depth, id) sorted best first by
 children's LPs within ``_ROUND_LP_BYTES``, a width set once per solve.
 The round bisects them all at once and bounds the children together: one
 moment-kernel call for the gradients at all their cut anchors, one
-lockstep simplex over the stack of their packing LPs, and one
-moment-kernel call for h at all their LP candidates and barycenters.
+lockstep simplex over the stack of their packing LPs (``lp2``) or one
+closed form over the stack (``lp1``, ``milp``), and one moment-kernel
+call for h at all their LP candidates and barycenters.
 These kernel calls are per round, not per cell.  The children are then
 applied with array operations, with the outcome of applying them parent
 by parent in order: one history row per parent, the lower bound a running
@@ -74,7 +80,7 @@ from .comoments import (
 from .gld import _projected_descent
 # solve never calls solve_lp or solve_milp (nor bisect and bound_*); they are bound
 # here only because the benchmark's tracer patches them under these names
-from .subsolver import _best_blocks, _Breakdown, solve_lp, solve_milp  # noqa: F401
+from .subsolver import _Breakdown, _simplex, solve_lp, solve_milp  # noqa: F401
 
 __all__ = [
     "SimplexCell",
@@ -91,7 +97,7 @@ __all__ = [
 ]
 
 _DEGENERATE_EDGE = 1e-12
-_MAX_ENVELOPE_VERTICES = 6  # m! subcells: the milp bound solves one LP per subcell
+_MAX_ENVELOPE_VERTICES = 6  # the milp mode's asset limit, kept as the CLI's contract
 BOUND_MODES = ("lp1", "lp2", "milp")  # the cell bounds of the module docstring, for BbConfig.bound_mode
 #: bytes of the float64 tableaux of one round's LP stack, which sets the cells bisected per round
 _ROUND_LP_BYTES = 1 << 20
@@ -104,7 +110,8 @@ _log = logging.getLogger(__name__)
 
 def bound_modes(n_assets: int) -> tuple[str, ...]:
     """The modes of ``BOUND_MODES`` that can bound an ``n_assets``-asset universe:
-    ``milp`` solves N! subcell LPs per cell, so it stops at N = 6."""
+    ``milp`` stops at N = 6, the command line's contract.  (Its closed form
+    weighs 3^N - 2^(N+1) + 1 nested subset pairs per cell, 602 at N = 6.)"""
     return tuple(mode for mode in BOUND_MODES if mode != "milp" or n_assets <= _MAX_ENVELOPE_VERTICES)
 
 
@@ -169,9 +176,12 @@ class BbResult:
     ``live_cells`` the surviving cells, both only when configured.
     ``iterations`` counts bisected cells, ``rounds`` the frontier rounds
     that bisected them, and ``lp_pivots`` the simplex pivots of every cell
-    LP (of every subcell LP in ``milp`` mode).  ``max_depth`` is the
-    deepest bisection reached and ``live_cells_per_round`` the live count
-    at the start of each round.
+    LP (0 in the closed-form ``lp1`` and ``milp`` modes).  ``max_depth`` is
+    the deepest bisection reached and ``live_cells_per_round`` the live
+    count at the start of each round.  ``bound_seconds`` is the time spent
+    bounding cells (``_bound_cells``, the root's bound included) and
+    ``rest_seconds`` the rest of the search after the alpha floor:
+    bisection, scoring and the frontier's bookkeeping.
     """
 
     incumbent: Weights
@@ -188,6 +198,8 @@ class BbResult:
     alpha: float
     max_depth: int
     live_cells_per_round: np.ndarray
+    bound_seconds: float
+    rest_seconds: float
     fathomed_cells: tuple[tuple[SimplexCell, float], ...] = ()
     live_cells: tuple[SimplexCell, ...] = ()
 
@@ -373,53 +385,98 @@ def _subcell_chains(m: int) -> tuple[np.ndarray, np.ndarray]:
     return members, chains
 
 
+@functools.cache
+def _nested_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (s, t) of ``_subcell_chains(m)``'s subsets with s a proper
+    subset of t: exactly the pairs of subsets that share a subcell chain."""
+    members = _subcell_chains(m)[0]
+    inside = np.all(members[:, None] <= members[None], axis=2) & ~np.eye(members.shape[0], dtype=bool)
+    return np.nonzero(inside)
+
+
+def _two_row_bound(
+    f: np.ndarray, a: np.ndarray, alpha: float, first: np.ndarray, second: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """max f'b s.t. a'b <= 1, alpha sum b <= 1, b >= 0 for each row of the
+    (K, p) stacks f >= 0 and a, in closed form, over the bases that the
+    column pairs (first, second) allow.
+
+    With two rows an optimal basis has at most two columns.  One column j
+    alone reaches b_j = 1 / max(a_j, alpha).  Two columns i, j with a_j <
+    alpha < a_i make both rows tight at b_i = (alpha - a_j) / (alpha (a_i -
+    a_j)) and b_j = (a_i - alpha) / (alpha (a_i - a_j)).  Returns (value,
+    columns, b): per LP the best value, first among ties with the single
+    columns before the pairs, and its two columns (K, 2) and their b (K, 2);
+    a single column's second b is 0.
+    """
+    p = a.shape[1]
+    a_i, a_j = a[:, first], a[:, second]
+    pair = ((a_i > alpha) & (a_j < alpha)) | ((a_i < alpha) & (a_j > alpha))
+    span = a_i - a_j
+    b = np.zeros((a.shape[0], p + first.size, 2))  # per basis, its columns' b
+    b[:, :p, 0] = 1.0 / np.maximum(a, alpha)
+    np.divide(alpha - a_j, span, out=b[:, p:, 0], where=pair)
+    np.divide(a_i - alpha, span, out=b[:, p:, 1], where=pair)
+    b[:, p:] /= alpha
+    columns = np.stack([np.concatenate([np.arange(p), first]), np.concatenate([np.arange(p), second])], axis=1)
+    values = (f[:, columns] * b).sum(axis=2)
+    best = values.argmax(axis=1)
+    rows = np.arange(best.size)
+    return values[rows, best], columns[best], b[rows, best]
+
+
 def _bound_cells(
     vertices: np.ndarray, center: np.ndarray, c: CoMomentSet, alpha: float, mode: str, n_c: int, first_id: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Bound h on each cell of a (K, m, N) stack with (K, N) barycenters
-    ``center``, all LPs in one lockstep stack.
+    ``center``: the lp2 LPs as one lockstep simplex stack, the two-row lp1
+    and milp LPs by ``_two_row_bound`` (milp's over the subset barycenters
+    and their nested pairs, the best of the m! subcell LPs).
 
-    The lp1/lp2 LP of a cell is its one column block; the milp bound's
-    blocks are the m! subcell chains.  The cells carry the ids first_id,
-    first_id + 1, ... for error messages.  Returns (ub, w, ok, pivots):
-    the bounds, the LP candidates with their validity (see ``_candidates``)
-    and the pivots of all the LPs.
+    The cells carry the ids first_id, first_id + 1, ... for error messages.
+    Returns (ub, w, ok, pivots): the bounds, the LP candidates with their
+    validity (see ``_candidates``) and the simplex pivots of all the LPs.
     """
     m = vertices.shape[1]
     if mode not in bound_modes(m):
         raise ValueError(f"piecewise envelope of a {m}-vertex cell exceeds the size guard")
     anchors = center[:, None]
-    if mode == "milp":
-        members, blocks = _subcell_chains(m)
-        cone = (members @ vertices) / members.sum(axis=1)[:, None]  # subset barycenters
-    else:
-        blocks = np.arange(m)[None]
-        cone = vertices
-        if mode == "lp2":
-            anchors = np.concatenate([anchors, _cut_points(vertices, center, n_c)], axis=1)
-    rows = _cut_rows(cone, anchors, c, alpha)
+    if mode != "lp2":
+        if mode == "milp":
+            members = _subcell_chains(m)[0]
+            cone = (members @ vertices) / members.sum(axis=1)[:, None]  # subset barycenters
+            pairs = _nested_pairs(m)
+        else:
+            cone, pairs = vertices, _vertex_pairs(m)
+        cut = _cut_rows(cone, anchors, c, alpha)[:, 0]
+        ub, columns, b = _two_row_bound(_vertex_objective(cone, c), cut, alpha, *pairs)
+        w, ok = _candidates(cone[np.arange(ub.size)[:, None], columns], b)
+        return ub, w, ok, 0
+    anchors = np.concatenate([anchors, _cut_points(vertices, center, n_c)], axis=1)
+    rows = _cut_rows(vertices, anchors, c, alpha)
+    f = _vertex_objective(vertices, c)
     try:
-        ub, best, b, pivots, unbounded = _best_blocks(_vertex_objective(cone, c), rows, np.ones(rows.shape[:2]), blocks)
+        b, pivots, unbounded = _simplex(f, rows, np.ones(rows.shape[:2]))
     except _Breakdown as err:
-        k = err.problem // blocks.shape[0]
-        raise _Breakdown(
-            err.problem, err.cap, f"bound LP of cell {first_id + k} with vertices {vertices[k].tolist()}"
-        ) from err
+        k = err.problem
+        raise _Breakdown(k, err.cap, f"bound LP of cell {first_id + k} with vertices {vertices[k].tolist()}") from err
     if unbounded.any():
-        k = int(np.flatnonzero(unbounded.any(axis=1))[0])
-        raise RuntimeError(f"cell bound LP unexpectedly unbounded (cell id {first_id + k})")
-    w, ok = _candidates(cone[np.arange(best.size)[:, None], blocks[best]], b)
-    return ub, w, ok, int(pivots.sum())
+        raise RuntimeError(f"cell bound LP unexpectedly unbounded (cell id {first_id + int(np.argmax(unbounded))})")
+    w, ok = _candidates(vertices, b)
+    # f'b summed in the order of a column-major f: the bounds' last bits, and so the lp2 histories, depend on it
+    return np.einsum("ki,ki->k", np.asfortranarray(f), b), w, ok, int(pivots.sum())
 
 
 def _round_cells(n: int, mode: str, n_c: int) -> int:
     """Cells bisected per round of ``solve``: as many as keep the tableaux of
     their children's LPs within ``_ROUND_LP_BYTES``, and at least one.
 
-    As ``_bound_cells`` builds them, a cell has one LP over its n vertices
-    (n! LPs over the n-column subcell chains for milp), with one row per cut
-    anchor plus the floor row; ``_simplex`` pivots each on an
-    (rows + 1) x (n + rows + 1) float64 tableau.
+    A cell has one LP over its n vertices (n! LPs over the n-column subcell
+    chains for milp), with one row per cut anchor plus the floor row, and
+    ``_simplex`` pivots each on an (rows + 1) x (n + rows + 1) float64
+    tableau.  Only lp2 still builds these tableaux; lp1 and milp, bounded
+    in closed form, keep the width their LP stacks set, so that their
+    rounds and histories stay those of the simplex bounds.
     """
     blocks = math.factorial(n) if mode == "milp" else 1
     rows = (n * n_c + 2) if mode == "lp2" else 2
@@ -455,7 +512,7 @@ def bound_milp(cell: SimplexCell, c: CoMomentSet, alpha: float) -> tuple[float, 
     subcell of a vertex permutation spans the barycenters of its prefixes
     (a chain), so the bound is the best of the m! packing LPs over the
     chains' columns, each under the single tangent cut at the cell
-    barycenter of the lp1 bound.
+    barycenter of the lp1 bound; ``_bound_cells`` takes it in closed form.
     """
     return _bound_one(cell, c, alpha, "milp", 1)
 
@@ -502,15 +559,19 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
     shrink = 1.0 - cfg.rho_tol
     width = _round_cells(n, cfg.bound_mode, cfg.n_c)
     lp_pivots = 0
+    bound_seconds = 0.0
+    search_start = time.perf_counter()
 
     def bound_and_score(cells: np.ndarray, per_group: int, first_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Bound a stack of new cells and score their LP candidates and
         barycenters; per group of ``per_group`` consecutive cells, the best
         score and its point (the first best, in the order candidate then
         barycenter of each cell)."""
-        nonlocal lp_pivots
+        nonlocal lp_pivots, bound_seconds
         center = cells.mean(axis=1)
+        started = time.perf_counter()
         ub, w, ok, pivots = _bound_cells(cells, center, c, alpha, cfg.bound_mode, cfg.n_c, first_id)
+        bound_seconds += time.perf_counter() - started
         lp_pivots += pivots
         points = np.stack([np.where(ok[:, None], w, center), center], axis=1).reshape(-1, per_group * 2, n)
         even = _even_moments(points.reshape(-1, n), c)
@@ -635,6 +696,7 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
     ub_hist.append(np.array([ub[0] if ub.size else fathomed_top]))
     frac_hist.append(np.array([fathomed / (fathomed + ub.size)]))
 
+    rest_seconds = time.perf_counter() - search_start - bound_seconds
     weights = Weights(np.clip(incumbent, 0.0, None) / np.clip(incumbent, 0.0, None).sum())
     return BbResult(
         incumbent=weights,
@@ -651,6 +713,8 @@ def solve(c: CoMomentSet, cfg: BbConfig = BbConfig()) -> BbResult:
         alpha=math.ldexp(alpha, 4 * scale),
         max_depth=max_depth,
         live_cells_per_round=np.asarray(live_per_round, dtype=int),
+        bound_seconds=bound_seconds,
+        rest_seconds=rest_seconds,
         fathomed_cells=tuple(fathomed_cells),
         live_cells=tuple(
             SimplexCell(vertices[k], float(ub[k]), int(depth[k]), int(ids[k])) for k in np.argsort(ids)

@@ -454,6 +454,8 @@ def cmd_optimize_bb(cfg: ExperimentConfig) -> tuple[Path, Path]:
         "rounds": result.rounds,
         "max_depth": result.max_depth,
         "live_cells_per_round": result.live_cells_per_round.tolist(),
+        "bound_seconds": result.bound_seconds,
+        "rest_seconds": result.rest_seconds,
     }
     _write_run_record("optimize-bb", cfg, start, counters)
     return results_path, trace_path
@@ -592,6 +594,8 @@ def cmd_bench(cfg: ExperimentConfig) -> dict:
                 "rounds": result.rounds,
                 "lp_pivots": result.lp_pivots,
                 "seconds": time.perf_counter() - start,
+                "bound_seconds": result.bound_seconds,
+                "rest_seconds": result.rest_seconds,
                 "kurtosis": result.kurtosis,
                 "status": result.status,
             }

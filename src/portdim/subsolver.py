@@ -1,11 +1,10 @@
-"""Lockstep dense tableau simplex for the packing LPs of the branch-and-bound cell bounds.
+"""Lockstep dense tableau simplex for the packing LPs of the ``lp2`` cell bounds.
 
 Every cell bound is a packing LP, max c'x s.t. A x <= b, x >= 0 with b >= 0,
 so the origin is feasible and the simplex starts from the slack basis with
-no phase 1.  The ``milp`` bound picks one barycentric subcell out of m!, a
-disjunction of such LPs over column blocks; its optimum is the best of the
-block LPs.  The subproblems are tiny (a handful of rows, at most a few
-dozen columns) but are solved by the hundred thousand inside the
+no phase 1.  (The two-row ``lp1`` and ``milp`` LPs are solved in closed
+form in ``bbsolve``.)  The ``lp2`` LPs are tiny (a handful of rows and
+columns) but are solved by the hundred thousand inside the
 branch-and-bound loop, so they are solved as a stack: one textbook dense
 tableau [A | I | b; -c | 0 | 0] per LP, all pivoted in lockstep, each
 pivot one row scale and one rank-1 update per LP with no basis inverse.
@@ -14,11 +13,13 @@ degenerate pivots, and every choice is made per LP, so a stacked LP takes
 exactly the pivots, and returns bitwise the point, that it would alone.
 Each tableau row is first multiplied by the power of two that puts its largest
 |a| (or |c|) entry in [1, 2): exact, prices unchanged, pivot tolerance relative.
-LPs that finish drop out of the stack.  ``_simplex`` solves a stack and
-``_best_blocks`` its best-of-blocks disjunction; ``bbsolve`` builds every
-stack with rhs 1 and calls these two.  ``solve_lp`` and ``solve_milp`` are
-their one-problem views, which the branch and bound never calls: they stay
-only because the benchmark's tracer patches them by name.
+LPs that finish drop out of the stack.  ``_simplex`` solves a stack;
+``bbsolve`` builds each ``lp2`` stack with rhs 1 and calls it.
+``_best_blocks`` solves the best-of-column-blocks disjunction of a stack
+(for the ``milp`` bound, one block per subcell chain) and now serves only
+``solve_milp``.  ``solve_lp`` and ``solve_milp`` are the one-problem views
+of the two, which the branch and bound never calls: they stay only because
+the benchmark's tracer patches them by name.
 """
 
 from __future__ import annotations

@@ -124,6 +124,8 @@ def heap_solve(c, cfg, frontier):
         alpha=alpha,
         max_depth=max_depth,
         live_cells_per_round=np.asarray(live_per_round, dtype=int),
+        bound_seconds=0.0,
+        rest_seconds=0.0,
         fathomed_cells=tuple(fathomed_cells),
         live_cells=tuple(bb.SimplexCell(v, ub, depth, cell_id) for cell_id, (v, ub, depth) in live.items())
         if cfg.collect_cells

@@ -5,6 +5,7 @@ import gc
 import heapq
 import itertools
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -384,6 +385,79 @@ def test_milp_bound_matches_mccormick_reference(c_n3):
             assert ub == pytest.approx(mccormick_milp_bound(vertices, c, alpha), rel=1e-9, abs=0.0)
 
 
+def simplex_value(f, a, alpha):
+    """``subsolver._simplex`` on the two-row packing LPs max f'b s.t. a'b <= 1, alpha sum b <= 1, b >= 0."""
+    rows = np.stack([a, np.full_like(a, alpha)], axis=1)
+    x, _, unbounded = ss._simplex(f, rows, np.ones(rows.shape[:2]))
+    assert not unbounded.any()
+    return np.einsum("ki,ki->k", f, x)
+
+
+def closed_form(f, a, alpha, pairs):
+    """``_two_row_bound`` with RuntimeWarnings raised as errors; asserts that each
+    winning b is feasible for both rows, up to the rounding of its terms."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value, columns, b = bb._two_row_bound(f, a, alpha, *pairs)
+    terms = a[np.arange(b.shape[0])[:, None], columns] * b
+    assert np.all(b >= 0.0)
+    assert np.all(terms.sum(axis=1) <= 1.0 + 1e-12 * np.maximum(1.0, np.abs(terms).sum(axis=1)))
+    assert np.all(alpha * b.sum(axis=1) <= 1.0 + 1e-12)
+    return value
+
+
+@st.composite
+def two_row_lps(draw):
+    """(f, a, alpha) of 1-4 two-row LPs over 1-7 columns: f >= 0 and a of both
+    signs on grids (so values and cut coefficients tie), and alpha from 1e-12
+    to 10, at times equal to a cut coefficient."""
+    k, p = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    grid = lambda low, high: np.array(draw(st.lists(st.integers(low, high), min_size=k * p, max_size=k * p)))  # noqa: E731
+    f = grid(0, 40).reshape(k, p) / 4.0
+    a = grid(-40, 40).reshape(k, p) * 2.0 ** draw(st.integers(-9, 0))
+    ties = a[(a > 0.0) & (a <= 10.0)]
+    if ties.size and draw(st.booleans()):
+        alpha = float(draw(st.sampled_from(ties.tolist())))
+    else:
+        alpha = 10.0 ** draw(st.floats(-12.0, 1.0))
+    return f, a, alpha
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp=two_row_lps())
+@example(lp=(np.array([[1.0, 2.0, 3.0]]), np.array([[2.0, -1.0, 0.5]]), 1.0))  # the pair (0, 1) wins
+@example(lp=(np.array([[2.0, 2.0]]), np.array([[1.0, 1.0]]), 1.0))  # every basis ties
+def test_two_row_closed_form_is_the_simplex_optimum(lp):
+    f, a, alpha = lp
+    value = closed_form(f, a, alpha, bb._vertex_pairs(f.shape[1]))
+    np.testing.assert_allclose(value, simplex_value(f, a, alpha), rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    floor=st.floats(min_value=-3.0, max_value=0.5),
+)
+def test_milp_closed_form_is_the_best_subcell_chain_lp(n, seed, floor):
+    # the nested pairs of subsets are the bases of the m! chain LPs, so the
+    # closed form is _best_blocks over the _subcell_chains chains; alpha runs
+    # from slack at every column (1e-3 of the largest cut value) to binding at all
+    rng = np.random.default_rng(seed)
+    c = mixed_t_comoments(rng, n)
+    vertices = rng.dirichlet(np.ones(n), size=(3, n))
+    members, chains = bb._subcell_chains(n)
+    cone = (members @ vertices) / members.sum(axis=1)[:, None]
+    f = bb._vertex_objective(cone, c)
+    cut = bb._cut_rows(cone, vertices.mean(axis=1)[:, None], c, 1.0)[:, 0]
+    alpha = 10.0**floor * np.abs(cut).max()
+    value = closed_form(f, cut, alpha, bb._nested_pairs(n))
+    rows = np.stack([cut, np.full_like(cut, alpha)], axis=1)
+    want = ss._best_blocks(f, rows, np.ones(rows.shape[:2]), chains)[0]
+    np.testing.assert_allclose(value, want, rtol=1e-12, atol=0.0)
+    assert cell_bounds(vertices, c, alpha, "milp")[0].tobytes() == value.tobytes()
+
+
 def test_bound_is_tight_on_tiny_cell(c_n3):
     # the gap closes linearly with the cell diameter (the bound tracks the
     # cell max of h, which moves away from the center value at first order)
@@ -500,7 +574,9 @@ def test_single_asset_is_trivial():
         h = float(even.variance[0] ** 2 / even.mu4[0])
         for mode, rho_tol in itertools.product(("lp1", "lp2", "milp"), (0.0, 1e-3)):
             result = bb.solve(c, bb.BbConfig(rho_tol=rho_tol, bound_mode=mode))
-            assert (result.status, result.iterations, result.rounds, result.lp_pivots) == ("optimal", 0, 0, 1)
+            # only lp2 runs the simplex; lp1 and milp bound the root in closed form
+            pivots = 1 if mode == "lp2" else 0
+            assert (result.status, result.iterations, result.rounds, result.lp_pivots) == ("optimal", 0, 0, pivots)
             # a root entry and a terminal entry, both at the point's value
             assert result.lower_bounds.tolist() == result.upper_bounds.tolist() == [h, h]
             assert result.fraction_deleted.tolist() == [1.0, 1.0]
@@ -732,12 +808,27 @@ class _Stacked(Exception):
     pass
 
 
+#: _round_cells of lp1 (n_c 1 and 4) and milp at N = 1..6, by budget: the widths of their two-row
+#: LP stacks (one LP a cell, N! for milp), kept so that their rounds stay comparable
+CLOSED_FORM_WIDTHS = {
+    ("lp1", None): [5461, 5461, 4369, 4369, 3640, 3640, 3120, 3120, 2730, 2730, 2427, 2427],
+    ("milp", None): [5461, 5461, 2184, 2184, 606, 606, 130, 130, 22, 22, 3, 3],
+    ("lp1", 4096): [21, 21, 17, 17, 14, 14, 12, 12, 10, 10, 9, 9],
+    ("milp", 4096): [21, 21, 8, 8, 2, 2, 1, 1, 1, 1, 1, 1],
+}
+
+
 @pytest.mark.parametrize("budget", [None, 4096])
 @pytest.mark.parametrize("mode", bb.BOUND_MODES)
 def test_round_width_keeps_the_lp_stack_within_its_budget(monkeypatch, mode, budget):
-    # the rule against the tableaux that _simplex allocates for a round's children
+    # lp2: the rule against the tableaux that _simplex allocates for a round's
+    # children; lp1 and milp, bounded in closed form, keep their pinned widths
     if budget is not None:
         monkeypatch.setattr(bb, "_ROUND_LP_BYTES", budget)
+    if mode != "lp2":
+        widths = [bb._round_cells(n, mode, n_c) for n in range(1, 7) for n_c in (1, 4)]
+        assert widths == CLOSED_FORM_WIDTHS[mode, budget]
+        return
     budget = bb._ROUND_LP_BYTES
 
     def stack_bytes(c, cells):
@@ -746,7 +837,7 @@ def test_round_width_keeps_the_lp_stack_within_its_budget(monkeypatch, mode, bud
             raise _Stacked(lps * 8 * (rows + 1) * (cols + rows + 1))
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ss, "_simplex", record)
+            mp.setattr(bb, "_simplex", record)
             vertices = np.repeat(np.eye(c.n_assets)[None], 2 * cells, axis=0)
             with pytest.raises(_Stacked) as stacked:
                 bb._bound_cells(vertices, vertices.mean(axis=1), c, 0.1, mode, n_c, 0)
@@ -765,15 +856,12 @@ def test_stalled_cell_lp_names_its_cell(c_n3, monkeypatch):
     def stall(c, a, b):
         raise ss._Breakdown(a.shape[0] - 1, 4000)
 
-    monkeypatch.setattr(ss, "_simplex", stall)
+    monkeypatch.setattr(bb, "_simplex", stall)
     alpha = bb.alpha_floor(c_n3)
     cell = np.eye(3)[None]
     with pytest.raises(ss._Breakdown, match=r"cell 7 with vertices \[\[1\.0, 0\.0, 0\.0\]") as err:
         cell_bounds(cell, c_n3, alpha, "lp2", 1, first_id=7)
     assert err.value.cap == 4000
-    # the last of the six subcell LPs belongs to the same cell
-    with pytest.raises(ss._Breakdown, match="cell 7 "):
-        cell_bounds(cell, c_n3, alpha, "milp", first_id=7)
     with pytest.raises(ss._Breakdown, match="cell 0 "):
         bb.solve(c_n3)
 

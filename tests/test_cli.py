@@ -48,8 +48,7 @@ def test_langevin_is_no_better_than_the_certified_five_asset_optimum(tmp_path):
     assert certified_lb <= read_json(tmp_path / "gld5" / "gld_results.json")["kurtosis"]
 
 
-@pytest.mark.slow  # 4-6 s
-def test_milp_at_six_assets_keeps_its_lp_stack_within_budget(tmp_path):
+def test_milp_at_six_assets_peaks_below_150_mb(tmp_path):
     argv = "--n-assets 6 --rho -0.1 --bound-mode milp --max-iterations 2000 --t-obs 20000 --seed 3"
     portdim_process(tmp_path, f"optimize-bb {argv} --experiment milp6")
     assert read_json(tmp_path / "milp6" / "run_record.json")["peak_rss_mb"] < 150

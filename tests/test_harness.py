@@ -229,12 +229,16 @@ def test_optimize_bb_reports_solver_counters(tmp_path):
     results = json.loads(results_path.read_text())
     record = json.loads((tmp_path / "t" / "run_record.json").read_text())
     counters = record["counters"]
-    assert set(counters) == {"lp_pivots", "rounds", "max_depth", "live_cells_per_round"}
+    telemetry = {"max_depth", "live_cells_per_round", "bound_seconds", "rest_seconds"}
+    assert set(counters) == {"lp_pivots", "rounds"} | telemetry
     assert (counters["lp_pivots"], counters["rounds"]) == (results["lp_pivots"], results["rounds"])
     assert results["lp_pivots"] > 0
     assert 1 <= results["rounds"] <= results["iterations"]
+    # the seconds spent bounding cells and in the rest of the search, within the run's wall clock
+    assert counters["bound_seconds"] > 0.0 and counters["rest_seconds"] > 0.0
+    assert counters["bound_seconds"] + counters["rest_seconds"] < record["wall_clock_seconds"]
     # the telemetry stays out of the results JSON, which reruns must reproduce byte for byte
-    assert not {"max_depth", "live_cells_per_round"} & set(results)
+    assert not telemetry & set(results)
     live = counters["live_cells_per_round"]
     assert len(live) == results["rounds"] and live[0] == 1 and min(live) >= 1
     # each round bisects the best live cells, up to a frontier's worth
@@ -376,7 +380,9 @@ def test_bench_rows_match_direct_solves(capsys):
         direct = bb.solve(c, dataclasses.replace(cfg.bb, bound_mode=row["bound_mode"], n_c=row["n_c"]))
         fields = ("iterations", "rounds", "lp_pivots", "kurtosis", "status")
         assert [row[f] for f in fields] == [getattr(direct, f) for f in fields]
-        assert row["seconds"] > 0.0
+        assert row["lp_pivots"] == 0 if row["bound_mode"] in ("lp1", "milp") else row["lp_pivots"] > 0
+        assert row["bound_seconds"] > 0.0 and row["rest_seconds"] > 0.0
+        assert row["bound_seconds"] + row["rest_seconds"] < row["seconds"]
     assert {row["status"] for row in table["rows"]} == {"optimal"}
 
 
