@@ -82,6 +82,10 @@ _CHUNK_ROWS = 4096
 #: rows of ``m4_gram`` built per block, to bound the index temporaries
 _GRAM_BLOCK_ROWS = 128
 
+#: index tuples per block of the build's binomial expansion, to bound its
+#: temporaries while each column's pair-rank part is formed once per block
+_EXPANSION_BLOCK = 1 << 18
+
 #: relative eigenvalue floor below which the covariance is rejected
 _PD_RTOL = 1e-10
 #: relative tolerance of the covariance symmetry check
@@ -224,16 +228,18 @@ def _sorted_tuple_arrays(n: int, order: int) -> tuple[np.ndarray, ...]:
 
 @functools.cache
 def _pair_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted pairs (i <= j) of range(n) in colex order, the weight 1 or 2 of
-    each pair in a sum over all ordered pairs, and the pair rank of every
-    (i, j) of the N x N grid (row-major), read-only."""
+    """Sorted pairs (i <= j) of range(n) in colex order, the row of j in a
+    stack of the N coordinates over twice them (j + N off the diagonal, so
+    a product over the pair carries its weight 2 in a sum over all ordered
+    pairs), and the pair rank of every (i, j) of the N x N grid (row-major),
+    read-only."""
     pair_i, pair_j = _sorted_tuple_arrays(n, 2)
-    mult = np.where(pair_i == pair_j, 1.0, 2.0)
+    doubled_j = np.where(pair_i == pair_j, pair_j, pair_j + n)
     i, j = np.indices((n, n))
     pair_of = _pair_rank(np.minimum(i, j), np.maximum(i, j)).ravel()
-    for arr in (pair_i, pair_j, mult, pair_of):
+    for arr in (pair_i, pair_j, doubled_j, pair_of):
         arr.flags.writeable = False
-    return pair_i, pair_j, mult, pair_of
+    return pair_i, pair_j, doubled_j, pair_of
 
 
 @dataclass(eq=False)
@@ -394,13 +400,21 @@ def build_comoments(sample: ReturnSample | Iterable[np.ndarray]) -> CoMomentSet:
 
     def central(order: int) -> np.ndarray:
         idx = [np.add(i, 1, out=i) for i in _sorted_tuple_arrays(n, order)]  # each asset's index in y
-        total = 0.0
-        for kept in itertools.product((False, True), repeat=order):
-            q = [0] * (4 - sum(kept)) + [i for i, k in zip(idx, kept) if k]
-            term = raw[_pair_rank(q[0], q[1]), _pair_rank(q[2], q[3])]
-            for i in (i for i, k in zip(idx, kept) if not k):
-                term = term * -delta[i]
-            total += term
+        total = np.empty(idx[0].size)
+        for start in range(0, total.size, _EXPANSION_BLOCK):
+            block = [i[start : start + _EXPANSION_BLOCK] for i in idx]
+            # once per column: the two parts i and j(j+1)/2 of the pair rank
+            # i + j(j+1)/2 (0 for y_0 = 1, at position 0), and its -delta
+            low, high = [0, *block], [0, *(i * (i + 1) // 2 for i in block)]
+            dropped = [-delta[i] for i in block]
+            part = 0.0
+            for kept in itertools.product((False, True), repeat=order):
+                q = [0] * (4 - sum(kept)) + [k + 1 for k in range(order) if kept[k]]
+                term = raw[low[q[0]] + high[q[1]], low[q[2]] + high[q[3]]]
+                for k in (k for k in range(order) if not kept[k]):
+                    term = term * dropped[k]
+                part += term
+            total[start : start + _EXPANSION_BLOCK] = part
         return total
 
     return CoMomentSet(
@@ -444,23 +458,32 @@ def _even_moments(points: np.ndarray, c: CoMomentSet | _KernelMoments) -> _EvenM
     products w_i w_j over sorted pairs and m their weights (2 off the
     diagonal, 1 on it), ``G (m u)`` is A over the sorted pairs.  A carries
     both derivatives of mu4, and mu4 = sum_q m_q u_q A_q.  Points run along
-    the last axis inside, copied once to contiguous columns, so the pair
-    gathers copy contiguous rows; ``a`` is returned as a (P, N, N) view.
+    the last axis inside, copied once to contiguous columns with twice them
+    below, so m u is two gathers of contiguous rows and one multiply;
+    w_i (2 w_j) equals (w_i w_j) 2 bit for bit unless the product is
+    subnormal.  ``a`` is returned as a (P, N, N) view.
     """
     pts = np.asarray(points, dtype=c.m2.dtype)
     if pts.ndim != 2 or pts.shape[1] != c.n_assets:
         raise ValueError(f"expected (P, {c.n_assets}) points, got shape {pts.shape}")
     n_pts, n = pts.shape
-    pair_i, pair_j, mult, pair_of = _pair_layout(n)
-    cols = np.ascontiguousarray(pts.T)
+    pair_i, _, doubled_j, pair_of = _pair_layout(n)
+    stacked = np.empty((2 * n, n_pts), dtype=pts.dtype)
+    cols, twice = stacked[:n], stacked[n:]
+    cols[...] = pts.T
+    np.add(cols, cols, out=twice)
     m2w = pts @ c.m2.T
-    weighted = cols[pair_i] * cols[pair_j] * mult.astype(pts.dtype, copy=False)[:, None]  # (n_p, P)
+    weighted = stacked[pair_i]  # (n_p, P)
+    weighted *= stacked[doubled_j]
     half = c.m4_gram @ weighted
+    mu4 = np.einsum("qp,qp->p", half, weighted)
+    del weighted  # before the (N, N, P) gather of A, and half right after it, so the peak does not grow
     a = half[pair_of].reshape(n, n, n_pts)
+    del half
     return _EvenMoments(
         variance=np.einsum("pi,pi->p", pts, m2w),
         m2w=m2w,
-        mu4=np.einsum("qp,qp->p", half, weighted),
+        mu4=mu4,
         grad_mu4=4.0 * np.einsum("ijp,jp->pi", a, cols),
         a=a.transpose(2, 0, 1),
     )

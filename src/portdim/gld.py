@@ -147,28 +147,39 @@ class GldResult:
 def project_rows(points: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row onto the standard simplex.
 
-    Sort-threshold algorithm: with u the coordinates sorted descending and
-    rho the largest j such that u_j + (1 - sum_{i<=j} u_i)/j > 0, the
-    projection is max(v + theta, 0) with theta = (1 - sum_{i<=rho} u_i)/rho.
-    Produces exact zeros on the inactive coordinates.  The rounding of the
-    sums moves each row's total by up to about n eps max|v|, so input that
-    is not finite, or so large that this exceeds ``_PROJECTION_TOL``, raises
-    ``ValueError``.
+    Sort-threshold algorithm (Duchi et al. 2008): with u the coordinates
+    sorted descending and rho the largest j such that
+    u_j + (1 - sum_{i<=j} u_i)/j > 0, the projection is max(v + theta, 0)
+    with theta = (1 - sum_{i<=rho} u_i)/rho.  Produces exact zeros on the
+    inactive coordinates.  The rounding of the sums moves each row's total
+    by up to about n eps max|v|, so input that is not finite, or so large
+    that this exceeds ``_PROJECTION_TOL``, raises ``ValueError``.
+
+    The sorted rows are laid out as columns, so each prefix sum is one add
+    of contiguous rows, in the order of a sequential sum; the caller's
+    array is not modified.
     """
     v = np.atleast_2d(np.asarray(points, dtype=float))
-    n = v.shape[1]
+    n_rows, n = v.shape
     size = float(np.abs(v).max(initial=0.0))
     if not math.isfinite(size):
         raise ValueError("projection input contains non-finite entries")
     if n * np.finfo(float).eps * size > _PROJECTION_TOL:
         raise ValueError(f"projection input of size {size:.3g} is too large to land on the simplex in double precision")
-    u = -np.sort(-v, axis=1)
-    cumsum = np.cumsum(u, axis=1)
-    js = np.arange(1, n + 1)
-    positive = u + (1.0 - cumsum) / js > 0.0
-    rho = n - 1 - np.argmax(positive[:, ::-1], axis=1)  # last True per row
-    theta = (1.0 - cumsum[np.arange(v.shape[0]), rho]) / (rho + 1.0)
-    return np.maximum(v + theta[:, None], 0.0)
+    u = np.sort(v, axis=1).T[::-1].copy()  # (n, rows): each row's coordinates, descending
+    thresholds = np.empty_like(u)  # the prefix sums, then (1 - sum_{i<=j} u_i)/j
+    if n_rows < n:  # few long columns: one accumulate costs less than n - 1 calls
+        np.cumsum(u, axis=0, out=thresholds)
+    else:
+        thresholds[0] = u[0]
+        for j in range(1, n):
+            np.add(thresholds[j - 1], u[j], out=thresholds[j])
+    np.subtract(1.0, thresholds, out=thresholds)
+    thresholds /= np.arange(1.0, n + 1.0)[:, None]
+    positive = np.add(u, thresholds, out=u) > 0.0
+    rho = n - 1 - np.argmax(positive[::-1].T, axis=1)  # last True per row, as an index
+    projected = v + thresholds[rho, np.arange(n_rows)][:, None]
+    return np.maximum(projected, 0.0, out=projected)
 
 
 def sample_uniform_simplex(n: int, rng: np.random.Generator) -> Weights:

@@ -1,6 +1,8 @@
 """Langevin helpers that only the tests use: the temperature heuristic
-behind ``gld.multistart``'s noise scale, and an interior-point local
-minimizer that criterion 06 runs from random starts.
+behind ``gld.multistart``'s noise scale, an interior-point local minimizer
+that criterion 06 runs from random starts, and the Langevin step's
+projection and kernel as they were written before their passes were
+fused, which the tests hold the library to bit for bit.
 """
 
 import numpy as np
@@ -19,6 +21,45 @@ def temperature(lam: float, n_assets: int, c: float) -> float:
     if lam <= 0.0 or c <= 0.0 or n_assets < 1:
         raise ValueError("temperature needs lam > 0, c > 0, n_assets >= 1")
     return 2.0 * lam * n_assets**2 / c**2
+
+
+def reference_project_rows(points: np.ndarray) -> np.ndarray:
+    """``gld.project_rows`` with a descending sort by negation and a
+    cumulative sum along each row."""
+    v = np.atleast_2d(np.asarray(points, dtype=float))
+    n = v.shape[1]
+    size = float(np.abs(v).max(initial=0.0))
+    if not np.isfinite(size):
+        raise ValueError("projection input contains non-finite entries")
+    if n * np.finfo(float).eps * size > gld._PROJECTION_TOL:
+        raise ValueError(f"projection input of size {size:.3g} is too large to land on the simplex in double precision")
+    u = -np.sort(-v, axis=1)
+    cumsum = np.cumsum(u, axis=1)
+    js = np.arange(1, n + 1)
+    positive = u + (1.0 - cumsum) / js > 0.0
+    rho = n - 1 - np.argmax(positive[:, ::-1], axis=1)  # last True per row
+    theta = (1.0 - cumsum[np.arange(v.shape[0]), rho]) / (rho + 1.0)
+    return np.maximum(v + theta[:, None], 0.0)
+
+
+def reference_kurtosis_and_gradient(points: np.ndarray, c) -> tuple[np.ndarray, np.ndarray]:
+    """``comoments.batch_kurtosis_and_gradient`` on a kernel that forms the
+    pair products from one copy of the point columns and multiplies their
+    weights 2 in last."""
+    pts = np.asarray(points, dtype=c.m2.dtype)
+    n_pts, n = pts.shape
+    pair_i, pair_j, _, pair_of = cm._pair_layout(n)
+    mult = np.where(pair_i == pair_j, 1.0, 2.0).astype(pts.dtype)
+    cols = np.ascontiguousarray(pts.T)
+    m2w = pts @ c.m2.T
+    weighted = cols[pair_i] * cols[pair_j] * mult[:, None]
+    half = c.m4_gram @ weighted
+    a = half[pair_of].reshape(n, n, n_pts)
+    variance = np.einsum("pi,pi->p", pts, m2w)
+    mu4 = np.einsum("qp,qp->p", half, weighted)
+    grad_mu4 = 4.0 * np.einsum("ijp,jp->pi", a, cols)
+    g = variance**2
+    return mu4 / g, grad_mu4 / g[:, None] - (4.0 * mu4 / (g * variance))[:, None] * m2w
 
 
 def barrier_descent(c: cm.CoMomentSet, w0: np.ndarray) -> tuple[np.ndarray, float, int]:

@@ -125,10 +125,12 @@ def test_kernel_matches_full_pair_product_reference(n):
 
 
 def strided_even_moments(points, c):
-    """The float64 kernel as it read its point columns before they were
-    copied to contiguous rows: a transposed view of ``points``."""
+    """The kernel as it read its point columns before they were copied to
+    contiguous rows: a transposed view of ``points``, whose dtype it
+    computes in, and the pair weights multiplied in last."""
     n_pts, n = points.shape
-    pair_i, pair_j, mult, pair_of = cm._pair_layout(n)
+    pair_i, pair_j, _, pair_of = cm._pair_layout(n)
+    mult = np.where(pair_i == pair_j, 1.0, 2.0).astype(points.dtype)
     cols = points.T
     m2w = points @ c.m2.T
     weighted = cols[pair_i] * cols[pair_j] * mult[:, None]
@@ -152,6 +154,22 @@ def test_float64_kernel_is_bitwise_the_strided_one(n, n_pts):
     for name, expected in strided_even_moments(points, c).items():
         value = getattr(got, name)
         assert value.dtype == np.float64
+        assert value.shape == expected.shape and value.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("n_pts", [1, 7, 1000])
+@pytest.mark.parametrize("n", [1, 5, 15, 30])
+def test_float32_kernel_is_bitwise_the_strided_one(n, n_pts):
+    # the Langevin step's kernel, on unit-scaled float32 copies and points
+    # with exact zeros, as projected states have
+    c = cm.unit_scaled(cm.build_comoments(random_panel(n, 300, seed=n)))[0]
+    single = cm._KernelMoments(c.m2.astype(np.float32), c.m4_gram.astype(np.float32))
+    points = np.random.default_rng(n_pts).dirichlet(np.ones(n), size=n_pts)
+    points[points < 0.5 / n] = 0.0
+    got = cm._even_moments(points, single)
+    for name, expected in strided_even_moments(points.astype(np.float32), single).items():
+        value = getattr(got, name)
+        assert value.dtype == np.float32
         assert value.shape == expected.shape and value.tobytes() == expected.tobytes(), name
 
 

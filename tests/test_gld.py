@@ -13,7 +13,7 @@ from portdim import comoments as cm
 from portdim import gld
 
 from conftest import iid_comoments
-from gld_reference import barrier_descent, temperature
+from gld_reference import barrier_descent, reference_kurtosis_and_gradient, reference_project_rows, temperature
 
 free_rows = arrays(
     np.float64,
@@ -42,6 +42,27 @@ def test_projection_is_feasible_and_optimal(v):
     for row, proj in zip(v, p):
         inner = (row - proj) @ (np.eye(row.size) - proj).T
         assert np.max(inner) <= 1e-9
+
+
+@given(
+    st.integers(min_value=1, max_value=2000),
+    st.integers(min_value=1, max_value=30),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_projection_is_bitwise_the_reference(n_rows, n, tied, scale, seed):
+    # a share `tied` of the entries comes from a grid with signed zeros, so
+    # rows hold ties, exact zeros of either sign and negative entries
+    rng = np.random.default_rng(seed)
+    v = scale * rng.standard_normal((n_rows, n))
+    grid = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.0, 0.25, 0.5, 1.0], size=v.shape)
+    v = np.where(rng.random(v.shape) < tied, scale * grid, v)
+    before = v.copy()
+    got = gld.project_rows(v)
+    assert got.tobytes() == reference_project_rows(v).tobytes()
+    assert v.tobytes() == before.tobytes()  # the caller's array is left alone
 
 
 @pytest.mark.parametrize("n", [1, 3, 15])
@@ -236,6 +257,20 @@ def test_results_do_not_depend_on_noise_chunk(monkeypatch, c_n3, chunk_iters):
     if chunk_iters is not None:  # 1 draws 3 float32 normals a call, an odd count of 32-bit halves
         monkeypatch.setattr(gld, "_NOISE_BUFFER_BYTES", chunk_iters * cfg.n_sim * c_n3.n_assets * 4)
     result = gld.multistart(c_n3, cfg, record_paths=(0, 6))
+    assert_same_result(reference, result)
+
+
+@pytest.mark.parametrize("n, n_sim", [(3, 40), (15, 40), (15, 8)])
+def test_multistart_is_bitwise_the_reference_projection_and_kernel(monkeypatch, c_n3, n, n_sim):
+    # 8 paths of 15 assets take the projection's few-rows branch; the
+    # reference projection serves the polish as well
+    c = c_n3 if n == 3 else cm.build_comoments(cm.ReturnSample(np.random.default_rng(n).standard_t(6, (3000, n))))
+    cfg = small_cfg(n_sim=n_sim, n_iter=200)
+    result = gld.multistart(c, cfg, record_paths=(0, 5))
+    monkeypatch.setattr(gld, "project_rows", reference_project_rows)
+    monkeypatch.setattr(gld, "batch_kurtosis_and_gradient", reference_kurtosis_and_gradient)
+    reference = gld.multistart(c, cfg, record_paths=(0, 5))
+    assert result.precision == "float32" and result.polish_applied
     assert_same_result(reference, result)
 
 
