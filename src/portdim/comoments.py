@@ -58,6 +58,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _helper
+
 __all__ = [
     "ReturnSample",
     "CoMomentSet",
@@ -78,6 +80,10 @@ __all__ = [
 #: chunk length for the fixed-order sequential reduction over observations,
 #: and for the panel's finiteness check
 _CHUNK_ROWS = 4096
+
+#: least sorted pairs of y = (1, r - s), (N + 1)(N + 2) / 2, at which a
+#: chunk's Gram matrix pays for its handoff to the helper thread
+_HELPER_MIN_PAIRS = 28
 
 #: rows of ``m4_gram`` built per block, to bound the index temporaries
 _GRAM_BLOCK_ROWS = 128
@@ -365,29 +371,67 @@ def _check_positive_definite(m2: np.ndarray) -> None:
     np.linalg.cholesky(m2)
 
 
+class _GramLane:
+    """One lane's buffers for a chunk's Gram matrix: y = (1, r - s) and its
+    pair products run along rows, so each pair block is one contiguous
+    multiply, and the chunk's Gram matrix is one in-place matmul."""
+
+    def __init__(self, shift: np.ndarray) -> None:
+        n = shift.size
+        n_pairs = (n + 1) * (n + 2) // 2
+        self.shift = shift
+        self.y = np.ones((n + 1, _CHUNK_ROWS))
+        self.pairs = np.empty((n_pairs, _CHUNK_ROWS))
+        self.gram = np.empty((n_pairs, n_pairs))
+
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        rows, n = block.shape
+        y, pair_prod = self.y[:, :rows], self.pairs[:, :rows]
+        np.subtract(block.T, self.shift[:, None], out=y[1:])
+        for j in range(n + 1):  # the pairs (i <= j) of one j are the colex ranks j(j+1)/2 .. j(j+1)/2 + j
+            np.multiply(y[: j + 1], y[j], out=pair_prod[j * (j + 1) // 2 : (j + 1) * (j + 2) // 2])
+        return np.matmul(pair_prod, pair_prod.T, out=self.gram)
+
+
 def _shifted_gram(pieces: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray, int]:
     """The shift s, the Gram matrix of y's pair products summed over the rows
     of every piece, and the row count.  Each piece is cut into chunks of its
-    own, so pieces of whole chunks give the bits of the panel they make up."""
-    gram, t_obs = None, 0
-    for piece in pieces:
-        for start in range(0, len(piece), _CHUNK_ROWS):
-            block = piece[start : start + _CHUNK_ROWS]
-            rows, n = block.shape
-            if gram is None:
-                shift, n_pairs = block.mean(axis=0), (n + 1) * (n + 2) // 2
-                y_buf, pair_buf = np.ones((n + 1, _CHUNK_ROWS)), np.empty((n_pairs, _CHUNK_ROWS))
-                gram, chunk_gram = np.zeros((n_pairs, n_pairs)), np.empty((n_pairs, n_pairs))
-            # y and its pairs run along rows, so each pair block below is one contiguous multiply
-            y, pair_prod = y_buf[:, :rows], pair_buf[:, :rows]
-            np.subtract(block.T, shift[:, None], out=y[1:])
-            for j in range(n + 1):  # the pairs (i <= j) of one j are the colex ranks j(j+1)/2 .. j(j+1)/2 + j
-                np.multiply(y[: j + 1], y[j], out=pair_prod[j * (j + 1) // 2 : (j + 1) * (j + 2) // 2])
-            gram += np.matmul(pair_prod, pair_prod.T, out=chunk_gram)
-            t_obs += rows
-    if gram is None:
+    own, so pieces of whole chunks give the bits of the panel they make up.
+
+    With the shared helper thread (``_helper``), and chunks of at least
+    ``_HELPER_MIN_PAIRS`` pairs, every other chunk's Gram matrix is handed
+    to the helper's own lane while the caller forms the next one; a chunk
+    the helper has not started by then is formed on the caller instead.
+    The chunk Grams are added in chunk order either way, and the helper's
+    chunk is settled before the function returns or raises."""
+    chunks = (piece[start : start + _CHUNK_ROWS] for piece in pieces for start in range(0, len(piece), _CHUNK_ROWS))
+    first = next(chunks, None)
+    if first is None:
         raise ValueError("no rows to build co-moments from")
-    return shift, gram, t_obs
+    lanes = [_GramLane(first.mean(axis=0))]
+    gram = np.zeros_like(lanes[0].gram)
+    helper = _helper.helper() if len(gram) >= _HELPER_MIN_PAIRS else None
+    handed, t_obs = None, 0  # the helper's chunk Gram, until it is added
+    try:
+        for k, block in enumerate(itertools.chain([first], chunks)):
+            t_obs += len(block)
+            if helper is not None and k % 2:
+                if len(lanes) == 1:
+                    lanes.append(_GramLane(lanes[0].shift))
+                handed = helper.hand(lanes[1], block)
+                continue
+            chunk_gram = lanes[0](block)
+            if handed is not None:
+                gram += handed.result()
+                handed = None
+            gram += chunk_gram
+        if handed is not None:
+            gram += handed.result()
+            handed = None
+    finally:
+        if handed is not None:
+            handed.settle()
+    return lanes[0].shift, gram, t_obs
 
 
 def build_comoments(sample: ReturnSample | Iterable[np.ndarray]) -> CoMomentSet:

@@ -13,8 +13,9 @@ deterministic outputs:
 * ``*_results.json`` files are sorted-key JSON with a mandatory ``version``
   field and no timing information;
 * ``run_record.json`` captures the config snapshot, wall clock, peak
-  resident memory, solver work counters, and an environment fingerprint
-  (the one file a rerun is allowed to change).
+  resident memory, whether the data path ran work on its helper thread,
+  solver work counters, and an environment fingerprint (the one file a
+  rerun is allowed to change).
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, _helper
 from .bbsolve import BOUND_MODES, BbConfig, bound_modes, solve
 from .comoments import CoMomentSet, ReturnSample, Weights, _check_counts, build_comoments
 from .divmeasure import (
@@ -181,15 +182,28 @@ def _format_cell(value) -> str:
 
 def write_csv(path: str | Path, header: list[str], rows, metadata: dict) -> Path:
     """CSV with ``# key: value`` metadata lines, then header, then rows."""
+    return _write_lines(path, header, (",".join(_format_cell(cell) for cell in row) for row in rows), metadata)
+
+
+def _write_lines(path: str | Path, header: list[str], lines: Iterable[str], metadata: dict) -> Path:
+    """``write_csv`` of rows already formatted as lines."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in metadata.items():
             fh.write(f"# {key}: {value}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(cell) for cell in row) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
     return path
+
+
+def _float_lines(pieces: Iterable[np.ndarray]) -> Iterator[str]:
+    """The CSV lines of float pieces, a row each: ``repr`` of every value of
+    the piece's ``tolist``, the bytes ``_format_cell`` writes for each float."""
+    for piece in pieces:
+        for row in piece.tolist():
+            yield ",".join(map(repr, row))
 
 
 def _write_results(path: str | Path, payload: dict) -> Path:
@@ -199,10 +213,23 @@ def _write_results(path: str | Path, payload: dict) -> Path:
     return path
 
 
-def _write_run_record(command: str, cfg: ExperimentConfig, start: float, counters: dict | None = None) -> Path:
+class _Started(NamedTuple):
+    """A command's start: the ``perf_counter`` and the tasks handed to the
+    data path's helper thread so far."""
+
+    seconds: float
+    handoffs: int
+
+
+def _started() -> _Started:
+    return _Started(time.perf_counter(), _helper.handoffs())
+
+
+def _write_run_record(command: str, cfg: ExperimentConfig, start: _Started, counters: dict | None = None) -> Path:
     """``run_record.json``: config snapshot, version, seconds since ``start``,
-    the process's peak resident memory, work counters, environment."""
-    seconds = time.perf_counter() - start
+    the process's peak resident memory, whether the data path handed work to
+    its helper thread since ``start``, work counters, environment."""
+    seconds = time.perf_counter() - start.seconds
     snap = cfg.snapshot()
     environment = {
         "python": platform.python_version(),
@@ -219,6 +246,7 @@ def _write_run_record(command: str, cfg: ExperimentConfig, start: float, counter
             "version": __version__,
             "wall_clock_seconds": seconds,
             "peak_rss_mb": _peak_rss_mb(),
+            "helper_thread": _helper.handoffs() > start.handoffs,
             "environment": environment,
             "counters": counters or {},
         },
@@ -343,17 +371,19 @@ def _support(w: np.ndarray) -> list[int]:
 
 def cmd_simulate(cfg: ExperimentConfig) -> Path:
     """Simulate a return panel and write it as CSV, a piece at a time."""
-    start = time.perf_counter()
+    start = _started()
     spec = build_universe(cfg)
-    rows = (row for piece in _simulate(cfg, spec) for row in piece)
-    path = write_csv(_out_dir(cfg) / "returns.csv", [f"A{i + 1}" for i in range(spec.n_assets)], rows, _metadata(cfg))
+    lines = _float_lines(_simulate(cfg, spec))
+    header = [f"A{i + 1}" for i in range(spec.n_assets)]
+    with _helper.on_caller():  # formatting holds the GIL, so a helper mapping the next piece would only wait for it
+        path = _write_lines(_out_dir(cfg) / "returns.csv", header, lines, _metadata(cfg))
     _write_run_record("simulate", cfg, start)
     return path
 
 
 def cmd_build_moments(cfg: ExperimentConfig) -> Path:
     """Estimate co-moments from a returns panel and write them as JSON."""
-    start = time.perf_counter()
+    start = _started()
     sample = load_or_simulate(cfg)
     c = _comoments(cfg, sample)
     names = sample.asset_names if isinstance(sample, ReturnSample) else [f"A{i + 1}" for i in range(c.n_assets)]
@@ -376,7 +406,7 @@ def cmd_toy_example(cfg: ExperimentConfig, rho_grid) -> Path:
     bound), closed-form risk parity, closed-form diversification ratio."""
     if not rho_grid:
         raise InputError("--rho-grid holds no correlation")
-    start = time.perf_counter()
+    start = _started()
     rows = []
     specs = [toy_universe(cfg, rho) for rho in rho_grid]  # reject a bad universe before any sampling
     for rho, spec in zip(rho_grid, specs):
@@ -405,7 +435,7 @@ def _check_bound_mode(cfg: ExperimentConfig, n_assets: int) -> None:
 
 def cmd_optimize_bb(cfg: ExperimentConfig) -> tuple[Path, Path]:
     """Branch-and-bound run: results JSON plus a bound-evolution trace CSV."""
-    start = time.perf_counter()
+    start = _started()
     if cfg.returns_file is None:
         _check_bound_mode(cfg, cfg.n_assets)  # fail before seconds of sampling
     sample = load_or_simulate(cfg)
@@ -465,7 +495,7 @@ def cmd_optimize_gld(cfg: ExperimentConfig, record_paths: tuple[int, ...] = ()) 
     """Langevin multistart run: results JSON plus final-iterate histograms."""
     with _input("--record-paths"):
         check_record_paths(record_paths, cfg.gld.n_sim)  # fail before seconds of sampling
-    start = time.perf_counter()
+    start = _started()
     c = _comoments(cfg, load_or_simulate(cfg))
     with _input("--lam/--noise-scale"):  # a step so large that the iterates leave the finite range
         result = multistart(c, cfg.gld, record_paths=record_paths)
@@ -531,7 +561,7 @@ def cmd_dimensionality(
     moments_file: str | None = None,
 ) -> Path:
     """Evaluate the diversification measure and dimensionality of a portfolio."""
-    start = time.perf_counter()
+    start = _started()
     if moments_file is not None:
         c = read_moments(moments_file)
     else:

@@ -34,6 +34,7 @@ reproducible regardless of how blocks are scheduled.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
@@ -41,6 +42,7 @@ from typing import Iterator
 import numpy as np
 from scipy.special import k1e, ndtr, ndtri, owens_t
 
+from . import _helper
 from .comoments import ReturnSample, _check_counts
 
 __all__ = [
@@ -649,6 +651,57 @@ class MetaGaussianSpec:
         return len(self.margins)
 
 
+def _draws(spec: MetaGaussianSpec, t_obs: int, seed: int) -> Iterator[np.ndarray]:
+    """The panel's correlated normal scores in order, a piece at a time."""
+    chol = np.linalg.cholesky(spec.input_corr)
+    for block, block_start in enumerate(range(0, t_obs, _BLOCK_ROWS)):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(SIMULATION_STREAM, block))
+        gen = np.random.Generator(np.random.Philox(ss))
+        block_end = min(block_start + _BLOCK_ROWS, t_obs)
+        for start in range(block_start, block_end, _PIECE_ROWS):
+            yield gen.standard_normal((min(_PIECE_ROWS, block_end - start), spec.n_assets)) @ chol.T
+
+
+def _map_scores(tables: list[_NigTable], z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Send each column of the scores ``z`` through its margin's map into ``out``, and return it."""
+    for i, table in enumerate(tables):
+        out[:, i] = table.score_map(z[:, i])
+    return out
+
+
+def _pieces(spec: MetaGaussianSpec, t_obs: int, seed: int, panel: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """The mapped pieces in order: fresh arrays, or the consecutive row
+    slices of ``panel`` they are written into.
+
+    With the shared helper thread (``_helper``), the caller draws and
+    correlates piece i + 1 while the helper maps piece i, and the consumer
+    works on piece i while the helper maps piece i + 1: one long call to
+    the ziggurat and one matmul on the caller, the many short calls of the
+    maps on the helper, so the two seldom wait for the GIL.  The helper's
+    pieces are settled before the generator ends, raises or is closed.  A
+    panel of one piece has nothing to overlap and stays on the caller.
+    """
+    tables = [_table(p) for p in spec.margins]
+    lane = _helper.helper() if t_obs > _PIECE_ROWS else None
+    handed: deque[_helper.Handoff] = deque()  # the pieces the helper maps, in order
+    start = 0
+    try:
+        for z in _draws(spec, t_obs, seed):
+            piece = np.empty(z.shape) if panel is None else panel[start : start + len(z)]
+            start += len(z)
+            if lane is None:
+                yield _map_scores(tables, z, piece)
+                continue
+            handed.append(lane.hand(_map_scores, tables, z, piece))
+            if len(handed) == 2:
+                yield handed.popleft().result()
+        while handed:
+            yield handed.popleft().result()
+    finally:
+        for handoff in handed:
+            handoff.settle()
+
+
 def sample_pieces(spec: MetaGaussianSpec, t_obs: int, seed: int) -> Iterator[np.ndarray]:
     """The rows of a T x N meta-Gaussian return panel in order, 8192 at a
     time (whole ``build_comoments`` chunks), bit-reproducible in the seed.
@@ -659,25 +712,25 @@ def sample_pieces(spec: MetaGaussianSpec, t_obs: int, seed: int) -> Iterator[np.
     Tsang 2000), filled value by value, so the piece size changes no bit.
     A piece's rows are correlated by the Cholesky factor, and each column
     is sent through its margin's normal-score map.
+
+    Where the process may use two CPUs and BLAS runs on one thread, a
+    panel of more than one piece is mapped on the shared helper thread
+    while the caller draws the next piece (see ``_helper``); every value
+    follows the same operations on either thread, so the pieces are bit
+    for bit those of a serial run.  Closing the generator early waits for
+    the helper's pieces, so none is written after it returns.
     """
     _check_counts(("t_obs", t_obs, 1), ("seed", seed, 0))
-    chol = np.linalg.cholesky(spec.input_corr)
-    tables = [_table(p) for p in spec.margins]
-    for block, block_start in enumerate(range(0, t_obs, _BLOCK_ROWS)):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(SIMULATION_STREAM, block))
-        gen = np.random.Generator(np.random.Philox(ss))
-        block_end = min(block_start + _BLOCK_ROWS, t_obs)
-        for start in range(block_start, block_end, _PIECE_ROWS):
-            z = gen.standard_normal((min(_PIECE_ROWS, block_end - start), spec.n_assets)) @ chol.T
-            yield np.column_stack([table.score_map(z[:, i]) for i, table in enumerate(tables)])
+    yield from _pieces(spec, t_obs, seed)
 
 
 def sample_meta_gaussian(spec: MetaGaussianSpec, t_obs: int, seed: int) -> ReturnSample:
-    """The T x N panel whose rows ``sample_pieces`` yields."""
+    """The T x N panel whose rows ``sample_pieces`` yields, bit for bit.
+
+    Each piece is mapped straight into its rows of the panel, on the
+    shared helper thread where ``sample_pieces`` would use it."""
     _check_counts(("t_obs", t_obs, 1), ("seed", seed, 0))
     out = np.empty((t_obs, spec.n_assets))
-    start = 0
-    for piece in sample_pieces(spec, t_obs, seed):
-        out[start : start + len(piece)] = piece
-        start += len(piece)
+    for _ in _pieces(spec, t_obs, seed, out):
+        pass
     return ReturnSample(out)

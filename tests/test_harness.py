@@ -992,7 +992,15 @@ def test_run_record_fields(tmp_path):
     hn.cmd_simulate(cfg)
     record = json.loads((tmp_path / "t" / "run_record.json").read_text())
     assert set(record) == {
-        "command", "config", "config_hash", "version", "wall_clock_seconds", "peak_rss_mb", "environment", "counters"
+        "command",
+        "config",
+        "config_hash",
+        "version",
+        "wall_clock_seconds",
+        "peak_rss_mb",
+        "helper_thread",
+        "environment",
+        "counters",
     }
     # the process holds at least numpy and scipy.special, and nowhere near 1 TB
     assert isinstance(record["peak_rss_mb"], float) and 10.0 < record["peak_rss_mb"] < 1e6
@@ -1015,3 +1023,10 @@ def test_package_imports_no_interpolate_or_integrate():
     env = dict(os.environ, PYTHONPATH=str(Path(hn.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_simulated_rows_are_written_as_format_cell_writes_them():
+    # signed zero, the least subnormal, a value near the top of the range and a whole number
+    rows = np.array([[-0.0, 5e-324, 1e308, 1.0], [1.0, -1e308, -5e-324, -0.0]])
+    expected = "".join(",".join(hn._format_cell(cell) for cell in row) + "\n" for row in rows)
+    assert "".join(line + "\n" for line in hn._float_lines([rows[:1], rows[1:]])).encode() == expected.encode()
